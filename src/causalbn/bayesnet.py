@@ -8,13 +8,14 @@ slowest (C order).
 
 from __future__ import annotations
 
-import io
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import (
+    DomainError,
     EmptyDataset,
     SizeCapExceeded,
     UnknownVariable,
@@ -29,6 +30,8 @@ ROW_SUM_TOL = 1e-9
 ARITH_TOL = 1e-12
 #: default cap on joint configuration count
 DEFAULT_SIZE_CAP = 2**24
+#: rows rendered per chunk by ``Dataset.to_csv``
+_CSV_CHUNK_ROWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -232,36 +235,107 @@ class Dataset:
     states: tuple[tuple[str, ...], ...]
     rows: np.ndarray  # shape (n, len(columns)), integer state indices
 
+    def __post_init__(self):
+        cards = np.array([len(s) for s in self.states], dtype=np.int64)
+        width = len(self.columns)
+        if len(cards) != width or self.rows.ndim != 2 or self.rows.shape[1] != width:
+            raise ValidationError(
+                f"dataset rows of shape {self.rows.shape} do not fit columns {self.columns}"
+            )
+        if not self.rows.size:
+            return
+        # the overall maximum settles the usual case without a slow per-column pass
+        too_big = self.rows.max() >= cards.min() and np.any(self.rows.max(axis=0) >= cards)
+        if too_big or self.rows.min() < 0:
+            raise ValidationError("dataset row holds a state index outside its column")
+
     def __len__(self) -> int:
         return self.rows.shape[0]
 
     def to_csv(self) -> str:
-        """CSV text: header of variable names, one state label per cell, LF."""
-        buf = io.StringIO()
-        buf.write(",".join(self.columns) + "\n")
-        label_arrays = [np.asarray(s) for s in self.states]
-        cells = [label_arrays[j][self.rows[:, j]] for j in range(len(self.columns))]
-        for i in range(self.rows.shape[0]):
-            buf.write(",".join(col[i] for col in cells) + "\n")
-        return buf.getvalue()
+        """CSV text: header of variable names, one state label per cell, LF.
+
+        Rows are rendered a chunk at a time: each row gets a mixed-radix
+        code over its states, each distinct code is rendered once, and the
+        chunk is the join of those lines in row order.  When every
+        configuration fits in a chunk, the lines come from one table of
+        all configurations; otherwise from the chunk's distinct codes.
+        Columns whose joint code would overflow int64 are split into
+        consecutive groups rendered the same way and joined with ``,``.
+        """
+        cards = [len(s) for s in self.states]
+        groups = _radix_groups(cards)
+
+        def render(configs, end: str) -> np.ndarray:
+            return np.array([",".join(cfg) + end for cfg in configs], dtype=object)
+
+        ends = [","] * (len(groups) - 1) + ["\n"]
+        tables = [
+            render(itertools.product(*(self.states[j] for j in cols)), end)
+            if size <= _CSV_CHUNK_ROWS
+            else None
+            for (cols, size), end in zip(groups, ends)
+        ]
+
+        parts = [",".join(self.columns) + "\n"]
+        for start in range(0, len(self), _CSV_CHUNK_ROWS):
+            block = self.rows[start : start + _CSV_CHUNK_ROWS]
+            cells = None
+            for (cols, _), end, table in zip(groups, ends, tables):
+                codes = np.zeros(block.shape[0], dtype=np.int64)
+                for j in cols:
+                    codes = codes * cards[j] + block[:, j]
+                if table is not None:
+                    lines = table[codes]
+                else:
+                    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+                    configs = (
+                        [self.states[j][v] for j, v in zip(cols, row)]
+                        for row in block[first][:, cols].tolist()
+                    )
+                    lines = render(configs, end)[inverse]
+                cells = lines if cells is None else cells + lines
+            parts.append("".join(cells))
+        return "".join(parts)
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(self.to_csv())
 
 
+def _radix_groups(cards: list[int]) -> list[tuple[list[int], int]]:
+    """Consecutive column groups, each with its configuration count.
+
+    Every group's mixed-radix codes fit in int64.  There is always at
+    least one group, so a dataset without columns still renders one
+    (empty) line per row.
+    """
+    groups: list[tuple[list[int], int]] = []
+    cols: list[int] = []
+    size = 1
+    for j, c in enumerate(cards):
+        if cols and size * c > 2**63:
+            groups.append((cols, size))
+            cols, size = [], 1
+        cols.append(j)
+        size *= c
+    groups.append((cols, size))
+    return groups
+
+
 def forward_sample(net: DiscreteBayesNet, n: int, seed: int) -> Dataset:
     """Ancestral sampling with a fixed, documented RNG scheme.
 
     The generator is numpy's PCG64 seeded with ``seed``.  Nodes are
-    visited in topological order; each node consumes one uniform draw
-    per row and maps it to a state by inverse CDF over the node's state
-    order.  Identical (net, n, seed) therefore reproduces the dataset
-    bit for bit.
+    visited in topological order (ties broken by declaration order);
+    each node consumes one uniform draw ``u`` per row, and the row's
+    state is the number of entries of its CPT row's cumulative sum that
+    lie strictly below ``u``, clamped to the last state.  Identical
+    (net, n, seed) therefore reproduces the dataset bit for bit.
     """
     validate(net)
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError(f"sample size must be >= 1, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))
     nodes = net.dag.nodes
     col_of = {name: i for i, name in enumerate(nodes)}
@@ -269,18 +343,18 @@ def forward_sample(net: DiscreteBayesNet, n: int, seed: int) -> Dataset:
     for name in topological_order(net.dag):
         cpt = net.cpts[name]
         u = rng.random(n)
-        if cpt.parents:
-            # row index into the CPT, first parent slowest
-            idx = np.zeros(n, dtype=np.int64)
-            for p in cpt.parents:
-                idx = idx * net.card(p) + rows[:, col_of[p]]
-            probs = cpt.table[idx]
-        else:
-            probs = np.broadcast_to(cpt.table[0], (n, net.card(name)))
-        cdf = np.cumsum(probs, axis=1)
-        rows[:, col_of[name]] = np.minimum(
-            (u[:, None] > cdf).sum(axis=1), net.card(name) - 1
-        )
+        # cumsum of a CPT row does the same float additions as per-row cumsum
+        cdf = np.cumsum(cpt.table, axis=1)
+        # row index into the CPT, first parent slowest
+        idx = np.zeros(n, dtype=np.int64)
+        for p in cpt.parents:
+            idx = idx * net.card(p) + rows[:, col_of[p]]
+        state = rows[:, col_of[name]]
+        # CDF rows never decrease (validate rejects negative entries), so
+        # leaving out the last column is the clamp to the last state
+        for j in range(net.card(name) - 1):
+            column = cdf[:, j]
+            state += u > (column[idx] if cpt.parents else column[0])
     return Dataset(nodes, tuple(net.variables[m].states for m in nodes), rows)
 
 

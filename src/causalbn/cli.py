@@ -34,7 +34,6 @@ from .intervention import (
     conditioning_bias,
     interventional_distribution,
     select_sufficient_confounders,
-    unadjusted_estimate,
 )
 from .latent import (
     bias_scan,

@@ -9,7 +9,7 @@ removal used to represent interventions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import CycleError, UnknownNode

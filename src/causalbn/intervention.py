@@ -10,13 +10,12 @@ selection.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .bayesnet import (
-    ARITH_TOL,
     DEFAULT_SIZE_CAP,
     DiscreteBayesNet,
     Factor,
@@ -51,7 +50,7 @@ class InterventionQuery:
 
 def _truncated_joint(net: DiscreteBayesNet, do: Mapping[str, str], size_cap: int) -> Factor:
     """Joint of the mutilated model: intervened CPTs become point masses."""
-    from .bayesnet import Cpt, _broadcast_cpt  # local to avoid cycle at import
+    from .bayesnet import _broadcast_cpt  # local to avoid cycle at import
 
     validate(net)
     nodes = net.dag.nodes

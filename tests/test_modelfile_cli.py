@@ -154,6 +154,15 @@ class TestCli:
         assert text.startswith("X,Z,Y\n")
         assert len(text.splitlines()) == 501
 
+    def test_sample_empty_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "empty.csv"
+        assert main(
+            ["sample", "fig1_left", "-n", "0", "--seed", "9", "--out", str(out)]
+        ) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_scan_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         assert main(
