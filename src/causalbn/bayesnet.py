@@ -53,7 +53,8 @@ class Cpt:
     """Conditional probability table for one child.
 
     ``table`` has one row per parent configuration (first listed parent
-    slowest-varying) and one column per child state.
+    slowest-varying) and one column per child state.  The table is a
+    read-only float copy, so it cannot change after validation.
     """
 
     child: str
@@ -61,14 +62,21 @@ class Cpt:
     table: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
+        table = np.array(self.table, dtype=float)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
 
 @dataclass(frozen=True)
 class DiscreteBayesNet:
+    """A DAG with one variable and one CPT per node, validated when built."""
+
     dag: Dag
     variables: Mapping[str, Variable]
     cpts: Mapping[str, Cpt]
+
+    def __post_init__(self):
+        validate(self)
 
     def card(self, name: str) -> int:
         return len(self.variables[name].states)
@@ -105,7 +113,8 @@ def validate(net: DiscreteBayesNet) -> None:
             raise ValidationError(
                 f"CPT shape for {node!r} is {cpt.table.shape}, expected {(n_rows, net.card(node))}"
             )
-        if np.any(cpt.table < 0) or np.any(cpt.table > 1):
+        # written so that NaN fails the check too
+        if not np.all((cpt.table >= 0) & (cpt.table <= 1)):
             raise ValidationError(f"CPT entry outside [0,1] for {node!r}")
         sums = cpt.table.sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
@@ -197,9 +206,18 @@ def _broadcast_cpt(net: DiscreteBayesNet, node: str, axis_of: Mapping[str, int],
     return cube.transpose(order).reshape(shape)
 
 
-def joint(net: DiscreteBayesNet, size_cap: int = DEFAULT_SIZE_CAP) -> Factor:
-    """Exact joint over all variables, scope in declaration order."""
-    validate(net)
+def joint(
+    net: DiscreteBayesNet,
+    do: Mapping[str, str] | None = None,
+    size_cap: int = DEFAULT_SIZE_CAP,
+) -> Factor:
+    """Exact joint over all variables, scope in declaration order.
+
+    With ``do``, each intervened node contributes a point mass at its
+    assigned state instead of its CPT: the truncated factorization of
+    the mutilated model.
+    """
+    point_at = {n: net.state_index(n, state) for n, state in (do or {}).items()}
     nodes = net.dag.nodes
     total = 1
     for n in nodes:
@@ -209,7 +227,14 @@ def joint(net: DiscreteBayesNet, size_cap: int = DEFAULT_SIZE_CAP) -> Factor:
     axis_of = {n: i for i, n in enumerate(nodes)}
     values = np.ones([net.card(n) for n in nodes])
     for n in nodes:
-        values = values * _broadcast_cpt(net, n, axis_of, len(nodes))
+        if n in point_at:
+            point = np.zeros(net.card(n))
+            point[point_at[n]] = 1.0
+            shape = [1] * len(nodes)
+            shape[axis_of[n]] = net.card(n)
+            values = values * point.reshape(shape)
+        else:
+            values = values * _broadcast_cpt(net, n, axis_of, len(nodes))
     return Factor(nodes, tuple(net.variables[n].states for n in nodes), values)
 
 
@@ -333,7 +358,6 @@ def forward_sample(net: DiscreteBayesNet, n: int, seed: int) -> Dataset:
     lie strictly below ``u``, clamped to the last state.  Identical
     (net, n, seed) therefore reproduces the dataset bit for bit.
     """
-    validate(net)
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -36,6 +36,7 @@ from .intervention import (
     select_sufficient_confounders,
 )
 from .latent import (
+    _fmt,
     bias_scan,
     correlation_feasible,
     decompose_common_cause,
@@ -56,10 +57,6 @@ DOMAIN_ERRORS = (
     StructureError,
     UnknownNode,
 )
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _parse_assignments(text: str) -> dict[str, str]:
@@ -204,7 +201,6 @@ def cmd_scan(args) -> int:
         treatment=args.treatment,
         outcome=args.outcome,
         covariate=args.covariate,
-        workers=args.workers,
     )
     Path(args.out).write_text(scan_to_csv(results), encoding="utf-8", newline="")
     print(scan_summary(results))
@@ -320,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--treatment", default="Z")
     p.add_argument("--outcome", default="Y")
     p.add_argument("--covariate", default="X")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_scan)
 

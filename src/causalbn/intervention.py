@@ -15,13 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import (
-    DEFAULT_SIZE_CAP,
-    DiscreteBayesNet,
-    Factor,
-    joint,
-    validate,
-)
+from .bayesnet import DEFAULT_SIZE_CAP, DiscreteBayesNet, Factor, joint
 from .errors import (
     PositivityViolation,
     SizeCapExceeded,
@@ -48,36 +42,11 @@ class InterventionQuery:
                 raise UnknownVariable(f"unknown variable {name!r}")
 
 
-def _truncated_joint(net: DiscreteBayesNet, do: Mapping[str, str], size_cap: int) -> Factor:
-    """Joint of the mutilated model: intervened CPTs become point masses."""
-    from .bayesnet import _broadcast_cpt  # local to avoid cycle at import
-
-    validate(net)
-    nodes = net.dag.nodes
-    total = 1
-    for n in nodes:
-        total *= net.card(n)
-        if total > size_cap:
-            raise SizeCapExceeded(f"joint would exceed {size_cap} configurations")
-    axis_of = {n: i for i, n in enumerate(nodes)}
-    values = np.ones([net.card(n) for n in nodes])
-    for n in nodes:
-        if n in do:
-            point = np.zeros(net.card(n))
-            point[net.state_index(n, do[n])] = 1.0
-            shape = [1] * len(nodes)
-            shape[axis_of[n]] = net.card(n)
-            values = values * point.reshape(shape)
-        else:
-            values = values * _broadcast_cpt(net, n, axis_of, len(nodes))
-    return Factor(nodes, tuple(net.variables[n].states for n in nodes), values)
-
-
 def interventional_distribution(
     q: InterventionQuery, size_cap: int = DEFAULT_SIZE_CAP
 ) -> Factor:
     """p(target | do(assignments)) by truncated factorization."""
-    f = _truncated_joint(q.net, q.do_assignments, size_cap)
+    f = joint(q.net, q.do_assignments, size_cap)
     f = f.marginal({q.target})
     return Factor(f.scope, f.states, f.values / f.values.sum())
 
@@ -102,8 +71,8 @@ def _outcome_values(
     return np.array(vals)
 
 
-def _expected(net, outcome, dist: Factor, values: np.ndarray) -> float:
-    return float(np.dot(dist.values, values))
+def _expected(dist: Factor, values: np.ndarray) -> float:
+    return float(np.dot(values, dist.values))
 
 
 def ace(
@@ -120,7 +89,7 @@ def ace(
     vals = _outcome_values(net, outcome, outcome_value_map)
     d1 = interventional_distribution(InterventionQuery(outcome, {treatment: level1}, net))
     d0 = interventional_distribution(InterventionQuery(outcome, {treatment: level0}, net))
-    return _expected(net, outcome, d1, vals) - _expected(net, outcome, d0, vals)
+    return _expected(d1, vals) - _expected(d0, vals)
 
 
 def adjusted_estimate(
@@ -320,7 +289,6 @@ def select_sufficient_confounders(
     """
     if mode not in ("graphical", "distributional"):
         raise ValueError(f"unknown mode {mode!r}")
-    validate(net)
     dag = net.dag
     excluded = {treatment, outcome} | descendants(dag, treatment)
     pool = tuple(v for v in dag.nodes if v not in excluded)
@@ -394,10 +362,6 @@ def effect_report(
     if level1 is None or level0 is None:
         level1, level0 = _default_levels(net, treatment)
     vals = _outcome_values(net, outcome, outcome_value_map)
-
-    def expect(dist: Factor) -> float:
-        return float(np.dot(vals, dist.values))
-
     levels = (level1, level0)
     true_dist = {
         lv: interventional_distribution(InterventionQuery(outcome, {treatment: lv}, net))
@@ -411,23 +375,22 @@ def effect_report(
         adj = adjusted_estimate(net, treatment, outcome, s)
         adjusted_dist[key] = {lv: adj[lv] for lv in levels}
 
-    ace_true = expect(true_dist[level1]) - expect(true_dist[level0])
-    ace_unadjusted = expect(unadjusted_dist[level1]) - expect(unadjusted_dist[level0])
-    ace_adjusted = {
-        key: expect(d[level1]) - expect(d[level0]) for key, d in adjusted_dist.items()
-    }
+    def means(dists: Mapping[str, Factor]) -> dict[str, float]:
+        return {lv: _expected(dists[lv], vals) for lv in levels}
+
+    mean_true, mean_unadj = means(true_dist), means(unadjusted_dist)
+    mean_adj = {key: means(d) for key, d in adjusted_dist.items()}
+    ace_true = mean_true[level1] - mean_true[level0]
+    ace_unadjusted = mean_unadj[level1] - mean_unadj[level0]
+    ace_adjusted = {key: m[level1] - m[level0] for key, m in mean_adj.items()}
 
     per_level_errors: dict[str, dict[str, float]] = {
-        "unadjusted": {
-            lv: expect(unadjusted_dist[lv]) - expect(true_dist[lv]) for lv in levels
-        }
+        "unadjusted": {lv: mean_unadj[lv] - mean_true[lv] for lv in levels}
     }
     ace_errors = {"unadjusted": ace_unadjusted - ace_true}
-    for key, d in adjusted_dist.items():
+    for key, m in mean_adj.items():
         label = "adjusted:" + ",".join(key)
-        per_level_errors[label] = {
-            lv: expect(d[lv]) - expect(true_dist[lv]) for lv in levels
-        }
+        per_level_errors[label] = {lv: m[lv] - mean_true[lv] for lv in levels}
         ace_errors[label] = ace_adjusted[key] - ace_true
 
     return EffectReport(

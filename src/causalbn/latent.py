@@ -12,13 +12,12 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import Cpt, DiscreteBayesNet, Factor, Variable, joint, validate
+from .bayesnet import Cpt, DiscreteBayesNet, Factor, Variable, joint
 from .errors import (
     DegenerateEndpoints,
     DomainError,
@@ -160,7 +159,7 @@ class ScenarioParams:
 
 
 def build_scenario(sp: ScenarioParams) -> DiscreteBayesNet:
-    """Instantiate a template into a validated binary network."""
+    """Instantiate a template into a binary network (validated when built)."""
     tpl = TEMPLATES[sp.template]
     dag = Dag(tpl.nodes, {n: tpl.parents[n] for n in tpl.nodes})
     variables = {n: Variable(n, BINARY) for n in tpl.nodes}
@@ -177,9 +176,7 @@ def build_scenario(sp: ScenarioParams) -> DiscreteBayesNet:
                 p1 = float(sp.parameters[f"{node.lower()}|{cond}"])
                 rows.append([1.0 - p1, p1])
         cpts[node] = Cpt(node, pars, np.array(rows))
-    net = DiscreteBayesNet(dag, variables, cpts)
-    validate(net)
-    return net
+    return DiscreteBayesNet(dag, variables, cpts)
 
 
 @dataclass(frozen=True)
@@ -371,13 +368,10 @@ def bias_scan(
     outcome: str = "Y",
     covariate: str = "X",
     base_params: Mapping[str, float] | None = None,
-    workers: int = 1,
 ) -> list[ScanResult]:
     """Exact bias comparison on every cell of a parameter grid.
 
-    Grid axes iterate row-major with parameter names sorted; cells are
-    independent, so ``workers`` > 1 just parallelizes evaluation while
-    output order stays deterministic.
+    Grid axes iterate row-major with parameter names sorted.
     """
     if template not in TEMPLATES:
         raise ValidationError(f"unknown template {template!r}")
@@ -389,30 +383,18 @@ def bias_scan(
     if base_params:
         base.update(base_params)
     axes = sorted(grid_spec)
-    cells = []
+    results = []
     for values in itertools.product(*[grid_spec[a] for a in axes]):
         point = dict(zip(axes, [float(v) for v in values]))
         params = dict(base)
         params.update(point)
-        cells.append((params, point))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda c: _scan_cell(template, c[0], c[1], treatment, outcome, covariate),
-                    cells,
-                )
-            )
-    else:
-        results = [
-            _scan_cell(template, params, point, treatment, outcome, covariate)
-            for params, point in cells
-        ]
+        results.append(_scan_cell(template, params, point, treatment, outcome, covariate))
     return results
 
 
 def _fmt(x: float) -> str:
-    return "nan" if math.isnan(x) else f"{x:.12g}"
+    """12 significant digits, the one number format of CSV and CLI output."""
+    return f"{x:.12g}"
 
 
 def scan_to_csv(results: Sequence[ScanResult]) -> str:

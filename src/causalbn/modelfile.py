@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bayesnet import Cpt, DiscreteBayesNet, Variable, validate
+from .bayesnet import Cpt, DiscreteBayesNet, Variable
 from .errors import ParseError
 from .graph import Dag
 
@@ -123,9 +123,7 @@ def parse_model(text: str) -> DiscreteBayesNet:
             f"vs parents {sorted(implied)}"
         )
 
-    net = DiscreteBayesNet(Dag(tuple(order), parents_map), variables, cpts)
-    validate(net)
-    return net
+    return DiscreteBayesNet(Dag(tuple(order), parents_map), variables, cpts)
 
 
 def serialize_model(net: DiscreteBayesNet) -> str:

@@ -69,13 +69,15 @@ def brute_query(net, targets, evidence):
     return {k: v / den for k, v in num.items()}
 
 
-def brute_do(net, target, do):
-    """p(target | do(...)) by enumerating the truncated factorization."""
+def brute_truncated_joint(net, do):
+    """Joint of the mutilated model as a dict config -> probability: 0 off
+    the intervened states, else the product of the other nodes' CPTs."""
     nodes = net.dag.nodes
-    out = {s: 0.0 for s in net.variables[target].states}
+    out = {}
     for cfg in itertools.product(*[net.variables[n].states for n in nodes]):
         assign = dict(zip(nodes, cfg))
         if any(assign[k] != v for k, v in do.items()):
+            out[cfg] = 0.0
             continue
         p = 1.0
         for n in nodes:
@@ -86,7 +88,16 @@ def brute_do(net, target, do):
             for par in cpt.parents:
                 row = row * net.card(par) + net.variables[par].states.index(assign[par])
             p *= cpt.table[row][net.variables[n].states.index(assign[n])]
-        out[assign[target]] += p
+        out[cfg] = p
+    return out
+
+
+def brute_do(net, target, do):
+    """p(target | do(...)) by enumerating the truncated factorization."""
+    col = net.dag.nodes.index(target)
+    out = {s: 0.0 for s in net.variables[target].states}
+    for cfg, p in brute_truncated_joint(net, do).items():
+        out[cfg[col]] += p
     total = sum(out.values())
     return {k: v / total for k, v in out.items()}
 

@@ -50,9 +50,8 @@ class TestValidate:
 
     def test_row_sum(self):
         net = single_node()
-        bad = DiscreteBayesNet(net.dag, net.variables, {"X": Cpt("X", (), [[0.6, 0.3]])})
         with pytest.raises(ValidationError, match="row sum"):
-            validate(bad)
+            DiscreteBayesNet(net.dag, net.variables, {"X": Cpt("X", (), [[0.6, 0.3]])})
 
     def test_parent_mismatch(self):
         good = load_model("fig1_left")
@@ -60,6 +59,22 @@ class TestValidate:
         cpts["Z"] = Cpt("Z", (), [[0.5, 0.5]])
         with pytest.raises(ValidationError, match="parent mismatch"):
             validate(DiscreteBayesNet(good.dag, good.variables, cpts))
+
+    def test_nan_entry_rejected(self):
+        net = single_node()
+        with pytest.raises(ValidationError, match=r"outside \[0,1\]"):
+            DiscreteBayesNet(
+                net.dag, net.variables, {"X": Cpt("X", (), [[float("nan"), 0.5]])}
+            )
+
+    def test_tables_are_read_only(self):
+        net = load_model("fig1_left")
+        with pytest.raises(ValueError):
+            net.cpts["Z"].table[0, 0] = 0.5
+        source = np.array([[0.25, 0.75]])
+        cpt = Cpt("X", (), source)
+        source[0, 0] = 0.5  # the CPT keeps its own copy
+        assert cpt.table[0, 0] == 0.25
 
     def test_missing_cpt(self):
         good = load_model("fig1_left")

@@ -19,7 +19,7 @@ from causalbn.intervention import (
 from causalbn.latent import DEFAULT_PARAMS, TEMPLATES, ScenarioParams, build_scenario
 from causalbn.modelfile import load_model
 
-from oracles import brute_do, random_cpts
+from oracles import brute_do, brute_truncated_joint, random_cpts
 
 
 def random_scenario(template, rng, lo=0.05, hi=0.95):
@@ -60,6 +60,22 @@ class TestInterventionalDistribution:
                     want = brute_do(net, "Y", {"Z": level})
                     for state, p in want.items():
                         assert abs(got.prob({"Y": state}) - p) < 1e-12
+        # a do on two nodes, one of them 3-state, on random CPTs
+        dag = Dag.from_edges(
+            ("A", "B", "C", "D", "E"),
+            [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D"), ("D", "E"), ("A", "E")],
+        )
+        cards = {"A": 3, "B": 2, "C": 3, "D": 2, "E": 3}
+        for _ in range(10):
+            net = random_cpts(dag, rng, cards)
+            do = {"C": "2", "B": "0"}
+            got = joint(net, do=do)
+            for cfg, p in brute_truncated_joint(net, do).items():
+                assert abs(got.prob(dict(zip(dag.nodes, cfg))) - p) < 1e-15
+            for target in ("A", "D", "E"):
+                dist = interventional_distribution(InterventionQuery(target, do, net))
+                for state, p in brute_do(net, target, do).items():
+                    assert abs(dist.prob({target: state}) - p) < 1e-12
 
     def test_parentless_do_equals_conditioning(self):
         # intervening on a root node is the same as observing it

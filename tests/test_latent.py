@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -243,11 +244,13 @@ class TestBiasScan:
         points = [tuple(r.grid_point[k] for k in sorted(r.grid_point)) for r in results]
         assert points == [(0.2, 0.3), (0.2, 0.6), (0.8, 0.3), (0.8, 0.6)]
 
-    def test_serial_parallel_identical(self):
+    def test_repeated_scans_identical_and_pinned(self):
         grid = {"u": [0.2, 0.5, 0.8], "w|u=1": [0.3, 0.6, 0.9]}
-        serial = scan_to_csv(bias_scan("modelD", grid, workers=1))
-        parallel = scan_to_csv(bias_scan("modelD", grid, workers=4))
-        assert serial == parallel
+        first = scan_to_csv(bias_scan("modelD", grid)).encode()
+        assert scan_to_csv(bias_scan("modelD", grid)).encode() == first
+        assert hashlib.sha256(first).hexdigest() == (
+            "6db4dfe0a6c7814d0fd7afa35c32c071d8f533a7f36c2390e36ac6540a81e7ea"
+        )
 
     def test_failed_cell_marked_and_scan_continues(self):
         # z deterministic at both u levels kills positivity for adjustment

@@ -137,6 +137,18 @@ class TestCli:
         assert main(["query", str(bad), "--target", "Y"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_cpt_entry_exit_3(self, tmp_path, capsys):
+        # json.loads accepts NaN, so the range check must reject it
+        doc = json.loads(bundled_model_text("fig1_left"))
+        doc["cpts"]["X"]["table"] = [[float("nan"), 0.5]]
+        bad = tmp_path / "nan.model"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert "NaN" in bad.read_text(encoding="utf-8")
+        assert main(["query", str(bad), "--target", "Y"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "outside [0,1]" in err
+        assert "Traceback" not in err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["query"])  # missing required --target and model
