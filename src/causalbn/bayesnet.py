@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -69,13 +70,19 @@ class Cpt:
 
 @dataclass(frozen=True)
 class DiscreteBayesNet:
-    """A DAG with one variable and one CPT per node, validated when built."""
+    """A DAG with one variable and one CPT per node, validated when built.
+
+    ``variables`` and ``cpts`` are read-only views of private copies, so a
+    built network stays valid and can be shared.
+    """
 
     dag: Dag
     variables: Mapping[str, Variable]
     cpts: Mapping[str, Cpt]
 
     def __post_init__(self):
+        object.__setattr__(self, "variables", MappingProxyType(dict(self.variables)))
+        object.__setattr__(self, "cpts", MappingProxyType(dict(self.cpts)))
         validate(self)
 
     def card(self, name: str) -> int:

@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -29,6 +30,8 @@ from .errors import (
 from .graph import backdoor_admissible, d_separated
 from .intervention import (
     InterventionQuery,
+    _expected,
+    _outcome_values,
     ace,
     adjusted_estimate,
     conditioning_bias,
@@ -162,11 +165,12 @@ def cmd_bias(args) -> int:
         net, args.treatment, args.outcome, args.covariate, args.z1, args.z0
     )
     adj = adjusted_estimate(net, args.treatment, args.outcome, [args.covariate])
+    y_vals = _outcome_values(net, args.outcome, None)
     for level in net.variables[args.treatment].states:
         truth = interventional_distribution(
             InterventionQuery(args.outcome, {args.treatment: level}, net)
         )
-        err = float(adj[level].values[-1] - truth.values[-1])
+        err = _expected(adj[level], y_vals) - _expected(truth, y_vals)
         print(f"per-level error at {args.treatment}={level}: {_fmt(err)}")
     print(f"bias: {_fmt(value)}")
     return 0
@@ -342,9 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use (parsing leaves it unchanged)."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PARSE_ERRORS as exc:

@@ -8,8 +8,10 @@ removal used to represent interventions.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import CycleError, UnknownNode
@@ -19,6 +21,8 @@ from .errors import CycleError, UnknownNode
 class Dag:
     """Immutable DAG: ordered nodes plus an ordered parent tuple per node.
 
+    ``parents`` is a read-only view of a private copy.
+
     Declaration order of ``nodes`` is the tie-breaking order used by every
     deterministic operation in the package.
     """
@@ -27,6 +31,7 @@ class Dag:
     parents: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self):
+        object.__setattr__(self, "parents", MappingProxyType(dict(self.parents)))
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node identifiers")
         node_set = set(self.nodes)
@@ -71,24 +76,25 @@ class Dag:
 def topological_order(dag: Dag) -> list[str]:
     """Kahn's algorithm with declaration-order tie-breaking.
 
-    Raises CycleError if the graph has a directed cycle.
+    The ready set is a heap of declaration indices.  Raises CycleError if
+    the graph has a directed cycle.
     """
-    indegree = {n: len(dag.parents[n]) for n in dag.nodes}
+    index = {n: i for i, n in enumerate(dag.nodes)}
+    indegree = [len(dag.parents[n]) for n in dag.nodes]
     children = dag.children_map()
     order: list[str] = []
-    ready = [n for n in dag.nodes if indegree[n] == 0]
+    ready = [i for i, d in enumerate(indegree) if d == 0]  # ascending, so a heap
     while ready:
-        n = ready.pop(0)
+        n = dag.nodes[heapq.heappop(ready)]
         order.append(n)
-        newly = []
         for c in children[n]:
-            indegree[c] -= 1
-            if indegree[c] == 0:
-                newly.append(c)
-        # keep the ready queue in declaration order
-        ready = [x for x in dag.nodes if x in set(ready) | set(newly)]
+            i = index[c]
+            indegree[i] -= 1
+            if indegree[i] == 0:
+                heapq.heappush(ready, i)
     if len(order) != len(dag.nodes):
-        remaining = [n for n in dag.nodes if n not in set(order)]
+        done = set(order)
+        remaining = [n for n in dag.nodes if n not in done]
         raise CycleError(f"no topological order; cycle among {remaining}")
     return order
 

@@ -236,6 +236,7 @@ def _subsets_smallest_first(
 
 def _conditional_equal(
     net: DiscreteBayesNet,
+    f: Factor,
     target: str,
     given_common: tuple[str, ...],
     full_set: tuple[str, ...],
@@ -244,16 +245,17 @@ def _conditional_equal(
 ) -> bool:
     """Numeric test of P(target | common, full) == P(target | common, sub).
 
-    Compared only on positive-probability configurations of the larger
-    conditioning set; max-norm against ``tolerance``.
+    ``f`` is the joint of ``net``.  Compared only on positive-probability
+    configurations of the larger conditioning set; max-norm against
+    ``tolerance``.
     """
-    f = joint(net)
     cond_full = list(given_common) + [v for v in full_set if v not in given_common]
     cond_sub = list(given_common) + [v for v in sub_set if v not in given_common]
+    f_cond = f.marginal(set(cond_full))
     worst = 0.0
     for cfg in itertools.product(*[net.variables[v].states for v in cond_full]):
         ev_full = dict(zip(cond_full, cfg))
-        weight = f.marginal(set(cond_full)).prob(ev_full)
+        weight = f_cond.prob(ev_full)
         if weight <= 0:
             continue
         ev_sub = {v: ev_full[v] for v in cond_sub}
@@ -297,6 +299,8 @@ def select_sufficient_confounders(
             f"candidate pool of {len(pool)} exceeds cap {SELECTION_POOL_CAP}"
         )
 
+    # one joint serves every equality test; an empty pool needs none
+    full = joint(net) if mode == "distributional" and pool else None
     audit: list[AuditRecord] = []
 
     def equality(stage: int, target: str, common: tuple[str, ...], full_set, sub) -> bool:
@@ -306,7 +310,7 @@ def select_sufficient_confounders(
         elif mode == "graphical":
             verdict = d_separated(dag, {target}, set(removed), set(common) | set(sub))
         else:
-            verdict = _conditional_equal(net, target, common, full_set, sub, tolerance)
+            verdict = _conditional_equal(net, full, target, common, full_set, sub, tolerance)
         audit.append(AuditRecord(stage, sub, verdict))
         return verdict
 

@@ -262,7 +262,8 @@ def classify_interaction(net: DiscreteBayesNet, u: str, w: str, x: str) -> str:
 
     Returns 'explaining_away' when observing u=1 at x=1 lowers the
     posterior of w=1, 'monotonic' when it raises it, 'none' for no
-    change ('mixed' is reserved for multi-state variables).
+    change ('mixed' is reserved for multi-state variables).  "0" and "1"
+    stand for each variable's first and second state label.
     """
     pars = net.dag.parents[x]
     if u not in pars or w not in pars:
@@ -271,9 +272,11 @@ def classify_interaction(net: DiscreteBayesNet, u: str, w: str, x: str) -> str:
         if net.card(name) != 2:
             raise StructureError(f"{name!r} must be binary")
     f = joint(net)
-    one = net.variables[w].states[1]
-    post1 = f.condition({x: "1", u: "1"}).marginal({w}).prob({w: one})
-    post0 = f.condition({x: "1", u: "0"}).marginal({w}).prob({w: one})
+    x1 = net.variables[x].states[1]
+    u0, u1 = net.variables[u].states
+    w1 = net.variables[w].states[1]
+    post1 = f.condition({x: x1, u: u1}).marginal({w}).prob({w: w1})
+    post0 = f.condition({x: x1, u: u0}).marginal({w}).prob({w: w1})
     delta = post1 - post0
     if delta < -TIE_TOL:
         return "explaining_away"

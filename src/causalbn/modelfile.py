@@ -16,6 +16,7 @@ indent), so parse -> serialize -> parse is the identity.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 from pathlib import Path
@@ -145,14 +146,23 @@ def serialize_model(net: DiscreteBayesNet) -> str:
 
 
 def load_model(path_or_name: str) -> DiscreteBayesNet:
-    """Load a model from a path, or from the bundled corpus by name."""
+    """Load a model from a path, or from the bundled corpus by name.
+
+    A path is parsed on every call.  A bundled model is parsed once per
+    process and the (immutable) network is shared by every caller.
+    """
     p = Path(path_or_name)
     if p.exists():
         return parse_model(p.read_text(encoding="utf-8"))
     name = path_or_name.removesuffix(".model")
     if name in BUNDLED_MODELS:
-        return parse_model(bundled_model_text(name))
+        return _bundled_model(name)
     raise ParseError(f"no such file or bundled model: {path_or_name!r}")
+
+
+@functools.cache
+def _bundled_model(name: str) -> DiscreteBayesNet:
+    return parse_model(bundled_model_text(name))
 
 
 def bundled_model_text(name: str) -> str:

@@ -83,6 +83,30 @@ class TestValidate:
             validate(DiscreteBayesNet(good.dag, good.variables, cpts))
 
 
+class TestImmutable:
+    @pytest.mark.parametrize("make", [lambda: load_model("modelD"), two_coins])
+    def test_mappings_reject_assignment(self, make):
+        net = make()
+        node = net.dag.nodes[0]
+        with pytest.raises(TypeError):
+            net.cpts[node] = Cpt(node, (), [[float("nan"), 0.5]])
+        with pytest.raises(TypeError):
+            net.variables[node] = Variable(node, ("a", "b"))
+        with pytest.raises(TypeError):
+            net.dag.parents[node] = ()
+
+    def test_caller_dicts_are_copied(self):
+        parents = {"A": (), "B": ()}
+        cpts = {n: Cpt(n, (), [[0.5, 0.5]]) for n in "AB"}
+        net = DiscreteBayesNet(
+            Dag(("A", "B"), parents), {n: Variable(n, ("0", "1")) for n in "AB"}, cpts
+        )
+        parents["B"] = ("A",)
+        cpts["A"] = Cpt("A", (), [[float("nan"), 0.5]])
+        assert net.dag.parents["B"] == ()
+        assert net.cpts["A"].table[0, 0] == 0.5
+
+
 class TestJoint:
     def test_fig1_left_entry(self):
         f = joint(load_model("fig1_left"))

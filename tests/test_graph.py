@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalbn.errors import CycleError, UnknownNode
 from causalbn.graph import (
@@ -39,7 +41,52 @@ def random_dag(rng, n_nodes, p_edge=0.4):
     return Dag.from_edges(names, edges)
 
 
+def kahn_reference(nodes, parents):
+    """Plain Kahn's algorithm: always take the earliest-declared ready node.
+
+    Returns the order, or the CycleError message when there is none.
+    """
+    indegree = {n: len(parents[n]) for n in nodes}
+    order = []
+    while len(order) < len(nodes):
+        ready = [n for n in nodes if indegree[n] == 0 and n not in order]
+        if not ready:
+            remaining = [n for n in nodes if n not in order]
+            return f"no topological order; cycle among {remaining}"
+        order.append(ready[0])
+        for c in nodes:
+            indegree[c] -= parents[c].count(ready[0])
+    return order
+
+
+@st.composite
+def parent_maps(draw):
+    """Up to 12 nodes in a random declaration order; half the maps may be cyclic."""
+    n = draw(st.integers(1, 12))
+    nodes = tuple(draw(st.permutations([f"N{i}" for i in range(n)])))
+    rank = draw(st.permutations(range(n)))
+    acyclic = draw(st.booleans())
+    parents = {}
+    for i, child in enumerate(nodes):
+        pool = [p for j, p in enumerate(nodes)
+                if j != i and (rank[j] < rank[i] or not acyclic)]
+        parents[child] = tuple(draw(st.lists(st.sampled_from(pool), unique=True))) if pool else ()
+    return nodes, parents
+
+
 class TestTopologicalOrder:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(parent_maps())
+    def test_matches_plain_kahn(self, case):
+        nodes, parents = case
+        expected = kahn_reference(nodes, parents)
+        if isinstance(expected, str):
+            with pytest.raises(CycleError) as exc:
+                Dag(nodes, parents)
+            assert str(exc.value) == expected
+        else:
+            assert topological_order(Dag(nodes, parents)) == expected
+
     def test_chain(self):
         dag = Dag.from_edges(("X", "Z", "Y"), [("X", "Z"), ("Z", "Y")])
         assert topological_order(dag) == ["X", "Z", "Y"]

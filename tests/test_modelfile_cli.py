@@ -1,10 +1,19 @@
+import hashlib
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from causalbn.cli import main
+import causalbn
+from causalbn import cli
+from causalbn.cli import build_parser, main
 from causalbn.errors import ParseError
+from causalbn.graph import Dag
 from causalbn.modelfile import (
     BUNDLED_MODELS,
     bundled_model_text,
@@ -12,6 +21,8 @@ from causalbn.modelfile import (
     parse_model,
     serialize_model,
 )
+
+from oracles import brute_do, brute_query, random_cpts
 
 
 class TestModelFile:
@@ -56,6 +67,33 @@ class TestModelFile:
     def test_missing_model(self):
         with pytest.raises(ParseError, match="no such file"):
             load_model("not_a_model")
+
+    def test_bundled_model_is_parsed_once(self):
+        assert load_model("modelD") is load_model("modelD")
+        assert load_model("modelD.model") is load_model("modelD")
+
+    def test_file_in_working_directory_beats_bundled_model(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("modelD").write_text(bundled_model_text("fig1_left"), encoding="utf-8")
+        net = load_model("modelD")
+        assert net.dag.nodes == load_model("fig1_left").dag.nodes
+        assert load_model("modelD") is not net  # a path is parsed on every call
+        assert main(["query", "modelD", "--target", "Y", "--given", "Z=1"]) == 0
+
+
+def test_import_builds_no_parser_and_parses_no_model():
+    src = str(Path(causalbn.__file__).resolve().parents[1])
+    code = (
+        "import causalbn, causalbn.cli\n"
+        "from causalbn import cli, modelfile\n"
+        "print(cli._parser.cache_info().currsize,"
+        " modelfile._bundled_model.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert child.stdout.split() == ["0", "0"]
 
 
 class TestCli:
@@ -195,3 +233,113 @@ class TestCli:
         first = capsys.readouterr().out
         main(["ace", "modelB", "--treatment", "Z", "--outcome", "Y"])
         assert capsys.readouterr().out == first
+
+    def test_bias_reports_expected_outcome_differences(self, tmp_path, capsys):
+        # M-structure, so adjusting for X is biased; with a 3-state outcome
+        # the last state's probability is not the expected outcome
+        dag = Dag.from_edges(
+            ("U", "W", "X", "Z", "Y"),
+            [("U", "Z"), ("U", "X"), ("W", "X"), ("W", "Y"), ("Z", "Y")],
+        )
+        cards = {"U": 2, "W": 2, "X": 3, "Z": 2, "Y": 3}
+        net = random_cpts(dag, np.random.default_rng(3), cards)
+        path = tmp_path / "three.model"
+        path.write_text(serialize_model(net), encoding="utf-8")
+        argv = ["bias", str(path), "--treatment", "Z", "--outcome", "Y", "--covariate", "X"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        def mean(dist):
+            return sum(float(y) * p for y, p in dist.items())
+
+        p_x = {k[0]: v for k, v in brute_query(net, ["X"], {}).items()}
+        errors, gaps = [], {}
+        for z in ("0", "1"):
+            adjusted = {
+                y: sum(
+                    brute_query(net, ["Y"], {"Z": z, "X": x})[(y,)] * p_x[x] for x in p_x
+                )
+                for y in ("0", "1", "2")
+            }
+            plain = {k[0]: v for k, v in brute_query(net, ["Y"], {"Z": z}).items()}
+            truth = brute_do(net, "Y", {"Z": z})
+            errors.append(mean(adjusted) - mean(truth))
+            # the last state's difference is a different number here
+            assert abs(errors[-1] - (adjusted["2"] - truth["2"])) > 1e-6
+            gaps[z] = mean(adjusted) - mean(plain)
+        assert [line.split(": ")[0] for line in lines] == [
+            "per-level error at Z=0", "per-level error at Z=1", "bias"
+        ]
+        for line, expected in zip(lines, errors):
+            assert float(line.split(": ")[1]) == pytest.approx(expected, abs=1e-10)
+        assert float(lines[2].split(": ")[1]) == pytest.approx(
+            gaps["1"] - gaps["0"], abs=1e-10
+        )
+
+
+def _run(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSharedParser:
+    def test_call_sequence_matches_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        outputs = ("a.csv", "b.csv", "s.csv")
+        scan_a, scan_b, sample = (str(tmp_path / n) for n in outputs)
+        calls = [
+            ["query", "fig1_left", "--target", "Y", "--given", "Z=1"],
+            ["do", "modelD", "--target", "Y", "--do", "Z=1"],
+            ["ace", "modelB", "--treatment", "Z", "--outcome", "Y"],
+            ["adjust", "fig1_left", "--treatment", "Z", "--outcome", "Y", "--set", "X"],
+            ["scan", "--template", "modelD", "--param", "u=0.2:0.8:0.3",
+             "--param", "w|u=1=0.3:0.9:0.3", "--out", scan_a],
+            ["dsep", "modelB", "--a", "Z", "--b", "W", "--given", "X"],
+            ["query", "fig1_left"],  # usage error: exit 2
+            ["backdoor", "modelB", "--treatment", "Z", "--outcome", "Y", "--set", "X"],
+            ["select", "fig2_model1", "--treatment", "Z", "--outcome", "Y", "--mode", "dist"],
+            ["bias", "modelB", "--treatment", "Z", "--outcome", "Y", "--covariate", "X"],
+            ["query", "no_such_model", "--target", "Y"],
+            ["scan", "--template", "modelD", "--param", "u=0.1:0.5:0.2", "--out", scan_b],
+            ["decompose", "--py", "0.3", "--pyp", "0.6"],
+            ["corr", "--r1", "0.8", "--r2", "0.7", "--r3", "0.0"],
+            ["sample", "fig1_left", "-n", "50", "--seed", "4", "--out", sample],
+        ]
+
+        def run_all():
+            replies = [_run(capsys, argv) for argv in calls]
+            files = [(tmp_path / n).read_text(encoding="utf-8") for n in outputs]
+            return replies, files
+
+        shared = run_all()
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", build_parser)  # a new parser per call
+        fresh = run_all()
+        assert shared == fresh
+        codes = [code for code, _, _ in shared[0]]
+        assert codes == [0, 0, 0, 0, 0, 1, 2, 1, 0, 0, 3, 0, 0, 1, 0]
+        first, second = (text.splitlines() for text in shared[1][:2])
+        assert first[0].startswith("u,w|u=1,dep_zx") and len(first) == 1 + 3 * 3
+        assert second[0].startswith("u,dep_zx") and len(second) == 1 + 3
+
+
+#: SHA-256 of ``select`` output, both modes, every bundled model and ordered
+#: node pair, computed before the selection joint was hoisted out of the
+#: per-test loop
+SELECT_DIGEST = "b160746d5949bb9f726d2c960c6c3750ad77e057263b5db1481c982e6ce2153a"
+
+
+def test_select_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for model in BUNDLED_MODELS:
+        for t, o in itertools.permutations(load_model(model).dag.nodes, 2):
+            for mode in ("dist", "graph"):
+                argv = ["select", model, "--treatment", t, "--outcome", o, "--mode", mode]
+                code = main(argv)
+                assert code == 0
+                digest.update(f"{model} {t} {o} {mode} {code}\n".encode())
+                digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SELECT_DIGEST
