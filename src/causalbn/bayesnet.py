@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -168,13 +168,24 @@ class Factor:
         new_states = tuple(s for v, s in zip(self.scope, self.states) if v in keep)
         return Factor(new_scope, new_states, self.values.sum(axis=drop_axes))
 
+    def conditional(
+        self, target: Sequence[str], given: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every p(target | given) at once, with the weights p(given).
+
+        ``table`` has axes ``(*given, *target)`` in the order listed;
+        ``weight`` has axes ``given``.  Entries whose weight is 0 are 0.
+        """
+        given, target = tuple(given), tuple(target)
+        marg = self.marginal(given + target)
+        p = marg.values.transpose([marg.scope.index(v) for v in given + target])
+        weight = p.sum(axis=tuple(range(len(given), p.ndim)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            table = p / weight[(...,) + (None,) * len(target)]
+        return np.where(np.isfinite(table), table, 0.0), weight
+
     def condition(self, evidence: Mapping[str, str]) -> "Factor":
         """Slice at the evidence states and renormalize the rest."""
-        if not evidence:
-            total = self.values.sum()
-            if total <= 0:
-                raise ZeroProbabilityEvidence("factor sums to zero")
-            return Factor(self.scope, self.states, self.values / total)
         index: list[object] = [slice(None)] * len(self.scope)
         for name, state in evidence.items():
             ax = self._axis(name)
@@ -249,14 +260,10 @@ def query(
     net: DiscreteBayesNet,
     targets: Iterable[str],
     evidence: Mapping[str, str] | None = None,
-    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> Factor:
     """Conditional distribution of ``targets`` given ``evidence``."""
     evidence = dict(evidence or {})
-    targets = list(targets)
-    f = joint(net, size_cap=size_cap)
-    f = f.marginal(set(targets) | set(evidence))
-    return f.condition(evidence)
+    return joint(net).marginal({*targets, *evidence}).condition(evidence)
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,7 @@ def cmd_bias(args) -> int:
         net, args.treatment, args.outcome, args.covariate, args.z1, args.z0
     )
     adj = adjusted_estimate(net, args.treatment, args.outcome, [args.covariate])
-    y_vals = _outcome_values(net, args.outcome, None)
+    y_vals = _outcome_values(net, args.outcome)
     for level in net.variables[args.treatment].states:
         truth = interventional_distribution(
             InterventionQuery(args.outcome, {args.treatment: level}, net)

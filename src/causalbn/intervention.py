@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import DEFAULT_SIZE_CAP, DiscreteBayesNet, Factor, joint
+from .bayesnet import DiscreteBayesNet, Factor, joint
 from .errors import (
     PositivityViolation,
     SizeCapExceeded,
@@ -42,11 +42,9 @@ class InterventionQuery:
                 raise UnknownVariable(f"unknown variable {name!r}")
 
 
-def interventional_distribution(
-    q: InterventionQuery, size_cap: int = DEFAULT_SIZE_CAP
-) -> Factor:
+def interventional_distribution(q: InterventionQuery) -> Factor:
     """p(target | do(assignments)) by truncated factorization."""
-    f = joint(q.net, q.do_assignments, size_cap)
+    f = joint(q.net, q.do_assignments)
     f = f.marginal({q.target})
     return Factor(f.scope, f.states, f.values / f.values.sum())
 
@@ -56,12 +54,9 @@ def _default_levels(net: DiscreteBayesNet, treatment: str) -> tuple[str, str]:
     return states[-1], states[0]
 
 
-def _outcome_values(
-    net: DiscreteBayesNet, outcome: str, value_map: Mapping[str, float] | None
-) -> np.ndarray:
+def _outcome_values(net: DiscreteBayesNet, outcome: str) -> np.ndarray:
+    """Numeric labels as values; a non-numeric label counts as its index."""
     states = net.variables[outcome].states
-    if value_map is not None:
-        return np.array([float(value_map[s]) for s in states])
     vals = []
     for i, s in enumerate(states):
         try:
@@ -81,12 +76,11 @@ def ace(
     outcome: str,
     level1: str | None = None,
     level0: str | None = None,
-    outcome_value_map: Mapping[str, float] | None = None,
 ) -> float:
     """Average causal effect E[Y | do(z1)] - E[Y | do(z0)]."""
     if level1 is None or level0 is None:
         level1, level0 = _default_levels(net, treatment)
-    vals = _outcome_values(net, outcome, outcome_value_map)
+    vals = _outcome_values(net, outcome)
     d1 = interventional_distribution(InterventionQuery(outcome, {treatment: level1}, net))
     d0 = interventional_distribution(InterventionQuery(outcome, {treatment: level0}, net))
     return _expected(d1, vals) - _expected(d0, vals)
@@ -97,7 +91,6 @@ def adjusted_estimate(
     treatment: str,
     outcome: str,
     s: Iterable[str],
-    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> dict[str, Factor]:
     """Sum_s p(outcome | z, s) p(s) for every treatment level z.
 
@@ -107,29 +100,19 @@ def adjusted_estimate(
     s = sorted(set(s), key=net.dag.nodes.index)
     if treatment in s or outcome in s:
         raise ValueError("adjustment set must exclude treatment and outcome")
-    full = joint(net, size_cap=size_cap)
     out_states = net.variables[outcome].states
-    # axes: (treatment, s..., outcome)
-    marg = full.marginal({treatment, outcome, *s})
-    order = [marg.scope.index(treatment)] + [marg.scope.index(v) for v in s]
-    order.append(marg.scope.index(outcome))
-    p = marg.values.transpose(order)  # shape (|Z|, |s1|, ..., |Y|)
-    p_zs = p.sum(axis=-1)  # (|Z|, s...)
+    # cond[z, s..., y] = p(y | z, s) and p_zs[z, s...] = p(z, s)
+    cond, p_zs = joint(net).conditional([outcome], [treatment, *s])
     p_s = p_zs.sum(axis=0)  # (s...)
     bad = (p_s > 0) & np.any(p_zs <= 0, axis=0)
     if np.any(bad):
         cell = np.argwhere(bad)[0]
-        cfg = {
-            v: net.variables[v].states[i] for v, i in zip(s, cell)
-        }
+        cfg = {v: net.variables[v].states[i] for v, i in zip(s, cell)}
         lvl_idx = int(np.argmin(p_zs[(slice(None), *cell)]))
         level = net.variables[treatment].states[lvl_idx]
         raise PositivityViolation(
             f"p({treatment}={level}, {cfg}) = 0 while p({cfg}) > 0"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = p / p_zs[..., None]  # p(y | z, s)
-    cond = np.where(np.isfinite(cond), cond, 0.0)
     sum_axes = tuple(range(1, 1 + len(s)))
     weighted = cond * p_s[None, ..., None] if s else cond
     dist = weighted.sum(axis=sum_axes) if s else weighted
@@ -163,20 +146,21 @@ def conditioning_bias(
     x: str,
     level1: str | None = None,
     level0: str | None = None,
-    outcome_value_map: Mapping[str, float] | None = None,
 ) -> float:
     """Bias of adjusting for ``x`` relative to ignoring it, on the ACE scale.
 
     Computes sum_{y,x} y p(y|z,x) [p(x) - p(x|z)] at each level and takes
     the level difference.  Algebraically identical to
     ace(adjusted by {x}) - ace(unadjusted); kept as a separate code path
-    so the two can be cross-checked.
+    so the two can be cross-checked; it therefore stays on
+    ``Factor.condition`` rather than ``Factor.conditional``.
     """
     if level1 is None or level0 is None:
         level1, level0 = _default_levels(net, treatment)
-    y_vals = _outcome_values(net, outcome, outcome_value_map)
+    y_vals = _outcome_values(net, outcome)
     full = joint(net)
     p_x = full.marginal({x})
+    p_zx = full.marginal({treatment, x})
 
     def level_term(level: str) -> float:
         p_x_given_z = full.condition({treatment: level}).marginal({x})
@@ -186,8 +170,7 @@ def conditioning_bias(
             geom_weight = p_x.values[i] - p_x_given_z.values[i]
             if geom_weight == 0.0:
                 continue
-            p_zx = full.marginal({treatment, x}).prob({treatment: level, x: xs})
-            if p_zx <= 0:
+            if p_zx.prob({treatment: level, x: xs}) <= 0:
                 raise PositivityViolation(
                     f"p({treatment}={level}, {x}={xs}) = 0 in bias expression"
                 )
@@ -214,17 +197,12 @@ class SelectionResult:
 
 
 def _subsets_smallest_first(
-    net: DiscreteBayesNet, pool: Sequence[str], metric: str
+    net: DiscreteBayesNet, pool: Sequence[str]
 ) -> list[tuple[str, ...]]:
-    """All subsets ordered by size metric, ties lexicographic on names."""
+    """All subsets ordered by total state count, ties lexicographic on names."""
 
     def key(sub: tuple[str, ...]):
-        cards = [net.card(v) for v in sub]
-        if metric == "product":
-            size = int(np.prod(cards)) if cards else 0
-        else:
-            size = sum(cards)
-        return (size, tuple(sorted(sub)))
+        return (sum(net.card(v) for v in sub), tuple(sorted(sub)))
 
     subs = [
         combo
@@ -235,7 +213,6 @@ def _subsets_smallest_first(
 
 
 def _conditional_equal(
-    net: DiscreteBayesNet,
     f: Factor,
     target: str,
     given_common: tuple[str, ...],
@@ -245,27 +222,18 @@ def _conditional_equal(
 ) -> bool:
     """Numeric test of P(target | common, full) == P(target | common, sub).
 
-    ``f`` is the joint of ``net``.  Compared only on positive-probability
-    configurations of the larger conditioning set; max-norm against
-    ``tolerance``.
+    ``sub_set`` is an ordered subsequence of ``full_set``, so the smaller
+    table broadcasts over the larger one once its missing axes are 1.
+    Compared only on positive-probability configurations of the larger
+    conditioning set; max-norm against ``tolerance``.
     """
-    cond_full = list(given_common) + [v for v in full_set if v not in given_common]
-    cond_sub = list(given_common) + [v for v in sub_set if v not in given_common]
-    f_cond = f.marginal(set(cond_full))
-    worst = 0.0
-    for cfg in itertools.product(*[net.variables[v].states for v in cond_full]):
-        ev_full = dict(zip(cond_full, cfg))
-        weight = f_cond.prob(ev_full)
-        if weight <= 0:
-            continue
-        ev_sub = {v: ev_full[v] for v in cond_sub}
-        try:
-            p_full = f.condition(ev_full).marginal({target}).values
-            p_sub = f.condition(ev_sub).marginal({target}).values
-        except ZeroProbabilityEvidence:
-            continue
-        worst = max(worst, float(np.max(np.abs(p_full - p_sub))))
-    return worst <= tolerance
+    cond_full = (*given_common, *full_set)
+    cond_sub = (*given_common, *sub_set)
+    p_full, weight = f.conditional([target], cond_full)
+    p_sub, _ = f.conditional([target], cond_sub)
+    shape = [n if v in cond_sub else 1 for v, n in zip(cond_full, weight.shape)]
+    gap = np.abs(p_full - p_sub.reshape(shape + [p_full.shape[-1]]))
+    return float(np.max(gap[weight > 0], initial=0.0)) <= tolerance
 
 
 def select_sufficient_confounders(
@@ -274,7 +242,6 @@ def select_sufficient_confounders(
     outcome: str,
     mode: str = "graphical",
     tolerance: float = 1e-9,
-    metric: str = "sum",
 ) -> SelectionResult:
     """Two-stage minimal sufficient confounder set.
 
@@ -282,8 +249,8 @@ def select_sufficient_confounders(
     descendants of the treatment.  Stage 1 finds the smallest subset
     that preserves the outcome conditional given treatment; stage 2
     shrinks it further while preserving the treatment conditional.
-    "Smallest" means minimal total state count (or product when
-    ``metric='product'``), ties broken lexicographically.
+    "Smallest" means minimal total state count, ties broken
+    lexicographically.
 
     Modes: 'graphical' decides each equality by d-separation;
     'distributional' compares conditionals on the exact joint to
@@ -310,20 +277,20 @@ def select_sufficient_confounders(
         elif mode == "graphical":
             verdict = d_separated(dag, {target}, set(removed), set(common) | set(sub))
         else:
-            verdict = _conditional_equal(net, full, target, common, full_set, sub, tolerance)
+            verdict = _conditional_equal(full, target, common, full_set, sub, tolerance)
         audit.append(AuditRecord(stage, sub, verdict))
         return verdict
 
     # stage 1: smallest X' with P(outcome | treatment, pool) preserved
     stage1 = pool
-    for sub in _subsets_smallest_first(net, pool, metric):
+    for sub in _subsets_smallest_first(net, pool):
         if equality(1, outcome, (treatment,), pool, sub):
             stage1 = sub
             break
 
     # stage 2: smallest X with P(treatment | X') preserved
     chosen = stage1
-    for sub in _subsets_smallest_first(net, stage1, metric):
+    for sub in _subsets_smallest_first(net, stage1):
         if equality(2, treatment, (), stage1, sub):
             chosen = sub
             break
@@ -355,7 +322,6 @@ def effect_report(
     covariate_sets: Sequence[Iterable[str]],
     level1: str | None = None,
     level0: str | None = None,
-    outcome_value_map: Mapping[str, float] | None = None,
 ) -> EffectReport:
     """One call computing true, adjusted, and unadjusted quantities.
 
@@ -365,7 +331,7 @@ def effect_report(
     """
     if level1 is None or level0 is None:
         level1, level0 = _default_levels(net, treatment)
-    vals = _outcome_values(net, outcome, outcome_value_map)
+    vals = _outcome_values(net, outcome)
     levels = (level1, level0)
     true_dist = {
         lv: interventional_distribution(InterventionQuery(outcome, {treatment: lv}, net))

@@ -24,6 +24,7 @@ from .errors import (
     InfeasibleEndpoints,
     StructureError,
     ValidationError,
+    ZeroProbabilityEvidence,
 )
 from .graph import Dag
 from .intervention import effect_report
@@ -32,6 +33,9 @@ BINARY = ("0", "1")
 
 #: winner ties are declared below this ACE-error gap
 TIE_TOL = 1e-12
+#: default endpoints of ``decompose_common_cause`` lie this far outside
+#: the two conditionals
+ENDPOINT_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -196,7 +200,6 @@ def decompose_common_cause(
     p_x_given_yprime: float,
     endpoint_lo: float | None = None,
     endpoint_hi: float | None = None,
-    margin: float = 0.05,
 ) -> CommonCauseDecomposition:
     """Place a binary common cause behind an X-Y association.
 
@@ -204,16 +207,16 @@ def decompose_common_cause(
     ``endpoint_hi``; the weights p(t|y), p(t|y') are fixed by the
     requirement that each conditional dissects the endpoint interval in
     the weight ratio.  When endpoints are omitted they default to
-    (min - margin, max + margin) clamped to [0, 1].
+    (min - ENDPOINT_MARGIN, max + ENDPOINT_MARGIN) clamped to [0, 1].
     """
     for v in (p_x_given_y, p_x_given_yprime):
         if not 0.0 <= v <= 1.0:
             raise DomainError(f"conditional probability {v} outside [0,1]")
     lo_in, hi_in = min(p_x_given_y, p_x_given_yprime), max(p_x_given_y, p_x_given_yprime)
     if endpoint_lo is None:
-        endpoint_lo = max(0.0, lo_in - margin)
+        endpoint_lo = max(0.0, lo_in - ENDPOINT_MARGIN)
     if endpoint_hi is None:
-        endpoint_hi = min(1.0, hi_in + margin)
+        endpoint_hi = min(1.0, hi_in + ENDPOINT_MARGIN)
     if endpoint_lo == endpoint_hi:
         raise DegenerateEndpoints(
             f"endpoints coincide at {endpoint_lo}; weights undefined"
@@ -271,13 +274,12 @@ def classify_interaction(net: DiscreteBayesNet, u: str, w: str, x: str) -> str:
     for name in (u, w, x):
         if net.card(name) != 2:
             raise StructureError(f"{name!r} must be binary")
-    f = joint(net)
-    x1 = net.variables[x].states[1]
-    u0, u1 = net.variables[u].states
-    w1 = net.variables[w].states[1]
-    post1 = f.condition({x: x1, u: u1}).marginal({w}).prob({w: w1})
-    post0 = f.condition({x: x1, u: u0}).marginal({w}).prob({w: w1})
-    delta = post1 - post0
+    # post[x, u, w] = p(w | x, u); the states are indices 0 and 1
+    post, weight = joint(net).conditional([w], [x, u])
+    if weight[1, 0] <= 0 or weight[1, 1] <= 0:
+        x1 = net.variables[x].states[1]
+        raise ZeroProbabilityEvidence(f"a state of {u!r} has probability 0 given {x}={x1}")
+    delta = post[1, 1, 1] - post[1, 0, 1]
     if delta < -TIE_TOL:
         return "explaining_away"
     if delta > TIE_TOL:
@@ -287,13 +289,10 @@ def classify_interaction(net: DiscreteBayesNet, u: str, w: str, x: str) -> str:
 
 def dependence_strength(f: Factor, a: str, b: str) -> float:
     """max over states b of max-norm(p(a|b) - p(a)); 0 iff independent."""
-    marg_a = f.marginal({a}).values
-    out = 0.0
-    ab = f.marginal({a, b})
-    for state in ab.states[ab.scope.index(b)]:
-        cond = ab.condition({b: state}).values
-        out = max(out, float(np.max(np.abs(cond - marg_a))))
-    return out
+    cond, weight = f.conditional([a], [b])
+    if np.any(weight <= 0):
+        raise ZeroProbabilityEvidence(f"a state of {b!r} has probability 0")
+    return float(np.max(np.abs(cond - f.marginal({a}).values)))
 
 
 @dataclass(frozen=True)
@@ -333,14 +332,9 @@ def _scan_cell(
             interaction = classify_interaction(net, x_pars[0], x_pars[1], covariate)
         else:
             interaction = "none"
-        adj_key = (covariate,)
         adj_label = "adjusted:" + covariate
-        err_adj = {
-            lv: abs(rep.per_level_errors[adj_label][lv]) for lv in rep.levels
-        }
-        err_unadj = {
-            lv: abs(rep.per_level_errors["unadjusted"][lv]) for lv in rep.levels
-        }
+        err_adj = {lv: abs(rep.per_level_errors[adj_label][lv]) for lv in rep.levels}
+        err_unadj = {lv: abs(rep.per_level_errors["unadjusted"][lv]) for lv in rep.levels}
         err_adj_ace = abs(rep.ace_errors[adj_label])
         err_unadj_ace = abs(rep.ace_errors["unadjusted"])
         if abs(err_adj_ace - err_unadj_ace) <= TIE_TOL:
@@ -374,10 +368,17 @@ def bias_scan(
 ) -> list[ScanResult]:
     """Exact bias comparison on every cell of a parameter grid.
 
-    Grid axes iterate row-major with parameter names sorted.
+    Grid axes iterate row-major with parameter names sorted.  Treatment,
+    outcome and covariate must be three distinct nodes of the template.
     """
     if template not in TEMPLATES:
         raise ValidationError(f"unknown template {template!r}")
+    nodes = TEMPLATES[template].nodes
+    if len({treatment, outcome, covariate} & set(nodes)) != 3:
+        raise ValidationError(
+            f"treatment {treatment!r}, outcome {outcome!r} and covariate {covariate!r} "
+            f"are not three distinct nodes of {template} {nodes}"
+        )
     schema = set(TEMPLATES[template].param_keys())
     for name in grid_spec:
         if name not in schema:

@@ -178,3 +178,27 @@ def random_cpts(dag: Dag, rng, cards=None):
         raw = rng.uniform(0.05, 1.0, size=(n_rows, cards[n]))
         cpts[n] = Cpt(n, dag.parents[n], raw / raw.sum(axis=1, keepdims=True))
     return DiscreteBayesNet(dag, variables, cpts)
+
+
+def random_net(rng, n_nodes, max_card=3, zero_frac=0.0):
+    """Random network over N0..N{n-1}: each node draws up to three parents
+    among the lower-numbered ones and 2..``max_card`` states, and the nodes
+    are declared in a shuffled order.  With ``zero_frac``, that share of
+    CPT rows gets one entry set to 0 (so some evidence has probability 0).
+    """
+    order = [f"N{i}" for i in range(n_nodes)]
+    parents = {}
+    for i, n in enumerate(order):
+        picks = rng.choice(i, size=int(rng.integers(0, min(i, 3) + 1)), replace=False)
+        parents[n] = tuple(order[j] for j in sorted(picks))
+    names = tuple(order[i] for i in rng.permutation(n_nodes))
+    cards = {n: int(rng.integers(2, max_card + 1)) for n in names}
+    net = random_cpts(Dag(names, parents), rng, cards)
+    cpts = {}
+    for n, cpt in net.cpts.items():
+        table = cpt.table.copy()
+        for row in table:
+            if rng.random() < zero_frac:
+                row[rng.integers(len(row))] = 0.0
+        cpts[n] = Cpt(n, cpt.parents, table / table.sum(axis=1, keepdims=True))
+    return DiscreteBayesNet(net.dag, net.variables, cpts)

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalbn.bayesnet import (
     Cpt,
@@ -25,7 +27,7 @@ from causalbn.errors import (
 from causalbn.graph import Dag
 from causalbn.modelfile import load_model
 
-from oracles import brute_joint, brute_query, random_cpts
+from oracles import brute_joint, brute_query, random_cpts, random_net
 
 
 def single_node(p1=0.25):
@@ -180,6 +182,45 @@ class TestQuery:
             a = query(net, ["C"], ev).values
             b = query(permuted, ["C"], ev).values
             assert np.max(np.abs(a - b)) < 1e-12
+
+
+class TestConditional:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_brute_query(self, seed):
+        # several targets, a given order unrelated to the scope order, and
+        # CPT zeros so that some given configurations have weight 0
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, int(rng.integers(2, 7)), zero_frac=0.3)
+        names = [str(v) for v in rng.permutation(net.dag.nodes)]
+        k = int(rng.integers(1, min(3, len(names)) + 1))
+        target, given_ = names[:k], names[k : k + int(rng.integers(0, 3))]
+        table, weight = joint(net).conditional(target, given_)
+        assert table.shape == tuple(net.card(v) for v in given_ + target)
+        assert np.shape(weight) == table.shape[: len(given_)]
+        col = {v: i for i, v in enumerate(net.dag.nodes)}
+        brute = brute_joint(net)
+        states = [net.variables[v].states for v in given_ + target]
+        for g_idx in itertools.product(*(range(len(s)) for s in states[: len(given_)])):
+            ev = {v: states[j][i] for j, (v, i) in enumerate(zip(given_, g_idx))}
+            p_ev = sum(p for cfg, p in brute.items() if all(cfg[col[v]] == x for v, x in ev.items()))
+            assert abs(weight[g_idx] - p_ev) < 1e-12
+            if p_ev == 0:
+                assert not table[g_idx].any()
+                continue
+            expected = brute_query(net, target, ev)
+            for t_idx in itertools.product(*(range(len(s)) for s in states[len(given_) :])):
+                key = tuple(states[len(given_) + j][i] for j, i in enumerate(t_idx))
+                assert abs(table[g_idx + t_idx] - expected.get(key, 0.0)) < 1e-12
+
+    def test_given_order_sets_the_axes(self):
+        f = joint(load_model("modelD"))
+        zu, w_zu = f.conditional(["Y", "W"], ["Z", "U"])
+        uz, w_uz = f.conditional(["Y", "W"], ["U", "Z"])
+        assert np.array_equal(zu, uz.transpose(1, 0, 2, 3))
+        assert np.array_equal(w_zu, w_uz.T)
+        yw, _ = f.conditional(["W", "Y"], ["Z", "U"])
+        assert np.array_equal(zu, yw.transpose(0, 1, 3, 2))
 
 
 class TestSampling:

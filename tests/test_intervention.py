@@ -8,6 +8,7 @@ from causalbn.errors import PositivityViolation, SizeCapExceeded
 from causalbn.graph import Dag, backdoor_admissible
 from causalbn.intervention import (
     InterventionQuery,
+    _conditional_equal,
     ace,
     adjusted_estimate,
     conditioning_bias,
@@ -19,7 +20,7 @@ from causalbn.intervention import (
 from causalbn.latent import DEFAULT_PARAMS, TEMPLATES, ScenarioParams, build_scenario
 from causalbn.modelfile import load_model
 
-from oracles import brute_do, brute_truncated_joint, random_cpts
+from oracles import brute_do, brute_truncated_joint, random_cpts, random_net
 
 
 def random_scenario(template, rng, lo=0.05, hi=0.95):
@@ -269,6 +270,45 @@ class TestSelection:
         )
         with pytest.raises(SizeCapExceeded):
             select_sufficient_confounders(net, "Z", "Y")
+
+
+def conditional_equal_loop(net, f, target, given_common, full_set, sub_set, tolerance):
+    """The per-configuration loop that ``_conditional_equal`` replaced."""
+    cond_full = list(given_common) + list(full_set)
+    cond_sub = list(given_common) + list(sub_set)
+    f_cond = f.marginal(set(cond_full))
+    worst = 0.0
+    for cfg in itertools.product(*[net.variables[v].states for v in cond_full]):
+        ev_full = dict(zip(cond_full, cfg))
+        if f_cond.prob(ev_full) <= 0:
+            continue
+        ev_sub = {v: ev_full[v] for v in cond_sub}
+        p_full = f.condition(ev_full).marginal({target}).values
+        p_sub = f.condition(ev_sub).marginal({target}).values
+        worst = max(worst, float(np.max(np.abs(p_full - p_sub))))
+    return worst <= tolerance
+
+
+class TestConditionalEqual:
+    def test_verdicts_match_per_configuration_loop(self):
+        # every equality test that selection could make, on random nets
+        # with CPT zeros; the reference is the loop this helper replaced
+        rng = np.random.default_rng(29)
+        seen = []
+        for _ in range(30):
+            net = random_net(rng, int(rng.integers(3, 7)), zero_frac=0.3)
+            f = joint(net)
+            t, o = (str(v) for v in rng.choice(net.dag.nodes, size=2, replace=False))
+            pool = tuple(v for v in net.dag.nodes if v not in (t, o))[:3]
+            for full_set in (pool, pool[1:]):
+                for r in range(len(full_set)):
+                    for sub in itertools.combinations(full_set, r):
+                        for target, common in ((o, (t,)), (t, ())):
+                            args = (target, common, full_set, sub, 1e-9)
+                            expected = conditional_equal_loop(net, f, *args)
+                            assert _conditional_equal(f, *args) == expected
+                            seen.append(expected)
+        assert 0 < sum(seen) < len(seen)
 
 
 class TestEffectReport:

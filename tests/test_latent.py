@@ -1,8 +1,11 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalbn.bayesnet import Cpt, DiscreteBayesNet, Variable, joint
 from causalbn.errors import (
@@ -11,11 +14,13 @@ from causalbn.errors import (
     InfeasibleEndpoints,
     StructureError,
     ValidationError,
+    ZeroProbabilityEvidence,
 )
 from causalbn.graph import Dag, d_separated
 from causalbn.latent import (
     DEFAULT_PARAMS,
     TEMPLATES,
+    TIE_TOL,
     ScenarioParams,
     bias_scan,
     build_scenario,
@@ -27,6 +32,8 @@ from causalbn.latent import (
     scan_to_csv,
     third_correlation_interval,
 )
+
+from oracles import brute_query, random_net
 
 
 class TestBuildScenario:
@@ -205,6 +212,54 @@ class TestClassifyInteraction:
             classify_interaction(net, "U", "X", "W")
 
 
+class TestConditionalReaders:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_dependence_strength_matches_brute_query(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, int(rng.integers(2, 7)))
+        a, b = (str(v) for v in rng.choice(net.dag.nodes, size=2, replace=False))
+        p_a = brute_query(net, [a], {})
+        expected = max(
+            abs(brute_query(net, [a], {b: sb})[(sa,)] - p_a[(sa,)])
+            for sb in net.variables[b].states
+            for sa in net.variables[a].states
+        )
+        assert abs(dependence_strength(joint(net), a, b) - expected) < 1e-12
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_classify_interaction_matches_brute_posteriors(self, seed):
+        # binary nets with CPT zeros, so some collider posteriors are undefined
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, int(rng.integers(3, 7)), max_card=2, zero_frac=0.2)
+        for x in net.dag.nodes:
+            for u, w in itertools.permutations(net.dag.parents[x], 2):
+                try:
+                    post = [brute_query(net, [w], {x: "1", u: s})[("1",)] for s in "01"]
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroProbabilityEvidence):
+                        classify_interaction(net, u, w, x)
+                    continue
+                delta = post[1] - post[0]
+                expected = (
+                    "explaining_away" if delta < -TIE_TOL
+                    else "monotonic" if delta > TIE_TOL
+                    else "none"
+                )
+                assert classify_interaction(net, u, w, x) == expected
+
+    def test_zero_probability_state_raises(self):
+        # u = 1 never happens
+        net = collider_net([[0.7, 0.3], [0.4, 0.6], [0.2, 0.8], [0.1, 0.9]], p_u=0.0)
+        with pytest.raises(ZeroProbabilityEvidence):
+            dependence_strength(joint(net), "X", "U")
+        with pytest.raises(ZeroProbabilityEvidence):
+            classify_interaction(net, "U", "W", "X")
+        # the other direction conditions on X, whose states both occur
+        assert dependence_strength(joint(net), "U", "X") == 0.0
+
+
 class TestBiasScan:
     def test_model_b_unadjusted_exact(self):
         grid = {"z|u=1": [0.5, 0.7, 0.9], "x|u=1,w=1": [0.6, 0.9]}
@@ -260,6 +315,21 @@ class TestBiasScan:
         results = bias_scan("modelB", grid, base_params=base)
         assert len(results) == 4
         assert any(r.failed for r in results) or all(not r.failed for r in results)
+
+    @pytest.mark.parametrize(
+        "roles", [("Z", "Y", "Q"), ("Z", "Y", "Z"), ("Z", "Z", "X"), ("Q", "Y", "X")]
+    )
+    def test_roles_must_be_distinct_template_nodes(self, monkeypatch, roles):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("causalbn.latent._scan_cell", no_cell)
+        treatment, outcome, covariate = roles
+        with pytest.raises(ValidationError, match="three distinct nodes"):
+            bias_scan(
+                "modelD", {"u": [0.2, 0.3]},
+                treatment=treatment, outcome=outcome, covariate=covariate,
+            )
 
     def test_unknown_grid_parameter(self):
         with pytest.raises(ValidationError):

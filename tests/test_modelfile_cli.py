@@ -228,6 +228,17 @@ class TestCli:
         assert len(text.splitlines()) == 1 + 3 * 3
         assert "condition wins" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("covariate", ["Q", "Z"])
+    def test_scan_bad_node_exit_3(self, tmp_path, capsys, covariate):
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--template", "modelD", "--param", "u=0.2:0.4:0.1",
+                "--covariate", covariate, "--out", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "three distinct nodes" in captured.err
+        assert not out.exists()
+
     def test_byte_identical_output(self, capsys):
         main(["ace", "modelB", "--treatment", "Z", "--outcome", "Y"])
         first = capsys.readouterr().out
@@ -343,3 +354,28 @@ def test_select_output_is_pinned(capsys):
                 digest.update(f"{model} {t} {o} {mode} {code}\n".encode())
                 digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == SELECT_DIGEST
+
+
+#: SHA-256 of the exit code and stdout of every ``bias`` and ``adjust`` call
+#: below, computed before ``adjusted_estimate`` moved onto ``Factor.conditional``
+BIAS_ADJUST_DIGEST = "f45a0a4a376d3c3b0bc160640a54411d49ff1f68148f03a2d7f6d4c77e88be55"
+
+
+def test_bias_and_adjust_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for model in BUNDLED_MODELS:
+        nodes = load_model(model).dag.nodes
+        for t, o, c in itertools.permutations(nodes, 3):
+            argv = ["bias", model, "--treatment", t, "--outcome", o, "--covariate", c]
+            code = main(argv)
+            digest.update(f"{' '.join(argv)} {code}\n".encode())
+            digest.update(capsys.readouterr().out.encode())
+        for t, o in itertools.permutations(nodes, 2):
+            rest = [v for v in nodes if v not in (t, o)]
+            for size in range(3):
+                for s in itertools.combinations(rest, size):
+                    argv = ["adjust", model, "--treatment", t, "--outcome", o, "--set", ",".join(s)]
+                    code = main(argv)
+                    digest.update(f"{' '.join(argv)} {code}\n".encode())
+                    digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == BIAS_ADJUST_DIGEST
