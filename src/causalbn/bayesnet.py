@@ -1,9 +1,11 @@
 """Discrete Bayesian networks: CPTs, exact inference, forward sampling.
 
-Inference works on the full joint table (paper-scale models have a
-handful of nodes), guarded by a configuration-count cap.  Probabilities
-live in numpy arrays with one axis per variable, first scope variable
-slowest (C order).
+Exact inference is one kernel, ``joint``: it keeps the ancestors of the
+variables a request needs, slices each CPT at the evidence and
+contracts what is left in one ``np.einsum`` call, guarded by a cap on
+the configurations that call iterates over.  Probabilities live in
+numpy arrays with one axis per variable, first scope variable slowest
+(C order).
 """
 
 from __future__ import annotations
@@ -211,49 +213,81 @@ class Factor:
         return float(self.values[tuple(idx)])
 
 
-def _broadcast_cpt(net: DiscreteBayesNet, node: str, axis_of: Mapping[str, int], ndim: int) -> np.ndarray:
-    """Reshape a CPT into the full-joint axis layout for broadcasting."""
-    cpt = net.cpts[node]
-    cards = [net.card(p) for p in cpt.parents] + [net.card(node)]
-    cube = cpt.table.reshape(cards)
-    src = [axis_of[p] for p in cpt.parents] + [axis_of[node]]
-    shape = [1] * ndim
-    for ax, c in zip(src, cards):
-        shape[ax] = c
-    order = np.argsort(src)
-    return cube.transpose(order).reshape(shape)
-
-
 def joint(
     net: DiscreteBayesNet,
     do: Mapping[str, str] | None = None,
     size_cap: int = DEFAULT_SIZE_CAP,
+    *,
+    keep: Iterable[str] | None = None,
+    evidence: Mapping[str, str] | None = None,
 ) -> Factor:
-    """Exact joint over all variables, scope in declaration order.
+    """Unnormalised table over ``keep`` minus the evidence variables.
 
-    With ``do``, each intervened node contributes a point mass at its
-    assigned state instead of its CPT: the truncated factorization of
-    the mutilated model.
+    The scope is in declaration order; ``keep=None`` keeps every
+    variable.  Each entry is the probability of that configuration
+    together with ``evidence``.  With ``do``, each intervened node
+    contributes a point mass at its assigned state instead of its CPT:
+    the truncated factorization of the mutilated model.
+
+    Only the ancestors of ``keep`` and ``evidence`` in the mutilated
+    graph take part, since every other node's CPT sums to 1.  Each CPT
+    is sliced at the evidence states (and at the assigned state of an
+    intervened node outside ``keep``), and the remaining factors are
+    multiplied in declaration order and summed in one ``np.einsum``
+    call.  ``size_cap`` bounds the configurations of the variables left
+    free by that slicing, which is the space the call iterates over.
     """
-    point_at = {n: net.state_index(n, state) for n, state in (do or {}).items()}
     nodes = net.dag.nodes
+    point_at = {n: net.state_index(n, state) for n, state in (do or {}).items()}
+    fixed = {n: net.state_index(n, state) for n, state in (evidence or {}).items()}
+    keep = set(nodes if keep is None else keep)
+    unknown = keep - net.variables.keys()
+    if unknown:
+        raise UnknownVariable(f"unknown variable {min(unknown)!r}")
+    # ancestors in the mutilated graph: an intervened node has no parents
+    relevant: set[str] = set()
+    stack = [*keep, *fixed]
+    while stack:
+        n = stack.pop()
+        if n not in relevant:
+            relevant.add(n)
+            if n not in point_at:
+                stack.extend(net.dag.parents[n])
+    # an intervened node outside ``keep`` is sliced at its assigned state;
+    # where evidence names it too, the evidence state is the slice
+    fixed = {**{n: i for n, i in point_at.items() if n not in keep}, **fixed}
+    free = [n for n in nodes if n in relevant and n not in fixed]
     total = 1
-    for n in nodes:
+    for n in free:
         total *= net.card(n)
         if total > size_cap:
             raise SizeCapExceeded(f"joint would exceed {size_cap} configurations")
-    axis_of = {n: i for i, n in enumerate(nodes)}
-    values = np.ones([net.card(n) for n in nodes])
+    # np.einsum takes at most 52 labels and 63 operands (the output included)
+    if len(free) > 52 or len(relevant) > 61:
+        raise SizeCapExceeded(
+            f"joint over {len(relevant)} factors and {len(free)} free variables "
+            "exceeds np.einsum's limits"
+        )
+    label = {n: i for i, n in enumerate(free)}
+    # the product starts from 1, so even a single factor yields a new array
+    operands: list[object] = [np.ones(()), []]
     for n in nodes:
+        if n not in relevant:
+            continue
         if n in point_at:
-            point = np.zeros(net.card(n))
-            point[point_at[n]] = 1.0
-            shape = [1] * len(nodes)
-            shape[axis_of[n]] = net.card(n)
-            values = values * point.reshape(shape)
+            scope: tuple[str, ...] = (n,)
+            cube = np.zeros(net.card(n))
+            cube[point_at[n]] = 1.0
         else:
-            values = values * _broadcast_cpt(net, n, axis_of, len(nodes))
-    return Factor(nodes, tuple(net.variables[n].states for n in nodes), values)
+            scope = (*net.cpts[n].parents, n)
+            cube = net.cpts[n].table.reshape([net.card(v) for v in scope])
+        operands += [
+            cube[tuple(fixed.get(v, slice(None)) for v in scope)],
+            [label[v] for v in scope if v not in fixed],
+        ]
+    out = tuple(n for n in free if n in keep)
+    values = np.einsum(*operands, [label[n] for n in out], optimize=False)
+    return Factor(out, tuple(net.variables[n].states for n in out), values)
 
 
 def query(
@@ -263,7 +297,11 @@ def query(
 ) -> Factor:
     """Conditional distribution of ``targets`` given ``evidence``."""
     evidence = dict(evidence or {})
-    return joint(net).marginal({*targets, *evidence}).condition(evidence)
+    f = joint(net, keep=targets, evidence=evidence)
+    total = f.values.sum()
+    if total <= 0:
+        raise ZeroProbabilityEvidence(f"evidence {evidence} has probability 0")
+    return Factor(f.scope, f.states, f.values / total)
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,10 @@ def _print_dist(var: str, factor) -> None:
 
 def cmd_query(args) -> int:
     net = load_model(args.model)
-    dist = query(net, [args.target], _parse_assignments(args.given or ""))
+    given = _parse_assignments(args.given or "")
+    if args.target in given:
+        raise ValidationError("target cannot also be evidence")
+    dist = query(net, [args.target], given)
     _print_dist(args.target, dist)
     return 0
 

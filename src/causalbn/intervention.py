@@ -44,8 +44,7 @@ class InterventionQuery:
 
 def interventional_distribution(q: InterventionQuery) -> Factor:
     """p(target | do(assignments)) by truncated factorization."""
-    f = joint(q.net, q.do_assignments)
-    f = f.marginal({q.target})
+    f = joint(q.net, q.do_assignments, keep={q.target})
     return Factor(f.scope, f.states, f.values / f.values.sum())
 
 
@@ -102,7 +101,9 @@ def adjusted_estimate(
         raise ValueError("adjustment set must exclude treatment and outcome")
     out_states = net.variables[outcome].states
     # cond[z, s..., y] = p(y | z, s) and p_zs[z, s...] = p(z, s)
-    cond, p_zs = joint(net).conditional([outcome], [treatment, *s])
+    cond, p_zs = joint(net, keep={treatment, outcome, *s}).conditional(
+        [outcome], [treatment, *s]
+    )
     p_s = p_zs.sum(axis=0)  # (s...)
     bad = (p_s > 0) & np.any(p_zs <= 0, axis=0)
     if np.any(bad):
@@ -266,8 +267,13 @@ def select_sufficient_confounders(
             f"candidate pool of {len(pool)} exceeds cap {SELECTION_POOL_CAP}"
         )
 
-    # one joint serves every equality test; an empty pool needs none
-    full = joint(net) if mode == "distributional" and pool else None
+    # one table over the pool and both endpoints serves every equality
+    # test; an empty pool needs none
+    full = (
+        joint(net, keep={treatment, outcome, *pool})
+        if mode == "distributional" and pool
+        else None
+    )
     audit: list[AuditRecord] = []
 
     def equality(stage: int, target: str, common: tuple[str, ...], full_set, sub) -> bool:

@@ -202,3 +202,14 @@ def random_net(rng, n_nodes, max_card=3, zero_frac=0.0):
                 row[rng.integers(len(row))] = 0.0
         cpts[n] = Cpt(n, cpt.parents, table / table.sum(axis=1, keepdims=True))
     return DiscreteBayesNet(net.dag, net.variables, cpts)
+
+
+def chain(n_nodes):
+    """Binary chain N0 -> N1 -> ... with distinct CPT rows."""
+    names = tuple(f"N{i}" for i in range(n_nodes))
+    dag = Dag.from_edges(names, list(zip(names, names[1:])))
+    cpts = {"N0": Cpt("N0", (), [[0.3, 0.7]])}
+    for i, (p, c) in enumerate(zip(names, names[1:])):
+        q = 0.1 + 0.8 * ((i * 7) % 10) / 10
+        cpts[c] = Cpt(c, (p,), [[1 - q, q], [q / 2, 1 - q / 2]])
+    return DiscreteBayesNet(dag, {v: Variable(v, ("0", "1")) for v in names}, cpts)

@@ -267,8 +267,10 @@ def test_criterion_9_scan_determinism_and_report():
     results = bias_scan("modelD", grid)
     csv = scan_to_csv(results).encode()
     assert scan_to_csv(bias_scan("modelD", grid)).encode() == csv
+    # re-pinned when the interventional truth began to contract only the
+    # outcome's ancestors: two rows' err_unadj values moved by at most 5.6e-17
     assert hashlib.sha256(csv).hexdigest() == (
-        "fdbd3b6542f0720e1335412312bb53edbdd407dbd67b5a34d158489a5e0d58a5"
+        "b467209b53cbb1e3d6db84738ca0e2a454574c25f0d921a2f4025a18aa07b92c"
     )
     assert len(results) == 100
     assert not any(r.failed for r in results)

@@ -21,13 +21,22 @@ from causalbn.errors import (
     DomainError,
     EmptyDataset,
     SizeCapExceeded,
+    UnknownVariable,
     ValidationError,
     ZeroProbabilityEvidence,
 )
 from causalbn.graph import Dag
-from causalbn.modelfile import load_model
+from causalbn.modelfile import BUNDLED_MODELS, load_model
 
-from oracles import brute_joint, brute_query, random_cpts, random_net
+from oracles import (
+    brute_do,
+    brute_joint,
+    brute_query,
+    brute_truncated_joint,
+    chain,
+    random_cpts,
+    random_net,
+)
 
 
 def single_node(p1=0.25):
@@ -132,6 +141,160 @@ class TestJoint:
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded):
             joint(two_coins(), size_cap=2)
+
+
+def broadcast_joint(net, do):
+    """Full joint of the mutilated model as the product, from 1 and in
+    declaration order, of each factor broadcast to every axis."""
+    nodes = net.dag.nodes
+    values = np.ones([net.card(n) for n in nodes])
+    for n in nodes:
+        if n in do:
+            axes = [n]
+            cube = np.zeros(net.card(n))
+            cube[net.variables[n].states.index(do[n])] = 1.0
+        else:
+            axes = [*net.cpts[n].parents, n]
+            cube = net.cpts[n].table.reshape([net.card(v) for v in axes])
+        cube = cube.transpose(np.argsort([nodes.index(v) for v in axes]))
+        values = values * cube.reshape([net.card(v) if v in axes else 1 for v in nodes])
+    return values
+
+
+def random_assignment(rng, net, names):
+    return {v: net.variables[v].states[int(rng.integers(net.card(v)))] for v in names}
+
+
+class TestJointKernel:
+    """``joint(net, do, keep=, evidence=)`` against brute-force enumeration."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, int(rng.integers(2, 8)), zero_frac=0.3)
+        nodes = net.dag.nodes
+
+        def pick(pool):
+            size = int(rng.integers(0, min(3, len(pool)) + 1))
+            return [str(v) for v in rng.choice(pool, size=size, replace=False)]
+
+        # keep, evidence and do are drawn independently, so they may overlap;
+        # one node stays out of ``do`` to be the interventional target
+        target = str(rng.choice(nodes))
+        keep = pick(nodes)
+        ev = random_assignment(rng, net, pick(nodes))
+        do = random_assignment(rng, net, pick([v for v in nodes if v != target]))
+        f = joint(net, do, keep=keep, evidence=ev)
+        scope = tuple(v for v in nodes if v in keep and v not in ev)
+        assert f.scope == scope
+        expected = np.zeros([net.card(v) for v in scope])
+        for cfg, p in brute_truncated_joint(net, do).items():
+            assign = dict(zip(nodes, cfg))
+            if all(assign[v] == x for v, x in ev.items()):
+                expected[tuple(net.variables[v].states.index(assign[v]) for v in scope)] += p
+        assert np.max(np.abs(f.values - expected), initial=0.0) < 1e-12
+
+        targets = [v for v in keep if v not in ev]
+        try:
+            brute = brute_query(net, targets, ev)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroProbabilityEvidence):
+                query(net, targets, ev)
+        else:
+            post = query(net, targets, ev)
+            for idx in np.ndindex(post.values.shape):
+                cfg = {v: s[i] for v, s, i in zip(post.scope, post.states, idx)}
+                key = tuple(cfg[v] for v in targets)
+                assert abs(post.values[idx] - brute.get(key, 0.0)) < 1e-12
+
+        dist = joint(net, do, keep={target})
+        for state, p in brute_do(net, target, do).items():
+            i = net.variables[target].states.index(state)
+            assert abs(dist.values[i] / dist.values.sum() - p) < 1e-12
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_full_scope_is_the_broadcast_product(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, int(rng.integers(1, 8)), zero_frac=0.3)
+        nodes = net.dag.nodes
+        do = random_assignment(rng, net, [v for v in nodes if rng.random() < 0.3])
+        ev = random_assignment(rng, net, [v for v in nodes if rng.random() < 0.3])
+        f = joint(net, do, evidence=ev)
+        at = tuple(
+            net.variables[v].states.index(ev[v]) if v in ev else slice(None) for v in nodes
+        )
+        assert f.scope == tuple(v for v in nodes if v not in ev)
+        assert np.array_equal(f.values, broadcast_joint(net, do)[at])
+
+    def test_bundled_full_joint_is_the_broadcast_product(self):
+        for model in BUNDLED_MODELS:
+            net = load_model(model)
+            for do in [{}] + [{v: net.variables[v].states[0]} for v in net.dag.nodes]:
+                assert np.array_equal(joint(net, do).values, broadcast_joint(net, do))
+
+    def test_unknown_names_and_states(self):
+        net = load_model("fig1_left")
+        for kwargs in (
+            {"keep": ["Q"]},
+            {"evidence": {"Q": "1"}},
+            {"evidence": {"Z": "7"}},
+            {"do": {"Q": "1"}},
+            {"do": {"Z": "7"}},
+        ):
+            with pytest.raises(UnknownVariable):
+                joint(net, **kwargs)
+
+
+class TestPrunedSizeCap:
+    """The size cap bounds the pruned, evidence-sliced space of a request."""
+
+    def test_long_chain_answers_early_requests(self):
+        net = chain(30)  # a 2**30-entry joint, beyond the default cap
+        with pytest.raises(SizeCapExceeded):
+            joint(net)
+        short = chain(4)
+        for got, expected in [
+            (query(net, ["N2"], {"N1": "1"}), query(short, ["N2"], {"N1": "1"})),
+            (query(net, ["N3"]), query(short, ["N3"])),
+            (joint(net, {"N1": "0"}, keep={"N3"}), joint(short, {"N1": "0"}, keep={"N3"})),
+        ]:
+            assert got.scope == expected.scope
+            assert np.array_equal(got.values, expected.values)
+        # the intervention cuts N28 off from its 28 ancestors
+        assert np.array_equal(
+            joint(net, {"N28": "0"}, keep={"N29"}).values, net.cpts["N29"].table[0]
+        )
+
+    def test_own_space_over_the_cap_raises(self):
+        net = chain(30)
+        with pytest.raises(SizeCapExceeded):
+            query(net, ["N29"])
+        # N0..N9 span exactly the cap; evidence on N11 adds N10
+        assert joint(net, keep={"N9"}, size_cap=2**10).values.shape == (2,)
+        with pytest.raises(SizeCapExceeded):
+            joint(net, keep={"N9"}, evidence={"N11": "0"}, size_cap=2**10)
+
+    def test_einsum_limits_raise(self):
+        # 53 free variables, more labels than np.einsum has
+        with pytest.raises(SizeCapExceeded, match="einsum"):
+            joint(chain(53), size_cap=2**60)
+        # a root observed through many children: few free variables but
+        # one factor per child
+        for n_children, ok in ((60, True), (61, False)):
+            kids = tuple(f"C{i}" for i in range(n_children))
+            dag = Dag.from_edges(("R", *kids), [("R", c) for c in kids])
+            cpts = {"R": Cpt("R", (), [[0.5, 0.5]])}
+            cpts.update({c: Cpt(c, ("R",), [[0.9, 0.1], [0.2, 0.8]]) for c in kids})
+            variables = {v: Variable(v, ("0", "1")) for v in dag.nodes}
+            net = DiscreteBayesNet(dag, variables, cpts)
+            evidence = {c: "1" for c in kids}
+            if ok:
+                assert query(net, ["R"], evidence).values[1] > 0.999
+            else:
+                with pytest.raises(SizeCapExceeded, match="einsum"):
+                    query(net, ["R"], evidence)
 
 
 class TestQuery:
