@@ -90,12 +90,15 @@ class DiscreteBayesNet:
     def card(self, name: str) -> int:
         return len(self.variables[name].states)
 
-    def state_index(self, name: str, state: str) -> int:
+    def states(self, name: str) -> tuple[str, ...]:
         var = self.variables.get(name)
         if var is None:
             raise UnknownVariable(f"unknown variable {name!r}")
+        return var.states
+
+    def state_index(self, name: str, state: str) -> int:
         try:
-            return var.states.index(state)
+            return self.states(name).index(state)
         except ValueError:
             raise UnknownVariable(f"{state!r} is not a state of {name!r}") from None
 
@@ -412,6 +415,8 @@ def forward_sample(net: DiscreteBayesNet, n: int, seed: int) -> Dataset:
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     nodes = net.dag.nodes
     col_of = {name: i for i, name in enumerate(nodes)}

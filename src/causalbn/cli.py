@@ -186,11 +186,14 @@ def _parse_grid_value(text: str) -> list[float]:
     a, b, step = (float(p) for p in parts)
     if step <= 0:
         raise ValidationError("grid step must be positive")
+    if a > b:
+        raise ValidationError(f"empty grid range {text!r}; start exceeds end")
+    # each value from its integer index, so float steps do not accumulate drift
     values = []
-    v = a
-    while v <= b + 1e-12:
-        values.append(round(v, 12))
-        v += step
+    i = 0
+    while a + i * step <= b + 1e-12:
+        values.append(round(a + i * step, 12))
+        i += 1
     return values
 
 

@@ -48,14 +48,20 @@ def interventional_distribution(q: InterventionQuery) -> Factor:
     return Factor(f.scope, f.states, f.values / f.values.sum())
 
 
-def _default_levels(net: DiscreteBayesNet, treatment: str) -> tuple[str, str]:
-    states = net.variables[treatment].states
-    return states[-1], states[0]
+def _levels(
+    net: DiscreteBayesNet, treatment: str, level1: str | None, level0: str | None
+) -> tuple[str, str]:
+    """(z1, z0), each missing level on its own: z1 the last state, z0 the first."""
+    states = net.states(treatment)
+    return (
+        states[-1] if level1 is None else level1,
+        states[0] if level0 is None else level0,
+    )
 
 
 def _outcome_values(net: DiscreteBayesNet, outcome: str) -> np.ndarray:
     """Numeric labels as values; a non-numeric label counts as its index."""
-    states = net.variables[outcome].states
+    states = net.states(outcome)
     vals = []
     for i, s in enumerate(states):
         try:
@@ -77,8 +83,7 @@ def ace(
     level0: str | None = None,
 ) -> float:
     """Average causal effect E[Y | do(z1)] - E[Y | do(z0)]."""
-    if level1 is None or level0 is None:
-        level1, level0 = _default_levels(net, treatment)
+    level1, level0 = _levels(net, treatment, level1, level0)
     vals = _outcome_values(net, outcome)
     d1 = interventional_distribution(InterventionQuery(outcome, {treatment: level1}, net))
     d0 = interventional_distribution(InterventionQuery(outcome, {treatment: level0}, net))
@@ -96,14 +101,15 @@ def adjusted_estimate(
     Raises PositivityViolation whenever some stratum of ``s`` with
     positive probability lacks a treatment level.
     """
-    s = sorted(set(s), key=net.dag.nodes.index)
+    s = set(s)
     if treatment in s or outcome in s:
         raise ValueError("adjustment set must exclude treatment and outcome")
+    # the kernel rejects unknown names; its scope is in declaration order
+    f = joint(net, keep={treatment, outcome, *s})
+    s = [v for v in f.scope if v in s]
     out_states = net.variables[outcome].states
     # cond[z, s..., y] = p(y | z, s) and p_zs[z, s...] = p(z, s)
-    cond, p_zs = joint(net, keep={treatment, outcome, *s}).conditional(
-        [outcome], [treatment, *s]
-    )
+    cond, p_zs = f.conditional([outcome], [treatment, *s])
     p_s = p_zs.sum(axis=0)  # (s...)
     bad = (p_s > 0) & np.any(p_zs <= 0, axis=0)
     if np.any(bad):
@@ -156,8 +162,7 @@ def conditioning_bias(
     so the two can be cross-checked; it therefore stays on
     ``Factor.condition`` rather than ``Factor.conditional``.
     """
-    if level1 is None or level0 is None:
-        level1, level0 = _default_levels(net, treatment)
+    level1, level0 = _levels(net, treatment, level1, level0)
     y_vals = _outcome_values(net, outcome)
     full = joint(net)
     p_x = full.marginal({x})
@@ -335,8 +340,7 @@ def effect_report(
     interventional truth; ACE errors are the corresponding ACE
     differences (so ace_error == error(z1) - error(z0) by construction).
     """
-    if level1 is None or level0 is None:
-        level1, level0 = _default_levels(net, treatment)
+    level1, level0 = _levels(net, treatment, level1, level0)
     vals = _outcome_values(net, outcome)
     levels = (level1, level0)
     true_dist = {

@@ -38,6 +38,9 @@ BUNDLED_MODELS = (
     "modelD",
 )
 
+#: distinct model-file texts whose parsed networks one process keeps
+MODEL_TEXT_CACHE_SIZE = 32
+
 
 def parse_model(text: str) -> DiscreteBayesNet:
     """Parse and validate a model file; errors carry a location."""
@@ -148,16 +151,24 @@ def serialize_model(net: DiscreteBayesNet) -> str:
 def load_model(path_or_name: str) -> DiscreteBayesNet:
     """Load a model from a path, or from the bundled corpus by name.
 
-    A path is parsed on every call.  A bundled model is parsed once per
-    process and the (immutable) network is shared by every caller.
+    A path is read on every call and parsed once per distinct content
+    (the last ``MODEL_TEXT_CACHE_SIZE`` texts are kept), so a rewritten
+    file gives its new network and a malformed one raises on every call.
+    A bundled model is parsed once per process.  Either way the
+    (immutable) network is shared by every caller.
     """
     p = Path(path_or_name)
     if p.exists():
-        return parse_model(p.read_text(encoding="utf-8"))
+        return _parsed_text(p.read_text(encoding="utf-8"))
     name = path_or_name.removesuffix(".model")
     if name in BUNDLED_MODELS:
         return _bundled_model(name)
     raise ParseError(f"no such file or bundled model: {path_or_name!r}")
+
+
+@functools.lru_cache(maxsize=MODEL_TEXT_CACHE_SIZE)
+def _parsed_text(text: str) -> DiscreteBayesNet:
+    return parse_model(text)
 
 
 @functools.cache

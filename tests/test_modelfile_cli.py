@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import causalbn
-from causalbn import cli
-from causalbn.cli import build_parser, main
-from causalbn.errors import ParseError
+from causalbn import cli, modelfile
+from causalbn.bayesnet import forward_sample
+from causalbn.cli import _parse_grid_value, build_parser, main
+from causalbn.errors import DomainError, ParseError, ValidationError
 from causalbn.graph import Dag
 from causalbn.modelfile import (
     BUNDLED_MODELS,
@@ -23,6 +24,21 @@ from causalbn.modelfile import (
 )
 
 from oracles import brute_do, brute_query, chain, random_cpts
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Every text handed to ``parse_model``, counted from an empty file cache."""
+    modelfile._parsed_text.cache_clear()
+    seen = []
+
+    def counting(text):
+        seen.append(text)
+        return parse_model(text)
+
+    monkeypatch.setattr(modelfile, "parse_model", counting)
+    yield seen
+    modelfile._parsed_text.cache_clear()
 
 
 class TestModelFile:
@@ -72,13 +88,59 @@ class TestModelFile:
         assert load_model("modelD") is load_model("modelD")
         assert load_model("modelD.model") is load_model("modelD")
 
-    def test_file_in_working_directory_beats_bundled_model(self, tmp_path, monkeypatch):
+    def test_file_in_working_directory_beats_bundled_model(
+        self, tmp_path, monkeypatch, parses
+    ):
         monkeypatch.chdir(tmp_path)
+        bundled = load_model("fig1_left")
+        parses.clear()
         Path("modelD").write_text(bundled_model_text("fig1_left"), encoding="utf-8")
         net = load_model("modelD")
-        assert net.dag.nodes == load_model("fig1_left").dag.nodes
-        assert load_model("modelD") is not net  # a path is parsed on every call
+        assert net.dag.nodes == bundled.dag.nodes
+        # the same bytes give the same network, parsed once
+        assert load_model("modelD") is net and len(parses) == 1
         assert main(["query", "modelD", "--target", "Y", "--given", "Z=1"]) == 0
+
+    def test_rewritten_file_gives_its_new_network(self, tmp_path, parses):
+        path = tmp_path / "m.model"
+        path.write_text(bundled_model_text("fig1_left"), encoding="utf-8")
+        assert load_model(str(path)).dag.nodes == ("X", "Z", "Y")
+        path.write_text(bundled_model_text("fig2_model1"), encoding="utf-8")
+        net = load_model(str(path))
+        assert net.dag.nodes == load_model("fig2_model1").dag.nodes
+        assert net.dag.nodes != ("X", "Z", "Y")
+
+    def test_malformed_file_raises_on_every_call(self, tmp_path, parses):
+        path = tmp_path / "m.model"
+        text = bundled_model_text("fig1_left")
+        path.write_text(text, encoding="utf-8")
+        net = load_model(str(path))
+        path.write_text(text[:-10], encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(ParseError, match="line"):
+                load_model(str(path))
+        assert len(parses) == 3  # a failed parse is not cached
+        path.write_text(text, encoding="utf-8")
+        assert load_model(str(path)) is net and len(parses) == 3
+
+    def test_eviction_past_the_bound_reparses(self, tmp_path, parses):
+        size = modelfile.MODEL_TEXT_CACHE_SIZE
+        assert modelfile._parsed_text.cache_info().maxsize == size
+        base = bundled_model_text("fig1_left")
+        # trailing blanks give distinct texts of the same network
+        paths = []
+        for i in range(size + 1):
+            paths.append(tmp_path / f"m{i}.model")
+            paths[-1].write_text(base + " " * i, encoding="utf-8")
+        first = load_model(str(paths[0]))
+        for path in paths[1:size]:
+            load_model(str(path))
+        assert load_model(str(paths[0])) is first and len(parses) == size
+        load_model(str(paths[size]))  # evicts the least recently used, m1
+        assert len(parses) == size + 1
+        assert load_model(str(paths[0])) is first and len(parses) == size + 1
+        load_model(str(paths[1]))
+        assert len(parses) == size + 2 and parses[-1] == base + " "
 
 
 def test_import_builds_no_parser_and_parses_no_model():
@@ -87,13 +149,14 @@ def test_import_builds_no_parser_and_parses_no_model():
         "import causalbn, causalbn.cli\n"
         "from causalbn import cli, modelfile\n"
         "print(cli._parser.cache_info().currsize,"
-        " modelfile._bundled_model.cache_info().currsize)\n"
+        " modelfile._bundled_model.cache_info().currsize,"
+        " modelfile._parsed_text.cache_info().currsize)\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     child = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert child.stdout.split() == ["0", "0"]
+    assert child.stdout.split() == ["0", "0", "0"]
 
 
 class TestCli:
@@ -234,6 +297,70 @@ class TestCli:
         ) == 4
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_sample_negative_seed_exit_4(self, tmp_path, capsys):
+        with pytest.raises(DomainError, match="seed"):
+            forward_sample(load_model("fig1_left"), 5, -1)
+        out = tmp_path / "neg.csv"
+        assert main(
+            ["sample", "fig1_left", "-n", "5", "--seed", "-1", "--out", str(out)]
+        ) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ace", "modelD", "--treatment", "Q", "--outcome", "Y"],
+            ["ace", "modelD", "--treatment", "Z", "--outcome", "Q"],
+            ["bias", "modelD", "--treatment", "Q", "--outcome", "Y", "--covariate", "X"],
+            ["bias", "modelD", "--treatment", "Z", "--outcome", "Q", "--covariate", "X"],
+            ["adjust", "modelD", "--treatment", "Z", "--outcome", "Q"],
+            ["adjust", "modelD", "--treatment", "Z", "--outcome", "Y", "--set", "Q"],
+        ],
+    )
+    def test_unknown_name_exit_4(self, capsys, argv):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown variable 'Q'\n"
+
+    def test_one_treatment_level_keeps_the_other_default(self, tmp_path, capsys):
+        # a 3-state treatment, so z1 and z0 each have a distinct default
+        dag = Dag.from_edges(("U", "Z", "Y"), [("U", "Z"), ("U", "Y"), ("Z", "Y")])
+        net = random_cpts(dag, np.random.default_rng(5), {"U": 2, "Z": 3, "Y": 3})
+        path = tmp_path / "three.model"
+        path.write_text(serialize_model(net), encoding="utf-8")
+
+        def mean(z):
+            return sum(float(y) * p for y, p in brute_do(net, "Y", {"Z": z}).items())
+
+        base = ["ace", str(path), "--treatment", "Z", "--outcome", "Y"]
+        for levels, (z1, z0) in [(["--z1", "1"], ("1", "0")), (["--z0", "1"], ("2", "1"))]:
+            assert main(base + levels) == 0
+            printed = float(capsys.readouterr().out)
+            assert printed == pytest.approx(mean(z1) - mean(z0), abs=1e-10)
+            assert abs(printed - (mean("2") - mean("0"))) > 1e-6
+        bias = ["bias", str(path), "--treatment", "Z", "--outcome", "Y", "--covariate", "U"]
+        assert main(bias + ["--z1", "0"]) == 0  # z1 == z0 == the first state
+        assert capsys.readouterr().out.splitlines()[-1] == "bias: 0"
+        assert main(bias + ["--z1", "9"]) == 4
+        assert capsys.readouterr().err == "error: '9' is not a state of 'Z'\n"
+
+    @pytest.mark.parametrize("places", [5, 6])
+    def test_grid_values_come_from_an_integer_index(self, places):
+        values = _parse_grid_value(f"0:1:{10.0 ** -places:.{places}f}")
+        assert values == [i / 10**places for i in range(10**places + 1)]
+
+    def test_scan_reversed_range_exit_3(self, tmp_path, capsys):
+        with pytest.raises(ValidationError, match="start exceeds end"):
+            _parse_grid_value("0.4:0.2:0.1")
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--template", "modelD", "--param", "u=0.4:0.2:0.1", "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: empty grid range")
         assert not out.exists()
 
     def test_scan_writes_csv(self, tmp_path, capsys):
