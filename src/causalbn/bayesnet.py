@@ -31,7 +31,8 @@ from .graph import Dag, topological_order
 ROW_SUM_TOL = 1e-9
 #: internal arithmetic identities are checked this tightly
 ARITH_TOL = 1e-12
-#: default cap on joint configuration count
+#: cap on the configurations one ``joint`` call iterates over, read at
+#: call time
 DEFAULT_SIZE_CAP = 2**24
 #: rows rendered per chunk by ``Dataset.to_csv``
 _CSV_CHUNK_ROWS = 1 << 17
@@ -219,7 +220,6 @@ class Factor:
 def joint(
     net: DiscreteBayesNet,
     do: Mapping[str, str] | None = None,
-    size_cap: int = DEFAULT_SIZE_CAP,
     *,
     keep: Iterable[str] | None = None,
     evidence: Mapping[str, str] | None = None,
@@ -237,8 +237,8 @@ def joint(
     is sliced at the evidence states (and at the assigned state of an
     intervened node outside ``keep``), and the remaining factors are
     multiplied in declaration order and summed in one ``np.einsum``
-    call.  ``size_cap`` bounds the configurations of the variables left
-    free by that slicing, which is the space the call iterates over.
+    call.  ``DEFAULT_SIZE_CAP`` bounds the configurations of the variables
+    left free by that slicing, which is the space the call iterates over.
     """
     nodes = net.dag.nodes
     point_at = {n: net.state_index(n, state) for n, state in (do or {}).items()}
@@ -263,8 +263,8 @@ def joint(
     total = 1
     for n in free:
         total *= net.card(n)
-        if total > size_cap:
-            raise SizeCapExceeded(f"joint would exceed {size_cap} configurations")
+        if total > DEFAULT_SIZE_CAP:
+            raise SizeCapExceeded(f"joint would exceed {DEFAULT_SIZE_CAP} configurations")
     # np.einsum takes at most 52 labels and 63 operands (the output included)
     if len(free) > 52 or len(relevant) > 61:
         raise SizeCapExceeded(

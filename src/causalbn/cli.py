@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (or boolean true), 1 boolean false, 2 usage
-errors, 3 parse/validation errors, 4 math-domain errors.  All numbers
+errors; a ``CausalbnError`` prints ``error: ...`` on stderr and exits
+with its type's ``exit_code`` (see ``errors``).  All numbers
 print with 12 significant digits so identical invocations produce
 byte-identical output.
 """
@@ -15,18 +16,7 @@ from pathlib import Path
 
 from . import latent
 from .bayesnet import forward_sample, query
-from .errors import (
-    DegenerateEndpoints,
-    DomainError,
-    InfeasibleEndpoints,
-    ParseError,
-    PositivityViolation,
-    SizeCapExceeded,
-    StructureError,
-    UnknownNode,
-    ValidationError,
-    ZeroProbabilityEvidence,
-)
+from .errors import CausalbnError, ValidationError
 from .graph import backdoor_admissible, d_separated
 from .intervention import (
     InterventionQuery,
@@ -48,18 +38,6 @@ from .latent import (
     third_correlation_interval,
 )
 from .modelfile import load_model
-
-PARSE_ERRORS = (ParseError, ValidationError)
-DOMAIN_ERRORS = (
-    PositivityViolation,
-    InfeasibleEndpoints,
-    DegenerateEndpoints,
-    DomainError,
-    ZeroProbabilityEvidence,
-    SizeCapExceeded,
-    StructureError,
-    UnknownNode,
-)
 
 
 def _parse_assignments(text: str) -> dict[str, str]:
@@ -183,7 +161,12 @@ def _parse_grid_value(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"bad grid range {text!r}; expected a:b:step")
-    a, b, step = (float(p) for p in parts)
+    try:
+        a, b, step = (float(p) for p in parts)
+    except ValueError:
+        raise ValidationError(
+            f"bad grid range {text!r}; a, b and step must be numbers"
+        ) from None
     if step <= 0:
         raise ValidationError("grid step must be positive")
     if a > b:
@@ -362,12 +345,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except PARSE_ERRORS as exc:
+    except CausalbnError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
 
 
 if __name__ == "__main__":

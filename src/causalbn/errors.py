@@ -1,12 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type's ``exit_code`` is the CLI exit status it ends in: 3 for a
+malformed or invalid input, 4 otherwise.  A subclass inherits its
+parent's code unless it sets its own.
+"""
 
 
 class CausalbnError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 4
+
 
 class CycleError(CausalbnError):
     """Raised when a directed cycle prevents a topological order."""
+
+    exit_code = 3
 
 
 class UnknownNode(CausalbnError):
@@ -19,6 +28,8 @@ class UnknownVariable(UnknownNode):
 
 class ValidationError(CausalbnError):
     """A network or parameter set violates a structural invariant."""
+
+    exit_code = 3
 
 
 class SizeCapExceeded(CausalbnError):
@@ -39,6 +50,8 @@ class PositivityViolation(CausalbnError):
 
 class ParseError(CausalbnError):
     """A model file is malformed; message carries the location."""
+
+    exit_code = 3
 
 
 class InfeasibleEndpoints(CausalbnError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import CycleError, UnknownNode
+from .errors import CycleError, UnknownNode, ValidationError
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,13 @@ class Dag:
     def __post_init__(self):
         object.__setattr__(self, "parents", MappingProxyType(dict(self.parents)))
         if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError("duplicate node identifiers")
+            raise ValidationError("duplicate node identifiers")
         node_set = set(self.nodes)
         if set(self.parents) != node_set:
-            raise ValueError("parents map must have exactly one entry per node")
+            raise ValidationError("parents map must have exactly one entry per node")
         for child, pars in self.parents.items():
             if len(set(pars)) != len(pars):
-                raise ValueError(f"duplicate parents for {child!r}")
+                raise ValidationError(f"duplicate parents for {child!r}")
             for p in pars:
                 if p not in node_set:
                     raise UnknownNode(f"parent {p!r} of {child!r} is not a node")
@@ -173,7 +173,7 @@ def backdoor_admissible(dag: Dag, treatment: str, outcome: str, s: Iterable[str]
     s = set(s)
     dag._check_nodes(s | {treatment, outcome})
     if treatment == outcome:
-        raise ValueError("treatment and outcome must differ")
+        raise ValidationError("treatment and outcome must differ")
     if treatment in s or outcome in s:
         raise ValueError("adjustment set must exclude treatment and outcome")
     if s & descendants(dag, treatment):

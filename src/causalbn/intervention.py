@@ -20,6 +20,7 @@ from .errors import (
     PositivityViolation,
     SizeCapExceeded,
     UnknownVariable,
+    ValidationError,
     ZeroProbabilityEvidence,
 )
 from .graph import d_separated, descendants
@@ -46,6 +47,13 @@ def interventional_distribution(q: InterventionQuery) -> Factor:
     """p(target | do(assignments)) by truncated factorization."""
     f = joint(q.net, q.do_assignments, keep={q.target})
     return Factor(f.scope, f.states, f.values / f.values.sum())
+
+
+def _distinct(**roles: str) -> None:
+    """Raise ValidationError unless each role names a different variable."""
+    if len(set(roles.values())) != len(roles):
+        named = ", ".join(f"{role} {name!r}" for role, name in roles.items())
+        raise ValidationError(f"{named} must be distinct variables")
 
 
 def _levels(
@@ -83,6 +91,7 @@ def ace(
     level0: str | None = None,
 ) -> float:
     """Average causal effect E[Y | do(z1)] - E[Y | do(z0)]."""
+    _distinct(treatment=treatment, outcome=outcome)
     level1, level0 = _levels(net, treatment, level1, level0)
     vals = _outcome_values(net, outcome)
     d1 = interventional_distribution(InterventionQuery(outcome, {treatment: level1}, net))
@@ -101,6 +110,7 @@ def adjusted_estimate(
     Raises PositivityViolation whenever some stratum of ``s`` with
     positive probability lacks a treatment level.
     """
+    _distinct(treatment=treatment, outcome=outcome)
     s = set(s)
     if treatment in s or outcome in s:
         raise ValueError("adjustment set must exclude treatment and outcome")
@@ -162,6 +172,7 @@ def conditioning_bias(
     so the two can be cross-checked; it therefore stays on
     ``Factor.condition`` rather than ``Factor.conditional``.
     """
+    _distinct(treatment=treatment, outcome=outcome, covariate=x)
     level1, level0 = _levels(net, treatment, level1, level0)
     y_vals = _outcome_values(net, outcome)
     full = joint(net)
@@ -262,6 +273,7 @@ def select_sufficient_confounders(
     'distributional' compares conditionals on the exact joint to
     ``tolerance``.
     """
+    _distinct(treatment=treatment, outcome=outcome)
     if mode not in ("graphical", "distributional"):
         raise ValueError(f"unknown mode {mode!r}")
     dag = net.dag

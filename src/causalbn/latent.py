@@ -19,6 +19,7 @@ import numpy as np
 
 from .bayesnet import Cpt, DiscreteBayesNet, Factor, Variable, joint
 from .errors import (
+    CausalbnError,
     DegenerateEndpoints,
     DomainError,
     InfeasibleEndpoints,
@@ -167,18 +168,12 @@ def build_scenario(sp: ScenarioParams) -> DiscreteBayesNet:
     tpl = TEMPLATES[sp.template]
     dag = Dag(tpl.nodes, {n: tpl.parents[n] for n in tpl.nodes})
     variables = {n: Variable(n, BINARY) for n in tpl.nodes}
+    # param_keys lists each node's rows in turn, parent configurations in order
+    p1 = (float(sp.parameters[k]) for k in tpl.param_keys())
     cpts = {}
     for node in tpl.nodes:
         pars = tpl.parents[node]
-        rows = []
-        if not pars:
-            p1 = float(sp.parameters[node.lower()])
-            rows.append([1.0 - p1, p1])
-        else:
-            for cfg in itertools.product(BINARY, repeat=len(pars)):
-                cond = ",".join(f"{p.lower()}={v}" for p, v in zip(pars, cfg))
-                p1 = float(sp.parameters[f"{node.lower()}|{cond}"])
-                rows.append([1.0 - p1, p1])
+        rows = [[1.0 - p, p] for p in itertools.islice(p1, len(BINARY) ** len(pars))]
         cpts[node] = Cpt(node, pars, np.array(rows))
     return DiscreteBayesNet(dag, variables, cpts)
 
@@ -354,7 +349,7 @@ def _scan_cell(
             err_unadjusted_ace=err_unadj_ace,
             winner=winner,
         )
-    except Exception as exc:  # cell-local failure; scan continues
+    except CausalbnError as exc:  # a modelled failure of this cell; scan continues
         return ScanResult(grid_point=grid_point, winner="failed", failed=True, error=str(exc))
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalbn import bayesnet
 from causalbn.bayesnet import (
     Cpt,
     Dataset,
@@ -138,9 +139,10 @@ class TestJoint:
             net = random_cpts(dag, rng, cards={"A": 2, "B": 3, "C": 2})
             assert abs(joint(net).values.sum() - 1.0) < 1e-12
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", 2)
         with pytest.raises(SizeCapExceeded):
-            joint(two_coins(), size_cap=2)
+            joint(two_coins())
 
 
 def broadcast_joint(net, do):
@@ -267,19 +269,21 @@ class TestPrunedSizeCap:
             joint(net, {"N28": "0"}, keep={"N29"}).values, net.cpts["N29"].table[0]
         )
 
-    def test_own_space_over_the_cap_raises(self):
+    def test_own_space_over_the_cap_raises(self, monkeypatch):
         net = chain(30)
         with pytest.raises(SizeCapExceeded):
             query(net, ["N29"])
         # N0..N9 span exactly the cap; evidence on N11 adds N10
-        assert joint(net, keep={"N9"}, size_cap=2**10).values.shape == (2,)
+        monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", 2**10)
+        assert joint(net, keep={"N9"}).values.shape == (2,)
         with pytest.raises(SizeCapExceeded):
-            joint(net, keep={"N9"}, evidence={"N11": "0"}, size_cap=2**10)
+            joint(net, keep={"N9"}, evidence={"N11": "0"})
 
-    def test_einsum_limits_raise(self):
+    def test_einsum_limits_raise(self, monkeypatch):
         # 53 free variables, more labels than np.einsum has
+        monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", 2**60)
         with pytest.raises(SizeCapExceeded, match="einsum"):
-            joint(chain(53), size_cap=2**60)
+            joint(chain(53))
         # a root observed through many children: few free variables but
         # one factor per child
         for n_children, ok in ((60, True), (61, False)):

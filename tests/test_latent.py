@@ -308,13 +308,31 @@ class TestBiasScan:
         )
 
     def test_failed_cell_marked_and_scan_continues(self):
-        # z deterministic at both u levels kills positivity for adjustment
+        # z|u=0 = z|u=1 = 0 makes p(Z=1) = 0, so the plain conditional is
+        # undefined in that cell alone
         grid = {"z|u=0": [0.0, 0.5], "z|u=1": [0.0, 0.5]}
         base = dict(DEFAULT_PARAMS["modelB"])
         base["x|u=0,w=0"] = 0.0
         results = bias_scan("modelB", grid, base_params=base)
-        assert len(results) == 4
-        assert any(r.failed for r in results) or all(not r.failed for r in results)
+        assert [r.failed for r in results] == [True, False, False, False]
+        failed = results[0]
+        assert failed.grid_point == {"z|u=0": 0.0, "z|u=1": 0.0}
+        assert failed.error == "p(Z=1) = 0; conditional undefined"
+        assert scan_summary(results).startswith("cells: 4 (1 failed)\n")
+        header, row = scan_to_csv(results).splitlines()[:2]
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["winner"] == "failed"
+        err_columns = [k for k in fields if k.startswith("err_")]
+        assert len(err_columns) == 6
+        assert all(fields[k] == "nan" for k in err_columns)
+
+    def test_unmodelled_cell_error_propagates(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("bug in a cell")
+
+        monkeypatch.setattr("causalbn.latent.dependence_strength", broken)
+        with pytest.raises(TypeError, match="bug in a cell"):
+            bias_scan("modelB", {"u": [0.25]})
 
     @pytest.mark.parametrize(
         "roles", [("Z", "Y", "Q"), ("Z", "Y", "Z"), ("Z", "Z", "X"), ("Q", "Y", "X")]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import causalbn
-from causalbn import cli, modelfile
+from causalbn import cli, errors, modelfile
 from causalbn.bayesnet import forward_sample
 from causalbn.cli import _parse_grid_value, build_parser, main
 from causalbn.errors import DomainError, ParseError, ValidationError
@@ -436,6 +436,79 @@ class TestCli:
         assert float(lines[2].split(": ")[1]) == pytest.approx(
             gaps["1"] - gaps["0"], abs=1e-10
         )
+
+
+def _write_broken_models(tmp_path):
+    """fig1_left (X -> Z -> Y, X -> Y) with an added Y -> X edge, and with
+    Z's parent listed twice."""
+    doc = json.loads(bundled_model_text("fig1_left"))
+    cyclic = json.loads(json.dumps(doc))
+    cyclic["cpts"]["X"] = {"parents": ["Y"], "table": [[0.5, 0.5], [0.5, 0.5]]}
+    cyclic["edges"].append(["Y", "X"])
+    (tmp_path / "cyclic.model").write_text(json.dumps(cyclic), encoding="utf-8")
+    twice = json.loads(json.dumps(doc))
+    twice["cpts"]["Z"] = {"parents": ["X", "X"], "table": [[0.5, 0.5]] * 4}
+    (tmp_path / "twice.model").write_text(json.dumps(twice), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["query", "TMP/cyclic.model", "--target", "Y"], "cycle among"),
+        (["sample", "TMP/cyclic.model", "-n", "5", "--seed", "1", "--out", "TMP/out.csv"],
+         "cycle among"),
+        (["query", "TMP/twice.model", "--target", "Y"], "duplicate parents for 'Z'"),
+        (["backdoor", "modelD", "--treatment", "Z", "--outcome", "Z"], "must differ"),
+        (["ace", "modelD", "--treatment", "Z", "--outcome", "Z"], "must be distinct"),
+        (["adjust", "modelD", "--treatment", "Z", "--outcome", "Z"], "must be distinct"),
+        (["select", "modelD", "--treatment", "Z", "--outcome", "Z"], "must be distinct"),
+        (["select", "modelD", "--treatment", "Z", "--outcome", "Z", "--mode", "dist"],
+         "must be distinct"),
+        (["scan", "--template", "modelD", "--param", "u=a:1:0.1", "--out", "TMP/out.csv"],
+         "must be numbers"),
+        (["bias", "modelD", "--treatment", "Z", "--outcome", "Y", "--covariate", "Z"],
+         "must be distinct"),
+        (["bias", "modelD", "--treatment", "Z", "--outcome", "Y", "--covariate", "Y"],
+         "must be distinct"),
+    ],
+    ids=[
+        "query-cyclic", "sample-cyclic", "query-parent-twice", "backdoor", "ace",
+        "adjust", "select-graph", "select-dist", "scan-non-number",
+        "bias-covariate-treatment", "bias-covariate-outcome",
+    ],
+)
+def test_invalid_input_exit_3_without_traceback(tmp_path, capsys, argv, message):
+    _write_broken_models(tmp_path)
+    assert main([arg.replace("TMP", str(tmp_path)) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_every_error_type_has_its_exit_code():
+    def walk(cls):
+        yield cls
+        for sub in cls.__subclasses__():
+            yield from walk(sub)
+
+    assert {cls.__name__: cls.exit_code for cls in walk(errors.CausalbnError)} == {
+        "CausalbnError": 4,
+        "CycleError": 3,
+        "UnknownNode": 4,
+        "UnknownVariable": 4,
+        "ValidationError": 3,
+        "SizeCapExceeded": 4,
+        "ZeroProbabilityEvidence": 4,
+        "EmptyDataset": 4,
+        "PositivityViolation": 4,
+        "ParseError": 3,
+        "InfeasibleEndpoints": 4,
+        "DegenerateEndpoints": 4,
+        "DomainError": 4,
+        "StructureError": 4,
+    }
 
 
 def _run(capsys, argv):
