@@ -11,6 +11,7 @@ numpy arrays with one axis per variable, first scope variable slowest
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -309,13 +310,19 @@ def query(
 
 @dataclass(frozen=True)
 class Dataset:
-    """Rows of joint assignments stored as state indices."""
+    """Rows of joint assignments stored as state indices.
+
+    ``rows`` may have any integer dtype and memory layout; other dtypes
+    (floats, bools) are rejected when the dataset is built.
+    """
 
     columns: tuple[str, ...]
     states: tuple[tuple[str, ...], ...]
     rows: np.ndarray  # shape (n, len(columns)), integer state indices
 
     def __post_init__(self):
+        if self.rows.dtype.kind not in "iu":
+            raise ValidationError(f"dataset rows must be integers, not {self.rows.dtype}")
         cards = np.array([len(s) for s in self.states], dtype=np.int64)
         width = len(self.columns)
         if len(cards) != width or self.rows.ndim != 2 or self.rows.shape[1] != width:
@@ -362,9 +369,7 @@ class Dataset:
             block = self.rows[start : start + _CSV_CHUNK_ROWS]
             cells = None
             for (cols, _), end, table in zip(groups, ends, tables):
-                codes = np.zeros(block.shape[0], dtype=np.int64)
-                for j in cols:
-                    codes = codes * cards[j] + block[:, j]
+                codes = _mixed_radix(block, cols, cards)
                 if table is not None:
                     lines = table[codes]
                 else:
@@ -381,6 +386,21 @@ class Dataset:
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(self.to_csv())
+
+
+def _mixed_radix(rows: np.ndarray, cols: Sequence[int], cards: Sequence[int]) -> np.ndarray:
+    """Mixed-radix code of each row over ``cols``, first column slowest.
+
+    ``cards[j]`` is the radix of column ``j``.  The code accumulates in
+    place in an ``intp`` array that starts at zero, so a narrow or
+    unsigned state column neither wraps nor widens it; the caller keeps
+    the product of the radices within int64.
+    """
+    codes = np.zeros(rows.shape[0], dtype=np.intp)
+    for j in cols:
+        codes *= cards[j]
+        np.add(codes, rows[:, j], out=codes, dtype=np.intp, casting="unsafe")
+    return codes
 
 
 def _radix_groups(cards: list[int]) -> list[tuple[list[int], int]]:
@@ -412,6 +432,9 @@ def forward_sample(net: DiscreteBayesNet, n: int, seed: int) -> Dataset:
     state is the number of entries of its CPT row's cumulative sum that
     lie strictly below ``u``, clamped to the last state.  Identical
     (net, n, seed) therefore reproduces the dataset bit for bit.
+
+    The rows are stored column-major (one contiguous column per node) in
+    the narrowest unsigned dtype that holds every state index.
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
@@ -420,16 +443,15 @@ def forward_sample(net: DiscreteBayesNet, n: int, seed: int) -> Dataset:
     rng = np.random.Generator(np.random.PCG64(seed))
     nodes = net.dag.nodes
     col_of = {name: i for i, name in enumerate(nodes)}
-    rows = np.zeros((n, len(nodes)), dtype=np.int64)
+    cards = [net.card(m) for m in nodes]
+    rows = np.zeros((n, len(nodes)), dtype=np.min_scalar_type(max(cards) - 1), order="F")
     for name in topological_order(net.dag):
         cpt = net.cpts[name]
         u = rng.random(n)
         # cumsum of a CPT row does the same float additions as per-row cumsum
         cdf = np.cumsum(cpt.table, axis=1)
         # row index into the CPT, first parent slowest
-        idx = np.zeros(n, dtype=np.int64)
-        for p in cpt.parents:
-            idx = idx * net.card(p) + rows[:, col_of[p]]
+        idx = _mixed_radix(rows, [col_of[p] for p in cpt.parents], cards)
         state = rows[:, col_of[name]]
         # CDF rows never decrease (validate rejects negative entries), so
         # leaving out the last column is the clamp to the last state
@@ -444,8 +466,9 @@ def empirical_joint(dataset: Dataset) -> Factor:
     if len(dataset) == 0:
         raise EmptyDataset("dataset has no rows")
     cards = [len(s) for s in dataset.states]
-    flat = np.zeros(dataset.rows.shape[0], dtype=np.int64)
-    for j, c in enumerate(cards):
-        flat = flat * c + dataset.rows[:, j]
-    counts = np.bincount(flat, minlength=int(np.prod(cards))).reshape(cards)
+    size = math.prod(cards)
+    if size > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"empirical joint would exceed {DEFAULT_SIZE_CAP} configurations")
+    flat = _mixed_radix(dataset.rows, range(len(cards)), cards)
+    counts = np.bincount(flat, minlength=size).reshape(cards)
     return Factor(dataset.columns, dataset.states, counts / len(dataset))

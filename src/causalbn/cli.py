@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -50,6 +51,15 @@ def _parse_assignments(text: str) -> dict[str, str]:
         name, state = part.split("=", 1)
         out[name.strip()] = state.strip()
     return out
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError from writing ``path`` into a ValidationError (exit 3)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _parse_set(text: str | None) -> list[str]:
@@ -195,7 +205,8 @@ def cmd_scan(args) -> int:
         outcome=args.outcome,
         covariate=args.covariate,
     )
-    Path(args.out).write_text(scan_to_csv(results), encoding="utf-8", newline="")
+    with _writing(args.out):
+        Path(args.out).write_text(scan_to_csv(results), encoding="utf-8", newline="")
     print(scan_summary(results))
     return 0
 
@@ -232,7 +243,8 @@ def cmd_corr(args) -> int:
 def cmd_sample(args) -> int:
     net = load_model(args.model)
     ds = forward_sample(net, args.n, args.seed)
-    ds.write_csv(args.out)
+    with _writing(args.out):
+        ds.write_csv(args.out)
     print(f"wrote {len(ds)} rows to {args.out}")
     return 0
 

@@ -543,6 +543,65 @@ class TestSamplingReference:
         ds = Dataset(("P", "Q", "R", "S"), (labels,) * 4, rng.integers(0, card, size=(50, 4)))
         assert ds.to_csv() == reference_csv(ds)
 
+    def test_layout_on_bundled_models(self):
+        # one contiguous column per node, one byte per state index
+        for name in BUNDLED_MODELS:
+            rows = forward_sample(load_model(name), 50, seed=1).rows
+            assert rows.flags.f_contiguous and rows.dtype == np.uint8, name
+
+    def test_300_state_node(self):
+        dag = Dag.from_edges(("A", "B"), [("A", "B")])
+        net = random_cpts(dag, np.random.default_rng(300), cards={"A": 300, "B": 2})
+        ds = self.check(net, 2000, seed=6)
+        assert ds.rows.dtype == np.uint16
+
+    def test_row_layouts_agree(self):
+        sampled = forward_sample(labelled_net(), 3000, seed=12)
+        base = sampled.rows.astype(np.int64)
+        layouts = {
+            "C int64": np.ascontiguousarray(base),
+            "F uint8": np.asfortranarray(base, dtype=np.uint8),
+            "int8": base.astype(np.int8),
+            "uint64": base.astype(np.uint64),
+            "strided view": np.repeat(base, 2, axis=1)[:, ::2],
+        }
+        assert not layouts["strided view"].flags.c_contiguous
+        expected = Dataset(sampled.columns, sampled.states, base)
+        for name, rows in layouts.items():
+            ds = Dataset(sampled.columns, sampled.states, rows)
+            assert ds.to_csv() == expected.to_csv() == reference_csv(expected), name
+            assert np.array_equal(empirical_joint(ds).values, empirical_joint(expected).values)
+
+    def test_uint8_codes_past_255(self):
+        # 12 binary columns: codes reach 4095, which a uint8 accumulator would wrap
+        rng = np.random.default_rng(12)
+        rows = rng.integers(0, 2, size=(2000, 12)).astype(np.uint8)
+        rows[0] = 1
+        ds = Dataset(tuple(f"V{j}" for j in range(12)), (("off", "on"),) * 12, rows)
+        assert ds.to_csv() == reference_csv(ds)
+        counts = empirical_joint(ds).values * len(ds)
+        assert counts[(1,) * 12] == sum(r == [1] * 12 for r in rows.tolist())
+
+    @pytest.mark.parametrize(
+        "rows", [np.array([[0.5]]), np.array([[0.0], [1.0]]), np.array([[False], [True]])],
+        ids=["fraction", "whole-floats", "bool"],
+    )
+    def test_non_integer_rows_rejected(self, rows):
+        with pytest.raises(ValidationError, match="integers"):
+            Dataset(("X",), (("0", "1"),), rows)
+
+    def test_uint64_rows_keep_full_code_width(self):
+        # uint64 columns are added in int64: int64 + uint64 would promote to
+        # float64 and merge codes near 2**63 that differ in the last column
+        rng = np.random.default_rng(9)
+        card = 2**21
+        labels = tuple(str(i) for i in range(card))
+        rows = rng.integers(0, card - 1, size=(40, 4)).astype(np.uint64)
+        rows[1::2] = rows[::2]
+        rows[1::2, 2] += 1
+        ds = Dataset(("P", "Q", "R", "S"), (labels,) * 4, rows)
+        assert ds.to_csv() == reference_csv(ds)
+
     def test_pinned_digest(self):
         # SHA-256 of criterion 8's dataset, fixed by the sampling contract
         csv = forward_sample(load_model("fig1_left"), 10**6, seed=7).to_csv()
@@ -580,3 +639,12 @@ class TestEmpiricalJoint:
     def test_empty(self):
         with pytest.raises(EmptyDataset):
             empirical_joint(Dataset(("X",), (("0", "1"),), np.zeros((0, 1), dtype=int)))
+
+    def test_size_cap(self, monkeypatch):
+        rows = np.zeros((3, 4), dtype=np.uint8)
+        ds = Dataset(tuple("ABCD"), (("0", "1"),) * 4, rows)
+        monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", 2**4)
+        assert empirical_joint(ds).values.shape == (2,) * 4
+        monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", 2**4 - 1)
+        with pytest.raises(SizeCapExceeded, match="empirical joint"):
+            empirical_joint(ds)

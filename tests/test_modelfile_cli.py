@@ -487,6 +487,29 @@ def test_invalid_input_exit_3_without_traceback(tmp_path, capsys, argv, message)
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["sample", "fig1_left", "-n", "5", "--seed", "1", "--out", "TMP"], "Is a directory"),
+        (["sample", "fig1_left", "-n", "5", "--seed", "1", "--out", "TMP/missing/out.csv"],
+         "No such file or directory"),
+        (["scan", "--template", "modelD", "--param", "u=0.2:0.4:0.2", "--out", "TMP"],
+         "Is a directory"),
+        (["scan", "--template", "modelD", "--param", "u=0.2:0.4:0.2", "--out",
+          "TMP/missing/out.csv"], "No such file or directory"),
+    ],
+    ids=["sample-dir", "sample-missing-dir", "scan-dir", "scan-missing-dir"],
+)
+def test_unwritable_out_exit_3_without_traceback(tmp_path, capsys, argv, reason):
+    argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {argv[-1]}: {reason}")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_every_error_type_has_its_exit_code():
     def walk(cls):
         yield cls
