@@ -39,12 +39,10 @@ from .graph import (
     backdoor_admissible,
     d_separated,
     descendants,
-    mutilate,
     topological_order,
 )
 from .intervention import (
     EffectReport,
-    InterventionQuery,
     SelectionResult,
     ace,
     adjusted_estimate,

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -20,7 +23,6 @@ from .bayesnet import forward_sample, query
 from .errors import CausalbnError, ValidationError
 from .graph import backdoor_admissible, d_separated
 from .intervention import (
-    InterventionQuery,
     _expected,
     _outcome_values,
     ace,
@@ -48,9 +50,24 @@ def _parse_assignments(text: str) -> dict[str, str]:
     for part in text.split(","):
         if "=" not in part:
             raise ValidationError(f"bad assignment {part!r}; expected NAME=state")
-        name, state = part.split("=", 1)
-        out[name.strip()] = state.strip()
+        name, state = (x.strip() for x in part.split("=", 1))
+        if name in out:
+            raise ValidationError(f"repeated assignment to {name!r}")
+        out[name] = state
     return out
+
+
+def _check_out(path: str) -> None:
+    """Raise ValidationError (exit 3) before any work if ``path`` is a
+    directory or sits in a missing directory; nothing is created."""
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise ValidationError(f"cannot write {path}: {os.strerror(code)}")
 
 
 @contextlib.contextmanager
@@ -86,7 +103,7 @@ def cmd_query(args) -> int:
 def cmd_do(args) -> int:
     net = load_model(args.model)
     do = _parse_assignments(args.do)
-    dist = interventional_distribution(InterventionQuery(args.target, do, net))
+    dist = interventional_distribution(net, args.target, do)
     _print_dist(args.target, dist)
     return 0
 
@@ -103,9 +120,7 @@ def cmd_adjust(args) -> int:
     s = _parse_set(args.set)
     adj = adjusted_estimate(net, args.treatment, args.outcome, s)
     for level in net.variables[args.treatment].states:
-        truth = interventional_distribution(
-            InterventionQuery(args.outcome, {args.treatment: level}, net)
-        )
+        truth = interventional_distribution(net, args.outcome, {args.treatment: level})
         print(f"do({args.treatment}={level}):")
         for i, state in enumerate(adj[level].states[0]):
             a = float(adj[level].values[i])
@@ -138,9 +153,7 @@ def cmd_backdoor(args) -> int:
 def cmd_select(args) -> int:
     net = load_model(args.model)
     mode = {"graph": "graphical", "dist": "distributional"}[args.mode]
-    result = select_sufficient_confounders(
-        net, args.treatment, args.outcome, mode=mode, tolerance=args.tol
-    )
+    result = select_sufficient_confounders(net, args.treatment, args.outcome, mode=mode)
     chosen = ",".join(result.chosen) if result.chosen else "(empty)"
     print(f"chosen: {chosen}")
     print(f"pool: {','.join(result.pool) if result.pool else '(empty)'}")
@@ -158,9 +171,7 @@ def cmd_bias(args) -> int:
     adj = adjusted_estimate(net, args.treatment, args.outcome, [args.covariate])
     y_vals = _outcome_values(net, args.outcome)
     for level in net.variables[args.treatment].states:
-        truth = interventional_distribution(
-            InterventionQuery(args.outcome, {args.treatment: level}, net)
-        )
+        truth = interventional_distribution(net, args.outcome, {args.treatment: level})
         err = _expected(adj[level], y_vals) - _expected(truth, y_vals)
         print(f"per-level error at {args.treatment}={level}: {_fmt(err)}")
     print(f"bias: {_fmt(value)}")
@@ -177,6 +188,8 @@ def _parse_grid_value(text: str) -> list[float]:
         raise ValidationError(
             f"bad grid range {text!r}; a, b and step must be numbers"
         ) from None
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ValidationError(f"bad grid range {text!r}; a, b and step must be finite")
     if step <= 0:
         raise ValidationError("grid step must be positive")
     if a > b:
@@ -197,7 +210,10 @@ def cmd_scan(args) -> int:
             raise ValidationError(f"bad --param {spec!r}; expected NAME=a:b:step")
         # parameter names may themselves contain '=' (e.g. "w|u=1")
         name, rng = spec.rsplit("=", 1)
+        if name in grid:
+            raise ValidationError(f"repeated --param {name!r}")
         grid[name] = _parse_grid_value(rng)
+    _check_out(args.out)
     results = bias_scan(
         args.template,
         grid,
@@ -242,6 +258,7 @@ def cmd_corr(args) -> int:
 
 def cmd_sample(args) -> int:
     net = load_model(args.model)
+    _check_out(args.out)
     ds = forward_sample(net, args.n, args.seed)
     with _writing(args.out):
         ds.write_csv(args.out)
@@ -303,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--treatment", required=True)
     p.add_argument("--outcome", required=True)
     p.add_argument("--mode", choices=["graph", "dist"], default="graph")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("bias", help="bias of conditioning on one covariate")

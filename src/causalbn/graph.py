@@ -2,8 +2,7 @@
 
 A :class:`Dag` stores an ordered node list and a parent set per node.
 Everything here is graph-only: topological ordering, d-separation (by a
-reachability sweep), the back-door admissibility test, and the edge
-removal used to represent interventions.
+reachability sweep) and the back-door admissibility test.
 """
 
 from __future__ import annotations
@@ -189,12 +188,3 @@ def backdoor_admissible(dag: Dag, treatment: str, outcome: str, s: Iterable[str]
     )
     return d_separated(trimmed, {treatment}, {outcome}, s)
 
-
-def mutilate(dag: Dag, intervened: Iterable[str]) -> Dag:
-    """Return a copy with all incoming edges of ``intervened`` removed."""
-    intervened = set(intervened)
-    dag._check_nodes(intervened)
-    return Dag(
-        dag.nodes,
-        {n: (() if n in intervened else dag.parents[n]) for n in dag.nodes},
-    )

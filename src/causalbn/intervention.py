@@ -19,7 +19,6 @@ from .bayesnet import DiscreteBayesNet, Factor, joint
 from .errors import (
     PositivityViolation,
     SizeCapExceeded,
-    UnknownVariable,
     ValidationError,
     ZeroProbabilityEvidence,
 )
@@ -27,25 +26,20 @@ from .graph import d_separated, descendants
 
 #: pool-size ceiling for subset enumeration in confounder selection
 SELECTION_POOL_CAP = 12
+#: max-norm gap under which distributional selection calls two conditionals equal
+SELECTION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class InterventionQuery:
-    target: str
-    do_assignments: Mapping[str, str]
-    net: DiscreteBayesNet
+def interventional_distribution(
+    net: DiscreteBayesNet, target: str, do: Mapping[str, str]
+) -> Factor:
+    """p(target | do(assignments)) by truncated factorization.
 
-    def __post_init__(self):
-        if self.target in self.do_assignments:
-            raise ValueError("target cannot be intervened on")
-        for name in [self.target, *self.do_assignments]:
-            if name not in self.net.variables:
-                raise UnknownVariable(f"unknown variable {name!r}")
-
-
-def interventional_distribution(q: InterventionQuery) -> Factor:
-    """p(target | do(assignments)) by truncated factorization."""
-    f = joint(q.net, q.do_assignments, keep={q.target})
+    The kernel rejects an unknown name or state with UnknownVariable.
+    """
+    if target in do:
+        raise ValueError("target cannot be intervened on")
+    f = joint(net, do, keep={target})
     return Factor(f.scope, f.states, f.values / f.values.sum())
 
 
@@ -94,8 +88,8 @@ def ace(
     _distinct(treatment=treatment, outcome=outcome)
     level1, level0 = _levels(net, treatment, level1, level0)
     vals = _outcome_values(net, outcome)
-    d1 = interventional_distribution(InterventionQuery(outcome, {treatment: level1}, net))
-    d0 = interventional_distribution(InterventionQuery(outcome, {treatment: level0}, net))
+    d1 = interventional_distribution(net, outcome, {treatment: level1})
+    d0 = interventional_distribution(net, outcome, {treatment: level0})
     return _expected(d1, vals) - _expected(d0, vals)
 
 
@@ -235,14 +229,13 @@ def _conditional_equal(
     given_common: tuple[str, ...],
     full_set: tuple[str, ...],
     sub_set: tuple[str, ...],
-    tolerance: float,
 ) -> bool:
     """Numeric test of P(target | common, full) == P(target | common, sub).
 
     ``sub_set`` is an ordered subsequence of ``full_set``, so the smaller
     table broadcasts over the larger one once its missing axes are 1.
     Compared only on positive-probability configurations of the larger
-    conditioning set; max-norm against ``tolerance``.
+    conditioning set; max-norm against ``SELECTION_TOL``.
     """
     cond_full = (*given_common, *full_set)
     cond_sub = (*given_common, *sub_set)
@@ -250,7 +243,7 @@ def _conditional_equal(
     p_sub, _ = f.conditional([target], cond_sub)
     shape = [n if v in cond_sub else 1 for v, n in zip(cond_full, weight.shape)]
     gap = np.abs(p_full - p_sub.reshape(shape + [p_full.shape[-1]]))
-    return float(np.max(gap[weight > 0], initial=0.0)) <= tolerance
+    return float(np.max(gap[weight > 0], initial=0.0)) <= SELECTION_TOL
 
 
 def select_sufficient_confounders(
@@ -258,7 +251,6 @@ def select_sufficient_confounders(
     treatment: str,
     outcome: str,
     mode: str = "graphical",
-    tolerance: float = 1e-9,
 ) -> SelectionResult:
     """Two-stage minimal sufficient confounder set.
 
@@ -271,7 +263,7 @@ def select_sufficient_confounders(
 
     Modes: 'graphical' decides each equality by d-separation;
     'distributional' compares conditionals on the exact joint to
-    ``tolerance``.
+    ``SELECTION_TOL``.
     """
     _distinct(treatment=treatment, outcome=outcome)
     if mode not in ("graphical", "distributional"):
@@ -300,7 +292,7 @@ def select_sufficient_confounders(
         elif mode == "graphical":
             verdict = d_separated(dag, {target}, set(removed), set(common) | set(sub))
         else:
-            verdict = _conditional_equal(full, target, common, full_set, sub, tolerance)
+            verdict = _conditional_equal(full, target, common, full_set, sub)
         audit.append(AuditRecord(stage, sub, verdict))
         return verdict
 
@@ -343,8 +335,6 @@ def effect_report(
     treatment: str,
     outcome: str,
     covariate_sets: Sequence[Iterable[str]],
-    level1: str | None = None,
-    level0: str | None = None,
 ) -> EffectReport:
     """One call computing true, adjusted, and unadjusted quantities.
 
@@ -352,13 +342,10 @@ def effect_report(
     interventional truth; ACE errors are the corresponding ACE
     differences (so ace_error == error(z1) - error(z0) by construction).
     """
-    level1, level0 = _levels(net, treatment, level1, level0)
+    states = net.states(treatment)
+    level1, level0 = levels = (states[-1], states[0])
     vals = _outcome_values(net, outcome)
-    levels = (level1, level0)
-    true_dist = {
-        lv: interventional_distribution(InterventionQuery(outcome, {treatment: lv}, net))
-        for lv in levels
-    }
+    true_dist = {lv: interventional_distribution(net, outcome, {treatment: lv}) for lv in levels}
     unadj = unadjusted_estimate(net, treatment, outcome)
     unadjusted_dist = {lv: unadj[lv] for lv in levels}
     adjusted_dist: dict[tuple[str, ...], dict[str, Factor]] = {}

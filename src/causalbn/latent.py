@@ -364,7 +364,8 @@ def bias_scan(
     """Exact bias comparison on every cell of a parameter grid.
 
     Grid axes iterate row-major with parameter names sorted.  Treatment,
-    outcome and covariate must be three distinct nodes of the template.
+    outcome and covariate must be three distinct nodes of the template,
+    and every grid axis must be non-empty with values in [0, 1].
     """
     if template not in TEMPLATES:
         raise ValidationError(f"unknown template {template!r}")
@@ -375,9 +376,11 @@ def bias_scan(
             f"are not three distinct nodes of {template} {nodes}"
         )
     schema = set(TEMPLATES[template].param_keys())
-    for name in grid_spec:
+    for name, values in grid_spec.items():
         if name not in schema:
             raise ValidationError(f"grid parameter {name!r} not in template schema")
+        if len(values) == 0 or not all(0.0 <= float(v) <= 1.0 for v in values):
+            raise ValidationError(f"grid parameter {name!r} needs values, all in [0, 1]")
     base = dict(DEFAULT_PARAMS[template])
     if base_params:
         base.update(base_params)

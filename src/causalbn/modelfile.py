@@ -159,7 +159,12 @@ def load_model(path_or_name: str) -> DiscreteBayesNet:
     """
     p = Path(path_or_name)
     if p.exists():
-        return _parsed_text(p.read_text(encoding="utf-8"))
+        try:
+            text = p.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ParseError(f"cannot read {path_or_name}: {reason}") from None
+        return _parsed_text(text)
     name = path_or_name.removesuffix(".model")
     if name in BUNDLED_MODELS:
         return _bundled_model(name)

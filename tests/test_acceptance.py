@@ -17,7 +17,6 @@ from causalbn.cli import main
 from causalbn.errors import InfeasibleEndpoints
 from causalbn.graph import Dag, backdoor_admissible
 from causalbn.intervention import (
-    InterventionQuery,
     adjusted_estimate,
     conditioning_bias,
     effect_report,
@@ -98,9 +97,7 @@ def test_criterion_2_m_bias_identity():
         adj = adjusted_estimate(net, "Z", "Y", {"X"})
         worst_adj = 0.0
         for level in ("0", "1"):
-            truth = interventional_distribution(
-                InterventionQuery("Y", {"Z": level}, net)
-            )
+            truth = interventional_distribution(net, "Y", {"Z": level})
             assert np.max(np.abs(unadj[level].values - truth.values)) < 1e-12
             worst_adj = max(
                 worst_adj, float(np.max(np.abs(adj[level].values - truth.values)))
@@ -129,9 +126,7 @@ def test_criterion_3_backdoor_soundness():
         for _ in range(100):
             net = random_scenario(template, rng)
             truths = {
-                level: interventional_distribution(
-                    InterventionQuery("Y", {"Z": level}, net)
-                )
+                level: interventional_distribution(net, "Y", {"Z": level})
                 for level in ("0", "1")
             }
             for s in admissible:
@@ -211,9 +206,7 @@ def test_criterion_6_proposition_behavior():
             draw = random_scenario(template_of[name], rng)
             adj = adjusted_estimate(draw, "Z", "Y", result.chosen)
             for level in ("0", "1"):
-                truth = interventional_distribution(
-                    InterventionQuery("Y", {"Z": level}, draw)
-                )
+                truth = interventional_distribution(draw, "Y", {"Z": level})
                 assert np.max(np.abs(adj[level].values - truth.values)) < 1e-10
     assert sw.elapsed_cpu() < 30.0
     report(6, "two-stage confounder selection", sw)
@@ -231,9 +224,7 @@ def test_criterion_7_models_c_d_double_failure():
             unadj = unadjusted_estimate(net, "Z", "Y")
             adj_err = unadj_err = 0.0
             for level in ("0", "1"):
-                truth = interventional_distribution(
-                    InterventionQuery("Y", {"Z": level}, net)
-                )
+                truth = interventional_distribution(net, "Y", {"Z": level})
                 adj_err = max(adj_err, float(np.max(np.abs(adj[level].values - truth.values))))
                 unadj_err = max(
                     unadj_err, float(np.max(np.abs(unadj[level].values - truth.values)))

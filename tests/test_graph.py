@@ -11,7 +11,6 @@ from causalbn.graph import (
     backdoor_admissible,
     d_separated,
     descendants,
-    mutilate,
     topological_order,
 )
 from causalbn.bayesnet import joint
@@ -204,29 +203,6 @@ class TestBackdoor:
     def test_treatment_in_set_rejected(self):
         with pytest.raises(ValueError):
             backdoor_admissible(FIG1_LEFT, "Z", "Y", {"Z"})
-
-
-class TestMutilate:
-    def test_fig1_left_intervene_z(self):
-        cut = mutilate(FIG1_LEFT, {"Z"})
-        assert cut.parents["Z"] == ()
-        assert cut.parents["Y"] == FIG1_LEFT.parents["Y"]
-
-    def test_identity(self):
-        assert mutilate(FIG1_LEFT, set()) == FIG1_LEFT
-
-    def test_model_d_removes_only_incoming(self):
-        model_d = Dag.from_edges(
-            ("U", "W", "X", "Z", "Y"),
-            [("U", "W"), ("U", "Z"), ("U", "X"), ("W", "X"), ("W", "Y"), ("Z", "Y")],
-        )
-        cut = mutilate(model_d, {"Z"})
-        removed = set(model_d.edges()) - set(cut.edges())
-        assert removed == {("U", "Z")}
-
-    def test_unknown(self):
-        with pytest.raises(UnknownNode):
-            mutilate(FIG1_LEFT, {"Q"})
 
 
 def test_descendants():

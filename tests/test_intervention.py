@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from causalbn.bayesnet import Cpt, DiscreteBayesNet, Variable, joint, query
-from causalbn.errors import PositivityViolation, SizeCapExceeded
+from causalbn.errors import PositivityViolation, SizeCapExceeded, UnknownVariable
 from causalbn.graph import Dag, backdoor_admissible
 from causalbn.intervention import (
-    InterventionQuery,
     _conditional_equal,
     ace,
     adjusted_estimate,
@@ -32,20 +31,20 @@ def random_scenario(template, rng, lo=0.05, hi=0.95):
 class TestInterventionalDistribution:
     def test_fig1_left(self):
         net = load_model("fig1_left")
-        d = interventional_distribution(InterventionQuery("Y", {"Z": "1"}, net))
+        d = interventional_distribution(net, "Y", {"Z": "1"})
         assert d.prob({"Y": "1"}) == pytest.approx(0.75, abs=1e-12)
 
     def test_fig1_right_equals_conditional(self):
         net = load_model("fig1_right")
         for level in ("0", "1"):
-            d = interventional_distribution(InterventionQuery("Y", {"Z": level}, net))
+            d = interventional_distribution(net, "Y", {"Z": level})
             c = query(net, ["Y"], {"Z": level})
             assert np.max(np.abs(d.values - c.values)) < 1e-12
 
     def test_model_b_do_equals_conditional(self):
         net = load_model("modelB")
         for level in ("0", "1"):
-            d = interventional_distribution(InterventionQuery("Y", {"Z": level}, net))
+            d = interventional_distribution(net, "Y", {"Z": level})
             c = query(net, ["Y"], {"Z": level})
             assert np.max(np.abs(d.values - c.values)) < 1e-12
 
@@ -55,9 +54,7 @@ class TestInterventionalDistribution:
             for _ in range(20):
                 net = random_scenario(template, rng)
                 for level in ("0", "1"):
-                    got = interventional_distribution(
-                        InterventionQuery("Y", {"Z": level}, net)
-                    )
+                    got = interventional_distribution(net, "Y", {"Z": level})
                     want = brute_do(net, "Y", {"Z": level})
                     for state, p in want.items():
                         assert abs(got.prob({"Y": state}) - p) < 1e-12
@@ -74,9 +71,30 @@ class TestInterventionalDistribution:
             for cfg, p in brute_truncated_joint(net, do).items():
                 assert abs(got.prob(dict(zip(dag.nodes, cfg))) - p) < 1e-15
             for target in ("A", "D", "E"):
-                dist = interventional_distribution(InterventionQuery(target, do, net))
+                dist = interventional_distribution(net, target, do)
                 for state, p in brute_do(net, target, do).items():
                     assert abs(dist.prob({target: state}) - p) < 1e-12
+
+    def test_intervened_target_raises_value_error(self):
+        # a known defect, pinned by the benchmark's query workload as
+        # ``do_target_intervened``: the message and type stay until the
+        # benchmark and this check move to a ValidationError together
+        with pytest.raises(ValueError, match="^target cannot be intervened on$"):
+            interventional_distribution(load_model("fig1_left"), "Y", {"Y": "1"})
+
+    @pytest.mark.parametrize(
+        "target, do, message",
+        [
+            ("Q", {"Z": "1"}, "unknown variable 'Q'"),
+            ("Y", {"Q": "1"}, "unknown variable 'Q'"),
+            ("Y", {"Z": "9"}, "'9' is not a state of 'Z'"),
+        ],
+        ids=["target", "do-name", "do-state"],
+    )
+    def test_unknown_name_or_state(self, target, do, message):
+        with pytest.raises(UnknownVariable) as info:
+            interventional_distribution(load_model("fig1_left"), target, do)
+        assert str(info.value) == message
 
     def test_parentless_do_equals_conditioning(self):
         # intervening on a root node is the same as observing it
@@ -84,7 +102,7 @@ class TestInterventionalDistribution:
         dag = Dag.from_edges(("A", "B", "C"), [("A", "B"), ("A", "C"), ("B", "C")])
         for _ in range(50):
             net = random_cpts(dag, rng)
-            d = interventional_distribution(InterventionQuery("C", {"A": "1"}, net))
+            d = interventional_distribution(net, "C", {"A": "1"})
             c = query(net, ["C"], {"A": "1"})
             assert np.max(np.abs(d.values - c.values)) < 1e-12
 
@@ -160,9 +178,7 @@ class TestAdjustedEstimate:
                 for s in admissible:
                     adj = adjusted_estimate(net, "Z", "Y", s)
                     for level in ("0", "1"):
-                        truth = interventional_distribution(
-                            InterventionQuery("Y", {"Z": level}, net)
-                        )
+                        truth = interventional_distribution(net, "Y", {"Z": level})
                         assert np.max(np.abs(adj[level].values - truth.values)) < 1e-10
 
 
@@ -255,9 +271,7 @@ class TestSelection:
                 net = random_scenario(template, rng)
                 adj = adjusted_estimate(net, "Z", "Y", chosen)
                 for level in ("0", "1"):
-                    truth = interventional_distribution(
-                        InterventionQuery("Y", {"Z": level}, net)
-                    )
+                    truth = interventional_distribution(net, "Y", {"Z": level})
                     assert np.max(np.abs(adj[level].values - truth.values)) < 1e-10
 
     def test_pool_cap(self):
@@ -304,8 +318,8 @@ class TestConditionalEqual:
                 for r in range(len(full_set)):
                     for sub in itertools.combinations(full_set, r):
                         for target, common in ((o, (t,)), (t, ())):
-                            args = (target, common, full_set, sub, 1e-9)
-                            expected = conditional_equal_loop(net, f, *args)
+                            args = (target, common, full_set, sub)
+                            expected = conditional_equal_loop(net, f, *args, 1e-9)
                             assert _conditional_equal(f, *args) == expected
                             seen.append(expected)
         assert 0 < sum(seen) < len(seen)

@@ -349,6 +349,17 @@ class TestBiasScan:
                 treatment=treatment, outcome=outcome, covariate=covariate,
             )
 
+    @pytest.mark.parametrize(
+        "values", [[], [0.5, 1.5], [-0.1], [math.nan], [0.2, math.inf]]
+    )
+    def test_empty_or_out_of_range_axis_rejected_before_any_cell(self, monkeypatch, values):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("causalbn.latent._scan_cell", no_cell)
+        with pytest.raises(ValidationError, match=r"needs values, all in \[0, 1\]"):
+            bias_scan("modelD", {"w|u=1": [0.3], "u": values})
+
     def test_unknown_grid_parameter(self):
         with pytest.raises(ValidationError):
             bias_scan("modelB", {"nope": [0.5]})

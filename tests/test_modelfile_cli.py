@@ -319,6 +319,8 @@ class TestCli:
             ["bias", "modelD", "--treatment", "Z", "--outcome", "Q", "--covariate", "X"],
             ["adjust", "modelD", "--treatment", "Z", "--outcome", "Q"],
             ["adjust", "modelD", "--treatment", "Z", "--outcome", "Y", "--set", "Q"],
+            ["do", "modelD", "--target", "Y", "--do", "Q=1"],
+            ["do", "modelD", "--target", "Q", "--do", "Z=1"],
         ],
     )
     def test_unknown_name_exit_4(self, capsys, argv):
@@ -440,7 +442,7 @@ class TestCli:
 
 def _write_broken_models(tmp_path):
     """fig1_left (X -> Z -> Y, X -> Y) with an added Y -> X edge, and with
-    Z's parent listed twice."""
+    Z's parent listed twice; and a file that is not UTF-8."""
     doc = json.loads(bundled_model_text("fig1_left"))
     cyclic = json.loads(json.dumps(doc))
     cyclic["cpts"]["X"] = {"parents": ["Y"], "table": [[0.5, 0.5], [0.5, 0.5]]}
@@ -449,6 +451,7 @@ def _write_broken_models(tmp_path):
     twice = json.loads(json.dumps(doc))
     twice["cpts"]["Z"] = {"parents": ["X", "X"], "table": [[0.5, 0.5]] * 4}
     (tmp_path / "twice.model").write_text(json.dumps(twice), encoding="utf-8")
+    (tmp_path / "latin1.model").write_bytes(json.dumps(doc).encode("utf-8") + b"\xe9")
 
 
 @pytest.mark.parametrize(
@@ -470,11 +473,28 @@ def _write_broken_models(tmp_path):
          "must be distinct"),
         (["bias", "modelD", "--treatment", "Z", "--outcome", "Y", "--covariate", "Y"],
          "must be distinct"),
+        (["query", "TMP", "--target", "Y"], "cannot read TMP: Is a directory"),
+        (["query", "TMP/latin1.model", "--target", "Y"],
+         "cannot read TMP/latin1.model: 'utf-8' codec can't decode"),
+        (["scan", "--template", "modelD", "--param", "u=nan:1:0.1", "--out", "TMP/out.csv"],
+         "must be finite"),
+        (["scan", "--template", "modelD", "--param", "u=0:1:inf", "--out", "TMP/out.csv"],
+         "must be finite"),
+        (["scan", "--template", "modelD", "--param", "u=0.5:1.5:0.5", "--out", "TMP/out.csv"],
+         "needs values, all in [0, 1]"),
+        (["scan", "--template", "modelD", "--param", "u=0.2:0.4:0.2",
+          "--param", "u=0.6:0.8:0.2", "--out", "TMP/out.csv"], "repeated --param 'u'"),
+        (["query", "fig1_left", "--target", "Y", "--given", "Z=1,Z=0"],
+         "repeated assignment to 'Z'"),
+        (["do", "fig1_left", "--target", "Y", "--do", "Z=1, Z=1"],
+         "repeated assignment to 'Z'"),
     ],
     ids=[
         "query-cyclic", "sample-cyclic", "query-parent-twice", "backdoor", "ace",
         "adjust", "select-graph", "select-dist", "scan-non-number",
-        "bias-covariate-treatment", "bias-covariate-outcome",
+        "bias-covariate-treatment", "bias-covariate-outcome", "query-directory",
+        "query-not-utf8", "scan-nan-bound", "scan-inf-step", "scan-outside-unit",
+        "scan-repeated-param", "query-repeated-given", "do-repeated-do",
     ],
 )
 def test_invalid_input_exit_3_without_traceback(tmp_path, capsys, argv, message):
@@ -482,6 +502,7 @@ def test_invalid_input_exit_3_without_traceback(tmp_path, capsys, argv, message)
     assert main([arg.replace("TMP", str(tmp_path)) for arg in argv]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
+    message = message.replace("TMP", str(tmp_path))
     assert captured.err.startswith("error:") and message in captured.err
     assert "Traceback" not in captured.err
     assert not (tmp_path / "out.csv").exists()
@@ -508,6 +529,57 @@ def test_unwritable_out_exit_3_without_traceback(tmp_path, capsys, argv, reason)
     assert captured.err.startswith(f"error: cannot write {argv[-1]}: {reason}")
     assert "Traceback" not in captured.err
     assert not (tmp_path / "missing").exists()
+
+
+def test_scan_boundary_cells_stay_failed_rows(tmp_path, capsys):
+    # u = 0 and u = 1 are valid grid values; each leaves a state of U with
+    # probability 0, so its cell is a modelled failure, not a rejected grid
+    out = tmp_path / "out.csv"
+    argv = ["scan", "--template", "modelD", "--param", "u=0:1:1", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("cells: 2 (2 failed)")
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1"]
+    assert all(row.endswith(",failed") for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["sample", "fig1_left", "-n", "5", "--seed", "1", "--out", "TMP"], "Is a directory"),
+        (["sample", "fig1_left", "-n", "5", "--seed", "1", "--out", "TMP/missing/out.csv"],
+         "No such file or directory"),
+        (["sample", "fig1_left", "-n", "5", "--seed", "1", "--out", "TMP/file.txt/out.csv"],
+         "Not a directory"),
+        (["scan", "--template", "modelD", "--param", "u=0.2:0.4:0.2", "--out", "TMP"],
+         "Is a directory"),
+        (["scan", "--template", "modelD", "--param", "u=0.2:0.4:0.2", "--out",
+          "TMP/missing/out.csv"], "No such file or directory"),
+    ],
+    ids=["sample-dir", "sample-missing-dir", "sample-file-as-dir", "scan-dir",
+         "scan-missing-dir"],
+)
+def test_unwritable_out_found_before_the_work(tmp_path, capsys, monkeypatch, argv, reason):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "forward_sample", no_work)
+    monkeypatch.setattr(cli, "bias_scan", no_work)
+    (tmp_path / "file.txt").write_text("kept", encoding="utf-8")
+    argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {argv[-1]}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
+    assert (tmp_path / "file.txt").read_text(encoding="utf-8") == "kept"
+
+
+def test_failed_sample_leaves_an_existing_out_untouched(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    out.write_text("kept", encoding="utf-8")
+    assert main(["sample", "fig1_left", "-n", "0", "--seed", "1", "--out", str(out)]) == 4
+    assert out.read_text(encoding="utf-8") == "kept"
 
 
 def test_every_error_type_has_its_exit_code():
