@@ -23,11 +23,10 @@ from .bayesnet import forward_sample, query
 from .errors import CausalbnError, ValidationError
 from .graph import backdoor_admissible, d_separated
 from .intervention import (
-    _expected,
-    _outcome_values,
     ace,
     adjusted_estimate,
     conditioning_bias,
+    effect_report,
     interventional_distribution,
     select_sufficient_confounders,
 )
@@ -168,12 +167,9 @@ def cmd_bias(args) -> int:
     value = conditioning_bias(
         net, args.treatment, args.outcome, args.covariate, args.z1, args.z0
     )
-    adj = adjusted_estimate(net, args.treatment, args.outcome, [args.covariate])
-    y_vals = _outcome_values(net, args.outcome)
-    for level in net.variables[args.treatment].states:
-        truth = interventional_distribution(net, args.outcome, {args.treatment: level})
-        err = _expected(adj[level], y_vals) - _expected(truth, y_vals)
-        print(f"per-level error at {args.treatment}={level}: {_fmt(err)}")
+    rep = effect_report(net, args.treatment, args.outcome, [args.covariate])
+    for level, adjusted, truth in zip(rep.levels, rep.adjusted, rep.truth):
+        print(f"per-level error at {args.treatment}={level}: {_fmt(adjusted - truth)}")
     print(f"bias: {_fmt(value)}")
     return 0
 
@@ -194,6 +190,13 @@ def _parse_grid_value(text: str) -> list[float]:
         raise ValidationError("grid step must be positive")
     if a > b:
         raise ValidationError(f"empty grid range {text!r}; start exceeds end")
+    # a + i*step never falls as i grows, so the loop below would go past index
+    # MAX_SCAN_CELLS exactly when index MAX_SCAN_CELLS + 1 passes its test
+    if a + (latent.MAX_SCAN_CELLS + 1) * step <= b + 1e-12:
+        raise ValidationError(
+            f"grid range {text!r} has too many values; its index passes "
+            f"{latent.MAX_SCAN_CELLS}"
+        )
     # each value from its integer index, so float steps do not accumulate drift
     values = []
     i = 0

@@ -315,73 +315,38 @@ def select_sufficient_confounders(
 
 @dataclass(frozen=True)
 class EffectReport:
-    """Everything needed to compare truth vs adjusted vs unadjusted."""
+    """Expected outcome at every treatment state, three ways.
 
-    treatment: str
-    outcome: str
-    levels: tuple[str, str]  # (z1, z0)
-    true_dist: dict[str, Factor]
-    adjusted_dist: dict[tuple[str, ...], dict[str, Factor]]
-    unadjusted_dist: dict[str, Factor]
-    ace_true: float
-    ace_adjusted: dict[tuple[str, ...], float]
-    ace_unadjusted: float
-    per_level_errors: dict[str, dict[str, float]]  # strategy label -> level -> error
-    ace_errors: dict[str, float]  # strategy label -> ace error
+    ``truth[i]``, ``adjusted[i]`` and ``unadjusted[i]`` are E[outcome] under
+    do(treatment = levels[i]), under the covariate-adjusted estimate and
+    under the plain conditional.  An ACE is the last entry minus the first.
+    """
+
+    levels: tuple[str, ...]
+    truth: tuple[float, ...]
+    adjusted: tuple[float, ...]
+    unadjusted: tuple[float, ...]
 
 
 def effect_report(
     net: DiscreteBayesNet,
     treatment: str,
     outcome: str,
-    covariate_sets: Sequence[Iterable[str]],
+    covariates: Iterable[str],
 ) -> EffectReport:
-    """One call computing true, adjusted, and unadjusted quantities.
-
-    Per-level errors are differences of expected outcome against the
-    interventional truth; ACE errors are the corresponding ACE
-    differences (so ace_error == error(z1) - error(z0) by construction).
-    """
-    states = net.states(treatment)
-    level1, level0 = levels = (states[-1], states[0])
+    """The interventional truth, the adjusted estimate (adjusting for
+    ``covariates``) and the unadjusted estimate, at every treatment state."""
+    levels = net.states(treatment)
     vals = _outcome_values(net, outcome)
-    true_dist = {lv: interventional_distribution(net, outcome, {treatment: lv}) for lv in levels}
+    truth = tuple(
+        _expected(interventional_distribution(net, outcome, {treatment: lv}), vals)
+        for lv in levels
+    )
     unadj = unadjusted_estimate(net, treatment, outcome)
-    unadjusted_dist = {lv: unadj[lv] for lv in levels}
-    adjusted_dist: dict[tuple[str, ...], dict[str, Factor]] = {}
-    for s in covariate_sets:
-        key = tuple(sorted(set(s)))
-        adj = adjusted_estimate(net, treatment, outcome, s)
-        adjusted_dist[key] = {lv: adj[lv] for lv in levels}
-
-    def means(dists: Mapping[str, Factor]) -> dict[str, float]:
-        return {lv: _expected(dists[lv], vals) for lv in levels}
-
-    mean_true, mean_unadj = means(true_dist), means(unadjusted_dist)
-    mean_adj = {key: means(d) for key, d in adjusted_dist.items()}
-    ace_true = mean_true[level1] - mean_true[level0]
-    ace_unadjusted = mean_unadj[level1] - mean_unadj[level0]
-    ace_adjusted = {key: m[level1] - m[level0] for key, m in mean_adj.items()}
-
-    per_level_errors: dict[str, dict[str, float]] = {
-        "unadjusted": {lv: mean_unadj[lv] - mean_true[lv] for lv in levels}
-    }
-    ace_errors = {"unadjusted": ace_unadjusted - ace_true}
-    for key, m in mean_adj.items():
-        label = "adjusted:" + ",".join(key)
-        per_level_errors[label] = {lv: m[lv] - mean_true[lv] for lv in levels}
-        ace_errors[label] = ace_adjusted[key] - ace_true
-
+    adj = adjusted_estimate(net, treatment, outcome, covariates)
     return EffectReport(
-        treatment,
-        outcome,
         levels,
-        true_dist,
-        adjusted_dist,
-        unadjusted_dist,
-        ace_true,
-        ace_adjusted,
-        ace_unadjusted,
-        per_level_errors,
-        ace_errors,
+        truth,
+        tuple(_expected(adj[lv], vals) for lv in levels),
+        tuple(_expected(unadj[lv], vals) for lv in levels),
     )

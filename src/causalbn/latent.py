@@ -37,6 +37,9 @@ TIE_TOL = 1e-12
 #: default endpoints of ``decompose_common_cause`` lie this far outside
 #: the two conditionals
 ENDPOINT_MARGIN = 0.05
+#: most cells a scan grid may have; the CLI also stops a grid range whose
+#: value index would pass it
+MAX_SCAN_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -202,7 +205,9 @@ def decompose_common_cause(
     ``endpoint_hi``; the weights p(t|y), p(t|y') are fixed by the
     requirement that each conditional dissects the endpoint interval in
     the weight ratio.  When endpoints are omitted they default to
-    (min - ENDPOINT_MARGIN, max + ENDPOINT_MARGIN) clamped to [0, 1].
+    (min - ENDPOINT_MARGIN, max + ENDPOINT_MARGIN) clamped to [0, 1].  An
+    endpoint outside [0, 1], or NaN, raises InfeasibleEndpoints if the pair
+    fails to bracket the conditionals and DomainError otherwise.
     """
     for v in (p_x_given_y, p_x_given_yprime):
         if not 0.0 <= v <= 1.0:
@@ -223,6 +228,10 @@ def decompose_common_cause(
             f"endpoints [{endpoint_lo}, {endpoint_hi}] do not bracket "
             f"({p_x_given_y}, {p_x_given_yprime})"
         )
+    # NaN fails every comparison above, so it is caught here
+    for v in (endpoint_lo, endpoint_hi):
+        if not 0.0 <= v <= 1.0:
+            raise DomainError(f"endpoint {v} outside [0,1]")
     span = endpoint_hi - endpoint_lo
     return CommonCauseDecomposition(
         p_x_given_y=p_x_given_y,
@@ -302,8 +311,7 @@ class ScanResult:
     err_unadjusted: dict[str, float] = field(default_factory=dict)
     err_adjusted_ace: float = float("nan")
     err_unadjusted_ace: float = float("nan")
-    winner: str = "tie"
-    failed: bool = False
+    winner: str = "tie"  # "failed" when the cell raised; ``error`` says why
     error: str | None = None
 
 
@@ -317,7 +325,7 @@ def _scan_cell(
 ) -> ScanResult:
     try:
         net = build_scenario(ScenarioParams(template, params))
-        rep = effect_report(net, treatment, outcome, [(covariate,)])
+        rep = effect_report(net, treatment, outcome, (covariate,))
         f = joint(net)
         dep_zx = dependence_strength(f, covariate, treatment)
         dep_xy = dependence_strength(f, covariate, outcome)
@@ -327,11 +335,11 @@ def _scan_cell(
             interaction = classify_interaction(net, x_pars[0], x_pars[1], covariate)
         else:
             interaction = "none"
-        adj_label = "adjusted:" + covariate
-        err_adj = {lv: abs(rep.per_level_errors[adj_label][lv]) for lv in rep.levels}
-        err_unadj = {lv: abs(rep.per_level_errors["unadjusted"][lv]) for lv in rep.levels}
-        err_adj_ace = abs(rep.ace_errors[adj_label])
-        err_unadj_ace = abs(rep.ace_errors["unadjusted"])
+        levels, truth, adj, unadj = rep.levels, rep.truth, rep.adjusted, rep.unadjusted
+        err_adj = {lv: abs(e - t) for lv, e, t in zip(levels, adj, truth)}
+        err_unadj = {lv: abs(e - t) for lv, e, t in zip(levels, unadj, truth)}
+        err_adj_ace = abs((adj[-1] - adj[0]) - (truth[-1] - truth[0]))
+        err_unadj_ace = abs((unadj[-1] - unadj[0]) - (truth[-1] - truth[0]))
         if abs(err_adj_ace - err_unadj_ace) <= TIE_TOL:
             winner = "tie"
         elif err_adj_ace < err_unadj_ace:
@@ -350,7 +358,7 @@ def _scan_cell(
             winner=winner,
         )
     except CausalbnError as exc:  # a modelled failure of this cell; scan continues
-        return ScanResult(grid_point=grid_point, winner="failed", failed=True, error=str(exc))
+        return ScanResult(grid_point=grid_point, winner="failed", error=str(exc))
 
 
 def bias_scan(
@@ -365,7 +373,8 @@ def bias_scan(
 
     Grid axes iterate row-major with parameter names sorted.  Treatment,
     outcome and covariate must be three distinct nodes of the template,
-    and every grid axis must be non-empty with values in [0, 1].
+    every grid axis must be non-empty with values in [0, 1], and the grid
+    may have at most ``MAX_SCAN_CELLS`` cells.
     """
     if template not in TEMPLATES:
         raise ValidationError(f"unknown template {template!r}")
@@ -381,6 +390,9 @@ def bias_scan(
             raise ValidationError(f"grid parameter {name!r} not in template schema")
         if len(values) == 0 or not all(0.0 <= float(v) <= 1.0 for v in values):
             raise ValidationError(f"grid parameter {name!r} needs values, all in [0, 1]")
+    cells = math.prod(len(values) for values in grid_spec.values())
+    if cells > MAX_SCAN_CELLS:
+        raise ValidationError(f"grid of {cells} cells exceeds {MAX_SCAN_CELLS}")
     base = dict(DEFAULT_PARAMS[template])
     if base_params:
         base.update(base_params)
@@ -425,7 +437,7 @@ def scan_to_csv(results: Sequence[ScanResult]) -> str:
 def scan_summary(results: Sequence[ScanResult]) -> str:
     """Condition-vs-ignore win rates stratified by interaction class and
     dependence strength (split at the median of dep_zx + dep_xy)."""
-    ok = [r for r in results if not r.failed]
+    ok = [r for r in results if r.winner != "failed"]
     lines = [f"cells: {len(results)} ({len(results) - len(ok)} failed)"]
     if not ok:
         return "\n".join(lines)

@@ -144,9 +144,11 @@ def test_criterion_4_bias_formula_identity():
     templates = ("modelB", "modelC", "modelD", "model1_fig2", "model1_fig1")
     for i in range(1000):
         net = random_scenario(templates[i % len(templates)], rng)
-        rep = effect_report(net, "Z", "Y", [("X",)])
+        rep = effect_report(net, "Z", "Y", ["X"])
         direct = conditioning_bias(net, "Z", "Y", "X")
-        two_route = rep.ace_adjusted[("X",)] - rep.ace_unadjusted
+        two_route = (rep.adjusted[-1] - rep.adjusted[0]) - (
+            rep.unadjusted[-1] - rep.unadjusted[0]
+        )
         assert abs(direct - two_route) < 1e-12
     assert sw.elapsed_cpu() < 10.0
     report(4, "bias-formula identity on 1000 nets", sw)
@@ -264,7 +266,7 @@ def test_criterion_9_scan_determinism_and_report():
         "b467209b53cbb1e3d6db84738ca0e2a454574c25f0d921a2f4025a18aa07b92c"
     )
     assert len(results) == 100
-    assert not any(r.failed for r in results)
+    assert not any(r.winner == "failed" for r in results)
     summary = scan_summary(results)
     assert "condition wins" in summary
     assert "class=" in summary and "dependence=" in summary

@@ -170,7 +170,7 @@ def random_assignment(rng, net, names):
 class TestJointKernel:
     """``joint(net, do, keep=, evidence=)`` against brute-force enumeration."""
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
@@ -215,7 +215,7 @@ class TestJointKernel:
             i = net.variables[target].states.index(state)
             assert abs(dist.values[i] / dist.values.sum() - p) < 1e-12
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.integers(0, 2**32 - 1))
     def test_full_scope_is_the_broadcast_product(self, seed):
         rng = np.random.default_rng(seed)
@@ -352,7 +352,7 @@ class TestQuery:
 
 
 class TestConditional:
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_brute_query(self, seed):
         # several targets, a given order unrelated to the scope order, and

@@ -74,7 +74,7 @@ def parent_maps(draw):
 
 
 class TestTopologicalOrder:
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(parent_maps())
     def test_matches_plain_kahn(self, case):
         nodes, parents = case

@@ -19,13 +19,18 @@ from causalbn.intervention import (
 from causalbn.latent import DEFAULT_PARAMS, TEMPLATES, ScenarioParams, build_scenario
 from causalbn.modelfile import load_model
 
-from oracles import brute_do, brute_truncated_joint, random_cpts, random_net
+from oracles import brute_do, brute_query, brute_truncated_joint, random_cpts, random_net
 
 
 def random_scenario(template, rng, lo=0.05, hi=0.95):
     keys = TEMPLATES[template].param_keys()
     params = {k: float(rng.uniform(lo, hi)) for k in keys}
     return build_scenario(ScenarioParams(template, params))
+
+
+def ace_gap(rep):
+    """ACE of the adjusted estimate minus ACE of the unadjusted one."""
+    return (rep.adjusted[-1] - rep.adjusted[0]) - (rep.unadjusted[-1] - rep.unadjusted[0])
 
 
 class TestInterventionalDistribution:
@@ -207,19 +212,19 @@ class TestUnadjusted:
 class TestConditioningBias:
     def test_two_route_identity_model_b(self):
         net = load_model("modelB")
-        rep = effect_report(net, "Z", "Y", [("X",)])
+        rep = effect_report(net, "Z", "Y", ["X"])
         direct = conditioning_bias(net, "Z", "Y", "X")
         assert direct != 0.0
-        assert abs(direct - (rep.ace_adjusted[("X",)] - rep.ace_unadjusted)) < 1e-12
+        assert abs(direct - ace_gap(rep)) < 1e-12
 
     def test_two_route_identity_random(self):
         rng = np.random.default_rng(43)
         for template in ("modelB", "modelC", "modelD"):
             for _ in range(100):
                 net = random_scenario(template, rng)
-                rep = effect_report(net, "Z", "Y", [("X",)])
+                rep = effect_report(net, "Z", "Y", ["X"])
                 direct = conditioning_bias(net, "Z", "Y", "X")
-                assert abs(direct - (rep.ace_adjusted[("X",)] - rep.ace_unadjusted)) < 1e-12
+                assert abs(direct - ace_gap(rep)) < 1e-12
 
     def test_independent_covariate_zero(self):
         dag = Dag(("X", "Z", "Y"), {"X": (), "Z": (), "Y": ("Z",)})
@@ -327,25 +332,54 @@ class TestConditionalEqual:
 
 class TestEffectReport:
     def test_model_b_pattern(self):
-        rep = effect_report(load_model("modelB"), "Z", "Y", [(), ("X",)])
-        assert rep.true_dist["1"].prob({"Y": "1"}) == pytest.approx(0.70, abs=1e-12)
-        assert rep.unadjusted_dist["1"].prob({"Y": "1"}) == pytest.approx(0.70, abs=1e-12)
-        assert abs(rep.adjusted_dist[("X",)]["1"].prob({"Y": "1"}) - 0.70) > 1e-6
+        net = load_model("modelB")
+        rep = effect_report(net, "Z", "Y", ["X"])
+        # Y's states are 0 and 1, so the expected outcome is p(Y=1)
+        assert rep.levels == ("0", "1")
+        assert rep.truth[1] == pytest.approx(0.70, abs=1e-12)
+        assert rep.unadjusted[1] == pytest.approx(0.70, abs=1e-12)
+        assert abs(rep.adjusted[1] - 0.70) > 1e-6
+        # adjusting for nothing is the plain conditional
+        empty = effect_report(net, "Z", "Y", [])
+        assert empty.adjusted == pytest.approx(rep.unadjusted, abs=1e-12)
 
     def test_internal_consistency(self):
         rng = np.random.default_rng(59)
         for template in ("modelB", "modelC", "modelD"):
             net = random_scenario(template, rng)
-            rep = effect_report(net, "Z", "Y", [("X",)])
-            z1, z0 = rep.levels
-            for label, errs in rep.per_level_errors.items():
-                assert abs(rep.ace_errors[label] - (errs[z1] - errs[z0])) < 1e-12
-            assert abs(
-                rep.ace_errors["unadjusted"] - (rep.ace_unadjusted - rep.ace_true)
-            ) < 1e-12
+            rep = effect_report(net, "Z", "Y", ["X"])
+            ace_true = rep.truth[-1] - rep.truth[0]
+            for est in (rep.adjusted, rep.unadjusted):
+                errs = [e - t for e, t in zip(est, rep.truth)]
+                ace_error = (est[-1] - est[0]) - ace_true
+                assert abs(ace_error - (errs[-1] - errs[0])) < 1e-12
 
     def test_model_c_and_d_double_failure(self):
         for name in ("modelC", "modelD"):
-            rep = effect_report(load_model(name), "Z", "Y", [("X",)])
-            assert max(abs(e) for e in rep.per_level_errors["adjusted:X"].values()) > 1e-6
-            assert max(abs(e) for e in rep.per_level_errors["unadjusted"].values()) > 1e-6
+            rep = effect_report(load_model(name), "Z", "Y", ["X"])
+            for est in (rep.adjusted, rep.unadjusted):
+                assert max(abs(e - t) for e, t in zip(est, rep.truth)) > 1e-6
+
+    def test_every_state_of_a_three_state_treatment(self):
+        dag = Dag.from_edges(
+            ("U", "X", "Z", "Y"), [("U", "X"), ("U", "Z"), ("X", "Y"), ("Z", "Y")]
+        )
+        net = random_cpts(dag, np.random.default_rng(61), {"U": 2, "X": 2, "Z": 3, "Y": 3})
+        rep = effect_report(net, "Z", "Y", ["X"])
+
+        def mean(dist):
+            return sum(float(y) * p for y, p in dist.items())
+
+        def brute(given):
+            return {k[0]: v for k, v in brute_query(net, ["Y"], given).items()}
+
+        p_x = {k[0]: v for k, v in brute_query(net, ["X"], {}).items()}
+        assert rep.levels == ("0", "1", "2")
+        for i, z in enumerate(rep.levels):
+            adjusted = sum(mean(brute({"Z": z, "X": x})) * p for x, p in p_x.items())
+            assert rep.truth[i] == pytest.approx(mean(brute_do(net, "Y", {"Z": z})), abs=1e-10)
+            assert rep.adjusted[i] == pytest.approx(adjusted, abs=1e-10)
+            assert rep.unadjusted[i] == pytest.approx(mean(brute({"Z": z})), abs=1e-10)
+        # X blocks the back door, so adjusting recovers the truth and ignoring does not
+        assert rep.adjusted == pytest.approx(rep.truth, abs=1e-10)
+        assert max(abs(u - t) for u, t in zip(rep.unadjusted, rep.truth)) > 1e-6

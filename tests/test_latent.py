@@ -213,7 +213,7 @@ class TestClassifyInteraction:
 
 
 class TestConditionalReaders:
-    @settings(derandomize=True, max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1))
     def test_dependence_strength_matches_brute_query(self, seed):
         rng = np.random.default_rng(seed)
@@ -227,7 +227,7 @@ class TestConditionalReaders:
         )
         assert abs(dependence_strength(joint(net), a, b) - expected) < 1e-12
 
-    @settings(derandomize=True, max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1))
     def test_classify_interaction_matches_brute_posteriors(self, seed):
         # binary nets with CPT zeros, so some collider posteriors are undefined
@@ -266,7 +266,6 @@ class TestBiasScan:
         results = bias_scan("modelB", grid)
         assert len(results) == 6
         for r in results:
-            assert not r.failed
             assert r.err_unadjusted_ace < 1e-12
             assert all(v < 1e-12 for v in r.err_unadjusted.values())
             assert r.winner in ("ignore", "tie")
@@ -291,7 +290,7 @@ class TestBiasScan:
                 max(r.err_adjusted.values()) > 1e-6
                 and max(r.err_unadjusted.values()) > 1e-6
                 for r in results
-                if not r.failed
+                if r.winner != "failed"
             )
 
     def test_row_major_order_and_grid_columns(self):
@@ -314,7 +313,7 @@ class TestBiasScan:
         base = dict(DEFAULT_PARAMS["modelB"])
         base["x|u=0,w=0"] = 0.0
         results = bias_scan("modelB", grid, base_params=base)
-        assert [r.failed for r in results] == [True, False, False, False]
+        assert [r.winner == "failed" for r in results] == [True, False, False, False]
         failed = results[0]
         assert failed.grid_point == {"z|u=0": 0.0, "z|u=1": 0.0}
         assert failed.error == "p(Z=1) = 0; conditional undefined"

@@ -232,6 +232,19 @@ class TestCli:
         ) == 4
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ends",
+        [["--lo", "nan"], ["--lo", "-0.5"], ["--hi", "1.5"], ["--hi", "inf"],
+         ["--lo", "0.1", "--hi", "nan"]],
+        ids=["lo-nan", "lo-negative", "hi-above-1", "hi-inf", "hi-nan"],
+    )
+    def test_decompose_endpoint_not_a_probability_exit_4(self, capsys, ends):
+        assert main(["decompose", "--py", "0.3", "--pyp", "0.6", *ends]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bad = ends[-1]
+        assert captured.err == f"error: endpoint {float(bad)} outside [0,1]\n"
+
     def test_parse_error_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.model"
         bad.write_text("{ nope", encoding="utf-8")
@@ -399,12 +412,13 @@ class TestCli:
 
     def test_bias_reports_expected_outcome_differences(self, tmp_path, capsys):
         # M-structure, so adjusting for X is biased; with a 3-state outcome
-        # the last state's probability is not the expected outcome
+        # the last state's probability is not the expected outcome, and a
+        # 3-state treatment gets one line per state
         dag = Dag.from_edges(
             ("U", "W", "X", "Z", "Y"),
             [("U", "Z"), ("U", "X"), ("W", "X"), ("W", "Y"), ("Z", "Y")],
         )
-        cards = {"U": 2, "W": 2, "X": 3, "Z": 2, "Y": 3}
+        cards = {"U": 2, "W": 2, "X": 3, "Z": 3, "Y": 3}
         net = random_cpts(dag, np.random.default_rng(3), cards)
         path = tmp_path / "three.model"
         path.write_text(serialize_model(net), encoding="utf-8")
@@ -417,7 +431,7 @@ class TestCli:
 
         p_x = {k[0]: v for k, v in brute_query(net, ["X"], {}).items()}
         errors, gaps = [], {}
-        for z in ("0", "1"):
+        for z in ("0", "1", "2"):
             adjusted = {
                 y: sum(
                     brute_query(net, ["Y"], {"Z": z, "X": x})[(y,)] * p_x[x] for x in p_x
@@ -431,12 +445,13 @@ class TestCli:
             assert abs(errors[-1] - (adjusted["2"] - truth["2"])) > 1e-6
             gaps[z] = mean(adjusted) - mean(plain)
         assert [line.split(": ")[0] for line in lines] == [
-            "per-level error at Z=0", "per-level error at Z=1", "bias"
+            "per-level error at Z=0", "per-level error at Z=1", "per-level error at Z=2",
+            "bias",
         ]
         for line, expected in zip(lines, errors):
             assert float(line.split(": ")[1]) == pytest.approx(expected, abs=1e-10)
-        assert float(lines[2].split(": ")[1]) == pytest.approx(
-            gaps["1"] - gaps["0"], abs=1e-10
+        assert float(lines[3].split(": ")[1]) == pytest.approx(
+            gaps["2"] - gaps["0"], abs=1e-10
         )
 
 
@@ -488,6 +503,11 @@ def _write_broken_models(tmp_path):
          "repeated assignment to 'Z'"),
         (["do", "fig1_left", "--target", "Y", "--do", "Z=1, Z=1"],
          "repeated assignment to 'Z'"),
+        (["scan", "--template", "modelD", "--param", "u=0:1:1e-300", "--out", "TMP/out.csv"],
+         "too many values; its index passes 1000000"),
+        (["scan", "--template", "modelD", "--param", "u=0:1:0.001",
+          "--param", "w|u=1=0:1:0.001", "--out", "TMP/out.csv"],
+         "grid of 1002001 cells exceeds 1000000"),
     ],
     ids=[
         "query-cyclic", "sample-cyclic", "query-parent-twice", "backdoor", "ace",
@@ -495,6 +515,7 @@ def _write_broken_models(tmp_path):
         "bias-covariate-treatment", "bias-covariate-outcome", "query-directory",
         "query-not-utf8", "scan-nan-bound", "scan-inf-step", "scan-outside-unit",
         "scan-repeated-param", "query-repeated-given", "do-repeated-do",
+        "scan-axis-too-long", "scan-grid-too-large",
     ],
 )
 def test_invalid_input_exit_3_without_traceback(tmp_path, capsys, argv, message):
