@@ -3,15 +3,18 @@
 Exact inference is one kernel, ``joint``: it keeps the ancestors of the
 variables a request needs, slices each CPT at the evidence and
 contracts what is left in one ``np.einsum`` call, guarded by a cap on
-the configurations that call iterates over.  Probabilities live in
-numpy arrays with one axis per variable, first scope variable slowest
-(C order).
+the configurations that call iterates over.  A network is compiled once,
+when it is built: it keeps each node's cardinality and each CPT as a cube
+over ``(*parents, child)``, and ``joint`` keeps the read-only tables it
+has contracted for reuse.  Probabilities live in numpy arrays with one
+axis per variable, first scope variable slowest (C order).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -35,6 +38,9 @@ ARITH_TOL = 1e-12
 #: cap on the configurations one ``joint`` call iterates over, read at
 #: call time
 DEFAULT_SIZE_CAP = 2**24
+#: float64 entries of contracted tables one network keeps for ``joint`` to
+#: reuse; a larger table is returned but not kept
+JOINT_CACHE_ENTRIES = 2**16
 #: rows rendered per chunk by ``Dataset.to_csv``
 _CSV_CHUNK_ROWS = 1 << 17
 
@@ -77,7 +83,10 @@ class DiscreteBayesNet:
     """A DAG with one variable and one CPT per node, validated when built.
 
     ``variables`` and ``cpts`` are read-only views of private copies, so a
-    built network stays valid and can be shared.
+    built network stays valid and can be shared.  Building it also stores
+    each node's cardinality, each CPT as a read-only cube over
+    ``(*parents, child)``, and an empty store of the tables ``joint``
+    contracts.
     """
 
     dag: Dag
@@ -87,10 +96,18 @@ class DiscreteBayesNet:
     def __post_init__(self):
         object.__setattr__(self, "variables", MappingProxyType(dict(self.variables)))
         object.__setattr__(self, "cpts", MappingProxyType(dict(self.cpts)))
+        card = {n: len(v.states) for n, v in self.variables.items()}
+        object.__setattr__(self, "_card", card)
         validate(self)
+        cubes = {
+            n: cpt.table.reshape([card[v] for v in (*cpt.parents, n)])
+            for n, cpt in self.cpts.items()
+        }
+        object.__setattr__(self, "_cubes", MappingProxyType(cubes))
+        object.__setattr__(self, "_tables", _Tables())
 
     def card(self, name: str) -> int:
-        return len(self.variables[name].states)
+        return self._card[name]
 
     def states(self, name: str) -> tuple[str, ...]:
         var = self.variables.get(name)
@@ -155,7 +172,7 @@ class Factor:
         expected = tuple(len(s) for s in self.states)
         if vals.shape != expected:
             raise ValueError(f"factor shape {vals.shape} != {expected}")
-        if np.any(vals < -ARITH_TOL):
+        if (vals < -ARITH_TOL).any():
             raise ValueError("negative factor value")
         object.__setattr__(self, "values", vals)
 
@@ -240,11 +257,22 @@ def joint(
     multiplied in declaration order and summed in one ``np.einsum``
     call.  ``DEFAULT_SIZE_CAP`` bounds the configurations of the variables
     left free by that slicing, which is the space the call iterates over.
+
+    The network keeps the table of each distinct ``(keep, do, evidence)``
+    request, up to ``JOINT_CACHE_ENTRIES`` entries, and a repeated request
+    returns the kept Factor.  Its values are therefore read-only; copy them
+    to modify them.  The size cap is checked on every call, kept or not.
     """
     nodes = net.dag.nodes
-    point_at = {n: net.state_index(n, state) for n, state in (do or {}).items()}
-    fixed = {n: net.state_index(n, state) for n, state in (evidence or {}).items()}
-    keep = set(nodes if keep is None else keep)
+    do, evidence = do or {}, evidence or {}
+    point_at = {n: net.state_index(n, state) for n, state in do.items()}
+    fixed = {n: net.state_index(n, state) for n, state in evidence.items()}
+    keep = frozenset(nodes if keep is None else keep)
+    key = (keep, frozenset(do.items()), frozenset(evidence.items()))
+    kept = net._tables.get(key)
+    if kept is not None:
+        _check_size(kept[0])
+        return kept[1]
     unknown = keep - net.variables.keys()
     if unknown:
         raise UnknownVariable(f"unknown variable {min(unknown)!r}")
@@ -261,11 +289,8 @@ def joint(
     # where evidence names it too, the evidence state is the slice
     fixed = {**{n: i for n, i in point_at.items() if n not in keep}, **fixed}
     free = [n for n in nodes if n in relevant and n not in fixed]
-    total = 1
-    for n in free:
-        total *= net.card(n)
-        if total > DEFAULT_SIZE_CAP:
-            raise SizeCapExceeded(f"joint would exceed {DEFAULT_SIZE_CAP} configurations")
+    total = math.prod(net.card(n) for n in free)
+    _check_size(total)
     # np.einsum takes at most 52 labels and 63 operands (the output included)
     if len(free) > 52 or len(relevant) > 61:
         raise SizeCapExceeded(
@@ -284,14 +309,52 @@ def joint(
             cube[point_at[n]] = 1.0
         else:
             scope = (*net.cpts[n].parents, n)
-            cube = net.cpts[n].table.reshape([net.card(v) for v in scope])
+            cube = net._cubes[n]
         operands += [
             cube[tuple(fixed.get(v, slice(None)) for v in scope)],
             [label[v] for v in scope if v not in fixed],
         ]
     out = tuple(n for n in free if n in keep)
     values = np.einsum(*operands, [label[n] for n in out], optimize=False)
-    return Factor(out, tuple(net.variables[n].states for n in out), values)
+    factor = Factor(out, tuple(net.variables[n].states for n in out), values)
+    factor.values.flags.writeable = False
+    net._tables.put(key, total, factor)
+    return factor
+
+
+def _check_size(configurations: int) -> None:
+    """Raise SizeCapExceeded past ``DEFAULT_SIZE_CAP``, as read now."""
+    if configurations > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"joint would exceed {DEFAULT_SIZE_CAP} configurations")
+
+
+class _Tables(dict):
+    """The tables ``joint`` contracted for one network, oldest first.
+
+    Each request key maps to (free configurations, Factor).  Together the
+    kept tables hold ``entries`` float64 entries, at most
+    ``JOINT_CACHE_ENTRIES``: the oldest go first to make room, and a
+    table larger than the bound is not kept.  ``put`` holds a lock, so
+    threads that store at once neither raise nor miscount.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.entries = 0
+        self._lock = threading.Lock()
+
+    def put(self, key: tuple, configurations: int, factor: Factor) -> None:
+        size = factor.values.size
+        if size > JOINT_CACHE_ENTRIES:
+            return
+        with self._lock:
+            if key in self:
+                return
+            self[key] = (configurations, factor)
+            self.entries += size
+            while self.entries > JOINT_CACHE_ENTRIES:
+                _, oldest = self.pop(next(iter(self)))
+                self.entries -= oldest.values.size
 
 
 def query(

@@ -174,7 +174,13 @@ def cmd_bias(args) -> int:
     return 0
 
 
-def _parse_grid_value(text: str) -> list[float]:
+def _parse_grid_range(text: str) -> tuple[float, float, int]:
+    """``(a, step, n)`` of the range ``a:b:step``.
+
+    Its values are ``a + i*step`` for the ``n`` indices ``i`` that pass
+    ``a + i*step <= b + 1e-12``; a range whose index would pass
+    ``latent.MAX_SCAN_CELLS`` is refused.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"bad grid range {text!r}; expected a:b:step")
@@ -190,33 +196,50 @@ def _parse_grid_value(text: str) -> list[float]:
         raise ValidationError("grid step must be positive")
     if a > b:
         raise ValidationError(f"empty grid range {text!r}; start exceeds end")
-    # a + i*step never falls as i grows, so the loop below would go past index
-    # MAX_SCAN_CELLS exactly when index MAX_SCAN_CELLS + 1 passes its test
-    if a + (latent.MAX_SCAN_CELLS + 1) * step <= b + 1e-12:
+
+    def member(i: int) -> bool:
+        return a + i * step <= b + 1e-12
+
+    # a + i*step never falls as i grows, so the members are a prefix of the
+    # indices, and a bisection finds its last one
+    last, past = 0, latent.MAX_SCAN_CELLS + 1
+    if member(past):
         raise ValidationError(
             f"grid range {text!r} has too many values; its index passes "
             f"{latent.MAX_SCAN_CELLS}"
         )
+    while past - last > 1:
+        mid = (last + past) // 2
+        if member(mid):
+            last = mid
+        else:
+            past = mid
+    return a, step, last + 1
+
+
+def _grid_values(a: float, step: float, n: int) -> list[float]:
     # each value from its integer index, so float steps do not accumulate drift
-    values = []
-    i = 0
-    while a + i * step <= b + 1e-12:
-        values.append(round(a + i * step, 12))
-        i += 1
-    return values
+    return [round(a + i * step, 12) for i in range(n)]
+
+
+def _parse_grid_value(text: str) -> list[float]:
+    return _grid_values(*_parse_grid_range(text))
 
 
 def cmd_scan(args) -> int:
-    grid = {}
+    ranges = {}
     for spec in args.param:
         if "=" not in spec:
             raise ValidationError(f"bad --param {spec!r}; expected NAME=a:b:step")
         # parameter names may themselves contain '=' (e.g. "w|u=1")
         name, rng = spec.rsplit("=", 1)
-        if name in grid:
+        if name in ranges:
             raise ValidationError(f"repeated --param {name!r}")
-        grid[name] = _parse_grid_value(rng)
+        ranges[name] = _parse_grid_range(rng)
     _check_out(args.out)
+    # refuse an oversized grid before any value list is built
+    latent._check_grid_cells(n for _, _, n in ranges.values())
+    grid = {name: _grid_values(*r) for name, r in ranges.items()}
     results = bias_scan(
         args.template,
         grid,

@@ -20,7 +20,8 @@ from .errors import CycleError, UnknownNode, ValidationError
 class Dag:
     """Immutable DAG: ordered nodes plus an ordered parent tuple per node.
 
-    ``parents`` is a read-only view of a private copy.
+    ``parents`` is a read-only view of a private copy; the children map is
+    built once, with the graph, and is read-only too.
 
     Declaration order of ``nodes`` is the tie-breaking order used by every
     deterministic operation in the package.
@@ -42,6 +43,13 @@ class Dag:
             for p in pars:
                 if p not in node_set:
                     raise UnknownNode(f"parent {p!r} of {child!r} is not a node")
+        children: dict[str, list[str]] = {n: [] for n in self.nodes}
+        for child in self.nodes:
+            for p in self.parents[child]:
+                children[p].append(child)
+        object.__setattr__(
+            self, "_children", MappingProxyType({n: tuple(cs) for n, cs in children.items()})
+        )
         # acyclicity: raises CycleError if no order exists
         topological_order(self)
 
@@ -55,12 +63,9 @@ class Dag:
             parents[child].append(parent)
         return cls(nodes, {n: tuple(ps) for n, ps in parents.items()})
 
-    def children_map(self) -> dict[str, tuple[str, ...]]:
-        children: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for child in self.nodes:
-            for p in self.parents[child]:
-                children[p].append(child)
-        return {n: tuple(cs) for n, cs in children.items()}
+    def children_map(self) -> Mapping[str, tuple[str, ...]]:
+        """Read-only map from each node to its children, in declaration order."""
+        return self._children
 
     def edges(self) -> list[tuple[str, str]]:
         return [(p, c) for c in self.nodes for p in self.parents[c]]

@@ -13,7 +13,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -269,8 +269,8 @@ def classify_interaction(net: DiscreteBayesNet, u: str, w: str, x: str) -> str:
 
     Returns 'explaining_away' when observing u=1 at x=1 lowers the
     posterior of w=1, 'monotonic' when it raises it, 'none' for no
-    change ('mixed' is reserved for multi-state variables).  "0" and "1"
-    stand for each variable's first and second state label.
+    change.  "0" and "1" stand for each variable's first and second state
+    label.
     """
     pars = net.dag.parents[x]
     if u not in pars or w not in pars:
@@ -361,6 +361,14 @@ def _scan_cell(
         return ScanResult(grid_point=grid_point, winner="failed", error=str(exc))
 
 
+def _check_grid_cells(axis_lengths: Iterable[int]) -> None:
+    """Raise ValidationError if a grid with these axis lengths has more
+    than ``MAX_SCAN_CELLS`` cells."""
+    cells = math.prod(axis_lengths)
+    if cells > MAX_SCAN_CELLS:
+        raise ValidationError(f"grid of {cells} cells exceeds {MAX_SCAN_CELLS}")
+
+
 def bias_scan(
     template: str,
     grid_spec: Mapping[str, Sequence[float]],
@@ -390,9 +398,7 @@ def bias_scan(
             raise ValidationError(f"grid parameter {name!r} not in template schema")
         if len(values) == 0 or not all(0.0 <= float(v) <= 1.0 for v in values):
             raise ValidationError(f"grid parameter {name!r} needs values, all in [0, 1]")
-    cells = math.prod(len(values) for values in grid_spec.values())
-    if cells > MAX_SCAN_CELLS:
-        raise ValidationError(f"grid of {cells} cells exceeds {MAX_SCAN_CELLS}")
+    _check_grid_cells(len(values) for values in grid_spec.values())
     base = dict(DEFAULT_PARAMS[template])
     if base_params:
         base.update(base_params)

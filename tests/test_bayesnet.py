@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,7 +29,13 @@ from causalbn.errors import (
     ZeroProbabilityEvidence,
 )
 from causalbn.graph import Dag
-from causalbn.modelfile import BUNDLED_MODELS, load_model
+from causalbn.modelfile import (
+    BUNDLED_MODELS,
+    bundled_model_text,
+    load_model,
+    parse_model,
+    serialize_model,
+)
 
 from oracles import (
     brute_do,
@@ -299,6 +307,154 @@ class TestPrunedSizeCap:
             else:
                 with pytest.raises(SizeCapExceeded, match="einsum"):
                     query(net, ["R"], evidence)
+
+
+def random_request(rng, net):
+    """(do, keep, evidence) drawn independently, so they may overlap."""
+    nodes = net.dag.nodes
+
+    def pick():
+        return [v for v in nodes if rng.random() < 0.3]
+
+    keep = None if rng.random() < 0.2 else pick()
+    return random_assignment(rng, net, pick()), keep, random_assignment(rng, net, pick())
+
+
+class TestJointCache:
+    """A network keeps the tables ``joint`` contracts and returns them again."""
+
+    @settings(max_examples=50)
+    @given(st.integers(0, 2**32 - 1))
+    def test_kept_tables_equal_fresh_contractions(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, int(rng.integers(2, 7)), zero_frac=0.3)
+        text = serialize_model(net)
+        requests = [random_request(rng, net) for _ in range(6)]
+        # every request twice, interleaved, so a kept table answering
+        # another request's key shows
+        for do, keep, ev in requests + requests[::-1]:
+            got = joint(net, do, keep=keep, evidence=ev)
+            fresh = joint(parse_model(text), do, keep=keep, evidence=ev)
+            assert got.scope == fresh.scope and got.states == fresh.states
+            assert np.array_equal(got.values, fresh.values)
+
+    def test_tables_are_read_only(self):
+        net = parse_model(bundled_model_text("modelD"))
+        for _ in range(2):
+            for f in (joint(net, keep={"Y"}), joint(net, keep=(), evidence={"Y": "1"})):
+                with pytest.raises(ValueError, match="read-only"):
+                    f.values[...] = 0.5
+
+    def test_size_cap_is_read_on_every_call(self, monkeypatch):
+        net = chain(5)
+        full = joint(net)
+        # N2's table has 2 entries, but its contraction runs over N0..N2
+        part = joint(net, keep={"N2"})
+        for cap, request in ((31, {}), (7, {"keep": {"N2"}})):
+            monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", cap)
+            for _ in range(2):
+                with pytest.raises(SizeCapExceeded):
+                    joint(net, **request)
+        # the refusals were not kept; the kept tables answer again
+        monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", 32)
+        assert joint(net) is full and joint(net, keep={"N2"}) is part
+
+    def test_unknown_names_and_states_raise_on_every_call(self):
+        net = parse_model(bundled_model_text("fig1_left"))
+        known = {"do": {"Z": "0"}, "keep": {"Y"}, "evidence": {"X": "1"}}
+        joint(net, **known)
+        for change in (
+            {"do": {"Z": "7"}},
+            {"do": {"Q": "0"}},
+            {"keep": {"Y", "Q"}},
+            {"evidence": {"X": "7"}},
+            {"evidence": {"Q": "1"}},
+        ):
+            for _ in range(2):
+                with pytest.raises(UnknownVariable):
+                    joint(net, **{**known, **change})
+
+    def test_kept_entries_never_exceed_the_bound(self, monkeypatch):
+        monkeypatch.setattr(bayesnet, "JOINT_CACHE_ENTRIES", 24)
+        rng = np.random.default_rng(11)
+        net = random_net(rng, 6)
+        pool = [random_request(rng, net) for _ in range(20)]
+        seen = {"hit": 0, "past the bound": 0, "evicted": 0}
+        for i in rng.integers(len(pool), size=300):
+            do, keep, ev = pool[i]
+            before = dict(net._tables)
+            f = joint(net, do, keep=keep, evidence=ev)
+            kept = net._tables
+            assert kept.entries == sum(g.values.size for _, g in kept.values()) <= 24
+            if any(f is g for _, g in before.values()):
+                seen["hit"] += 1
+                assert list(kept) == list(before)
+            elif f.values.size > 24:
+                seen["past the bound"] += 1
+                assert list(kept) == list(before)
+            else:
+                # the new table is kept last, and what made room for it is
+                # the oldest
+                *rest, last = kept
+                assert kept[last][1] is f
+                old = list(before)
+                assert rest == old[len(old) - len(rest) :]
+                seen["evicted"] += len(rest) < len(old)
+        assert all(seen.values()), seen
+
+    def test_threads_storing_at_once_keep_the_count(self, monkeypatch):
+        monkeypatch.setattr(bayesnet, "JOINT_CACHE_ENTRIES", 24)
+        net = two_coins()
+        coin = joint(net, keep={"A"})
+        keys = [("request", i) for i in range(64)]
+        # every thread stores the same keys in the same order, so they
+        # test, store and evict the same entries at about the same time
+        start = threading.Barrier(8)
+        errors = []
+
+        def work():
+            try:
+                start.wait()
+                for _ in range(150):
+                    for key in keys:
+                        net._tables.put(key, 2, coin)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        kept = net._tables
+        assert kept.entries == sum(g.values.size for _, g in kept.values()) <= 24
+
+    def test_a_table_past_the_bound_is_returned_not_kept(self):
+        net = chain(17)  # 2**17 entries, past the default bound of 2**16
+        assert bayesnet.JOINT_CACHE_ENTRIES < 2**17
+        first, second = joint(net), joint(net)
+        assert first.values.shape == (2,) * 17 and first is not second
+        assert np.array_equal(first.values, second.values)
+        assert len(net._tables) == 0 and net._tables.entries == 0
+
+    @settings(max_examples=50)
+    @given(st.integers(0, 2**32 - 1))
+    def test_children_map_is_stored_read_only(self, seed):
+        rng = np.random.default_rng(seed)
+        dag = random_net(rng, int(rng.integers(1, 9))).dag
+        children = dag.children_map()
+        assert dag.children_map() is children
+        assert dict(children) == {
+            n: tuple(c for c in dag.nodes if n in dag.parents[c]) for n in dag.nodes
+        }
+        with pytest.raises(TypeError):
+            children[dag.nodes[0]] = ()
 
 
 class TestQuery:

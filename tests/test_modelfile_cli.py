@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import causalbn
-from causalbn import cli, errors, modelfile
+from causalbn import cli, errors, latent, modelfile
 from causalbn.bayesnet import forward_sample
 from causalbn.cli import _parse_grid_value, build_parser, main
 from causalbn.errors import DomainError, ParseError, ValidationError
@@ -508,6 +508,8 @@ def _write_broken_models(tmp_path):
         (["scan", "--template", "modelD", "--param", "u=0:1:0.001",
           "--param", "w|u=1=0:1:0.001", "--out", "TMP/out.csv"],
          "grid of 1002001 cells exceeds 1000000"),
+        (["scan", "--template", "modelD", "--param", "u=0:1:0.000001", "--out", "TMP/out.csv"],
+         "grid of 1000001 cells exceeds 1000000"),
     ],
     ids=[
         "query-cyclic", "sample-cyclic", "query-parent-twice", "backdoor", "ace",
@@ -515,7 +517,7 @@ def _write_broken_models(tmp_path):
         "bias-covariate-treatment", "bias-covariate-outcome", "query-directory",
         "query-not-utf8", "scan-nan-bound", "scan-inf-step", "scan-outside-unit",
         "scan-repeated-param", "query-repeated-given", "do-repeated-do",
-        "scan-axis-too-long", "scan-grid-too-large",
+        "scan-axis-too-long", "scan-grid-too-large", "scan-axis-past-the-grid-bound",
     ],
 )
 def test_invalid_input_exit_3_without_traceback(tmp_path, capsys, argv, message):
@@ -527,6 +529,33 @@ def test_invalid_input_exit_3_without_traceback(tmp_path, capsys, argv, message)
     assert captured.err.startswith("error:") and message in captured.err
     assert "Traceback" not in captured.err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "params, cells",
+    [(["u=0:1:0.000001"], 1000001), (["u=0:1:0.001", "w|u=1=0:1:0.001"], 1002001)],
+)
+def test_oversized_grid_refused_before_its_values_are_built(
+    tmp_path, capsys, monkeypatch, params, cells
+):
+    def refuse(*args):
+        raise AssertionError("a value list was built for an oversized grid")
+
+    monkeypatch.setattr(cli, "_grid_values", refuse)
+    out = tmp_path / "out.csv"
+    argv = ["scan", "--template", "modelD", "--out", str(out)]
+    for p in params:
+        argv += ["--param", p]
+    assert main(argv) == 3
+    message = f"error: grid of {cells} cells exceeds 1000000\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    # the same refusal, word for word, as ``bias_scan`` gives the built grid
+    monkeypatch.undo()
+    grid = {p.rsplit("=", 1)[0]: _parse_grid_value(p.rsplit("=", 1)[1]) for p in params}
+    with pytest.raises(ValidationError) as exc:
+        latent.bias_scan("modelD", grid)
+    assert f"error: {exc.value}\n" == message
 
 
 @pytest.mark.parametrize(
@@ -744,3 +773,26 @@ def test_bias_and_adjust_output_is_pinned(capsys):
                     digest.update(f"{' '.join(argv)} {code}\n".encode())
                     digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == BIAS_ADJUST_DIGEST
+
+
+def test_warm_tables_give_the_pinned_bytes(capsys, monkeypatch):
+    """The two pinned call sets, run twice in one process, hash to their
+    pinned digests both times, and the second run contracts nothing."""
+    contractions = []
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        contractions.append(1)
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    # fresh bundled networks, so the first run starts with no kept tables
+    modelfile._bundled_model.cache_clear()
+    pinned = (test_query_and_do_output_is_pinned, test_bias_and_adjust_output_is_pinned)
+    for check in pinned:
+        check(capsys)
+    assert contractions
+    contractions.clear()
+    for check in pinned:
+        check(capsys)
+    assert not contractions
