@@ -53,8 +53,6 @@ from .intervention import (
     unadjusted_estimate,
 )
 from .latent import (
-    DEFAULT_PARAMS,
-    TEMPLATES,
     CommonCauseDecomposition,
     ScanResult,
     ScenarioParams,
@@ -64,9 +62,11 @@ from .latent import (
     correlation_feasible,
     decompose_common_cause,
     dependence_strength,
+    scan_parameters,
     scan_summary,
     scan_to_csv,
     third_correlation_interval,
+    with_parameters,
 )
 from .modelfile import (
     BUNDLED_MODELS,

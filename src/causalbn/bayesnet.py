@@ -39,8 +39,12 @@ ARITH_TOL = 1e-12
 #: call time
 DEFAULT_SIZE_CAP = 2**24
 #: float64 entries of contracted tables one network keeps for ``joint`` to
-#: reuse; a larger table is returned but not kept
+#: reuse, each charged ``_TABLE_OVERHEAD`` more; a larger table is not kept
 JOINT_CACHE_ENTRIES = 2**16
+#: entries charged to each kept table for its key, Factor and array header:
+#: tracemalloc read 1300-2200 bytes (160-280 float64 entries) per kept
+#: one-entry table of a 12-node chain, more for keys with more evidence
+_TABLE_OVERHEAD = 160
 #: rows rendered per chunk by ``Dataset.to_csv``
 _CSV_CHUNK_ROWS = 1 << 17
 
@@ -331,10 +335,10 @@ def _check_size(configurations: int) -> None:
 class _Tables(dict):
     """The tables ``joint`` contracted for one network, oldest first.
 
-    Each request key maps to (free configurations, Factor).  Together the
-    kept tables hold ``entries`` float64 entries, at most
-    ``JOINT_CACHE_ENTRIES``: the oldest go first to make room, and a
-    table larger than the bound is not kept.  ``put`` holds a lock, so
+    Each request key maps to (free configurations, Factor).  Each kept
+    table is charged its size plus ``_TABLE_OVERHEAD`` in ``entries``, at
+    most ``JOINT_CACHE_ENTRIES``: the oldest go first to make room, and a
+    table charged more is not kept.  ``put`` holds a lock, so
     threads that store at once neither raise nor miscount.
     """
 
@@ -344,7 +348,7 @@ class _Tables(dict):
         self._lock = threading.Lock()
 
     def put(self, key: tuple, configurations: int, factor: Factor) -> None:
-        size = factor.values.size
+        size = factor.values.size + _TABLE_OVERHEAD
         if size > JOINT_CACHE_ENTRIES:
             return
         with self._lock:
@@ -354,7 +358,7 @@ class _Tables(dict):
             self.entries += size
             while self.entries > JOINT_CACHE_ENTRIES:
                 _, oldest = self.pop(next(iter(self)))
-                self.entries -= oldest.values.size
+                self.entries -= oldest.values.size + _TABLE_OVERHEAD
 
 
 def query(

@@ -227,6 +227,7 @@ def _parse_grid_value(text: str) -> list[float]:
 
 
 def cmd_scan(args) -> int:
+    net = load_model(args.model)
     ranges = {}
     for spec in args.param:
         if "=" not in spec:
@@ -240,13 +241,7 @@ def cmd_scan(args) -> int:
     # refuse an oversized grid before any value list is built
     latent._check_grid_cells(n for _, _, n in ranges.values())
     grid = {name: _grid_values(*r) for name, r in ranges.items()}
-    results = bias_scan(
-        args.template,
-        grid,
-        treatment=args.treatment,
-        outcome=args.outcome,
-        covariate=args.covariate,
-    )
+    results = bias_scan(net, grid, args.treatment, args.outcome, args.covariate)
     with _writing(args.out):
         Path(args.out).write_text(scan_to_csv(results), encoding="utf-8", newline="")
     print(scan_summary(results))
@@ -358,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bias)
 
     p = sub.add_parser("scan", help="exact bias scan over a parameter grid")
-    p.add_argument("--template", required=True, choices=sorted(latent.TEMPLATES))
+    p.add_argument("model")
     p.add_argument("--param", action="append", default=[], metavar="NAME=a:b:step")
     p.add_argument("--treatment", default="Z")
     p.add_argument("--outcome", default="Y")

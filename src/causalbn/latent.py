@@ -1,23 +1,24 @@
 """Associative-confounder machinery.
 
-Binary scenario templates (the two three-node models, the five-node
-M-structure with and without a latent-latent link, the single hidden
-cause), the common-cause dissection of a conditional probability, the
-three-correlation feasibility bound, explaining-away classification,
-and exact bias scans over parameter grids.
+Named CPT rows of a network as scan axes, the common-cause dissection of
+a conditional probability, the three-correlation feasibility bound,
+explaining-away classification, and exact bias scans over parameter
+grids of a binary network.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bayesnet import Cpt, DiscreteBayesNet, Factor, Variable, joint
+from .bayesnet import Cpt, DiscreteBayesNet, Factor, joint
 from .errors import (
     CausalbnError,
     DegenerateEndpoints,
@@ -27,8 +28,8 @@ from .errors import (
     ValidationError,
     ZeroProbabilityEvidence,
 )
-from .graph import Dag
 from .intervention import effect_report
+from .modelfile import load_model
 
 BINARY = ("0", "1")
 
@@ -42,143 +43,48 @@ ENDPOINT_MARGIN = 0.05
 MAX_SCAN_CELLS = 10**6
 
 
-@dataclass(frozen=True)
-class Template:
-    name: str
-    nodes: tuple[str, ...]
-    parents: dict[str, tuple[str, ...]]
+def scan_parameters(net: DiscreteBayesNet) -> dict[str, tuple[str, int]]:
+    """Scan axis name -> (node, CPT row), one per row in declaration order.
 
-    def param_keys(self) -> list[str]:
-        """One key per CPT row: 'x' for roots, 'x|u=0,w=1' otherwise."""
-        keys = []
-        for node in self.nodes:
-            pars = self.parents[node]
-            if not pars:
-                keys.append(node.lower())
-                continue
-            for cfg in itertools.product(BINARY, repeat=len(pars)):
-                cond = ",".join(f"{p.lower()}={v}" for p, v in zip(pars, cfg))
-                keys.append(f"{node.lower()}|{cond}")
-        return keys
-
-
-TEMPLATES: dict[str, Template] = {
-    t.name: t
-    for t in [
-        Template("model1_fig1", ("X", "Z", "Y"), {"X": (), "Z": ("X",), "Y": ("Z", "X")}),
-        Template("model2_fig1", ("X", "Z", "Y"), {"X": (), "Z": (), "Y": ("Z", "X")}),
-        Template(
-            "model1_fig2",
-            ("U", "W", "X", "Z", "Y"),
-            {"U": (), "W": (), "X": ("U", "W"), "Z": ("U", "X"), "Y": ("W", "X", "Z")},
-        ),
-        # observed surrogate for the fully associative three-node model
-        Template("modelA", ("X", "Z", "Y"), {"X": (), "Z": ("X",), "Y": ("Z", "X")}),
-        Template(
-            "modelB",
-            ("U", "W", "X", "Z", "Y"),
-            {"U": (), "W": (), "X": ("U", "W"), "Z": ("U",), "Y": ("Z", "W")},
-        ),
-        Template(
-            "modelC",
-            ("V", "X", "Z", "Y"),
-            {"V": (), "X": ("V",), "Z": ("V",), "Y": ("Z", "V")},
-        ),
-        Template(
-            "modelD",
-            ("U", "W", "X", "Z", "Y"),
-            {"U": (), "W": ("U",), "X": ("U", "W"), "Z": ("U",), "Y": ("Z", "W")},
-        ),
-    ]
-}
-
-#: baseline parameter values used by the bundled model corpus and as
-#: scan defaults for parameters the grid does not vary
-DEFAULT_PARAMS: dict[str, dict[str, float]] = {
-    "model1_fig1": {
-        "x": 0.5,
-        "z|x=0": 0.2, "z|x=1": 0.8,
-        "y|z=0,x=0": 0.1, "y|z=0,x=1": 0.5, "y|z=1,x=0": 0.6, "y|z=1,x=1": 0.9,
-    },
-    "model2_fig1": {
-        "x": 0.3, "z": 0.5,
-        "y|z=0,x=0": 0.1, "y|z=0,x=1": 0.5, "y|z=1,x=0": 0.6, "y|z=1,x=1": 0.9,
-    },
-    "model1_fig2": {
-        "u": 0.3, "w": 0.7,
-        "x|u=0,w=0": 0.1, "x|u=0,w=1": 0.5, "x|u=1,w=0": 0.4, "x|u=1,w=1": 0.9,
-        "z|u=0,x=0": 0.2, "z|u=0,x=1": 0.6, "z|u=1,x=0": 0.5, "z|u=1,x=1": 0.9,
-        "y|w=0,x=0,z=0": 0.05, "y|w=0,x=0,z=1": 0.3,
-        "y|w=0,x=1,z=0": 0.2, "y|w=0,x=1,z=1": 0.5,
-        "y|w=1,x=0,z=0": 0.35, "y|w=1,x=0,z=1": 0.6,
-        "y|w=1,x=1,z=0": 0.5, "y|w=1,x=1,z=1": 0.95,
-    },
-    "modelA": {
-        "x": 0.4,
-        "z|x=0": 0.25, "z|x=1": 0.75,
-        "y|z=0,x=0": 0.15, "y|z=0,x=1": 0.45, "y|z=1,x=0": 0.55, "y|z=1,x=1": 0.85,
-    },
-    "modelB": {
-        "u": 0.4, "w": 0.6,
-        "x|u=0,w=0": 0.1, "x|u=0,w=1": 0.7, "x|u=1,w=0": 0.6, "x|u=1,w=1": 0.95,
-        "z|u=0": 0.3, "z|u=1": 0.8,
-        "y|z=0,w=0": 0.2, "y|z=0,w=1": 0.5, "y|z=1,w=0": 0.4, "y|z=1,w=1": 0.9,
-    },
-    "modelC": {
-        "v": 0.45,
-        "x|v=0": 0.2, "x|v=1": 0.85,
-        "z|v=0": 0.25, "z|v=1": 0.7,
-        "y|z=0,v=0": 0.15, "y|z=0,v=1": 0.55, "y|z=1,v=0": 0.5, "y|z=1,v=1": 0.9,
-    },
-    "modelD": {
-        "u": 0.4,
-        "w|u=0": 0.35, "w|u=1": 0.8,
-        "x|u=0,w=0": 0.1, "x|u=0,w=1": 0.7, "x|u=1,w=0": 0.6, "x|u=1,w=1": 0.95,
-        "z|u=0": 0.3, "z|u=1": 0.8,
-        "y|z=0,w=0": 0.2, "y|z=0,w=1": 0.5, "y|z=1,w=0": 0.4, "y|z=1,w=1": 0.9,
-    },
-}
-
-
-@dataclass(frozen=True)
-class ScenarioParams:
-    """Template name plus one probability per CPT row.
-
-    Each parameter is P(child = "1" | the named parent configuration).
+    A root's row is named by the lower-case node, 'x'; any other row by
+    the node and its parent states, 'x|u=0,w=1', rows in CPT order.  Two
+    rows with one name (nodes 'X' and 'x', say) raise ValidationError.
     """
-
-    template: str
-    parameters: Mapping[str, float]
-
-    def __post_init__(self):
-        if self.template not in TEMPLATES:
-            raise ValidationError(f"unknown template {self.template!r}")
-        schema = TEMPLATES[self.template].param_keys()
-        given = set(self.parameters)
-        if given != set(schema):
-            missing = sorted(set(schema) - given)
-            extra = sorted(given - set(schema))
-            raise ValidationError(
-                f"parameter mismatch for {self.template}: missing {missing}, extra {extra}"
-            )
-        for k, v in self.parameters.items():
-            if not 0.0 <= float(v) <= 1.0:
-                raise ValidationError(f"parameter {k}={v} outside [0,1]")
+    axes: dict[str, tuple[str, int]] = {}
+    for node in net.dag.nodes:
+        pars = net.dag.parents[node]
+        configs = itertools.product(*(net.variables[p].states for p in pars))
+        for row, cfg in enumerate(configs):
+            cond = ",".join(f"{p.lower()}={s}" for p, s in zip(pars, cfg))
+            name = f"{node.lower()}|{cond}" if pars else node.lower()
+            if name in axes:
+                raise ValidationError(f"scan axis {name!r} names two CPT rows")
+            axes[name] = (node, row)
+    return axes
 
 
-def build_scenario(sp: ScenarioParams) -> DiscreteBayesNet:
-    """Instantiate a template into a binary network (validated when built)."""
-    tpl = TEMPLATES[sp.template]
-    dag = Dag(tpl.nodes, {n: tpl.parents[n] for n in tpl.nodes})
-    variables = {n: Variable(n, BINARY) for n in tpl.nodes}
-    # param_keys lists each node's rows in turn, parent configurations in order
-    p1 = (float(sp.parameters[k]) for k in tpl.param_keys())
-    cpts = {}
-    for node in tpl.nodes:
-        pars = tpl.parents[node]
-        rows = [[1.0 - p, p] for p in itertools.islice(p1, len(BINARY) ** len(pars))]
-        cpts[node] = Cpt(node, pars, np.array(rows))
-    return DiscreteBayesNet(dag, variables, cpts)
+def with_parameters(net: DiscreteBayesNet, values: Mapping[str, float]) -> DiscreteBayesNet:
+    """A new network (validated when built) in which each named row is [1 - p, p].
+
+    ``values`` maps ``scan_parameters`` names to p, the probability of the
+    node's second state.  An unknown name, a node that is not binary or a
+    p outside [0, 1] raises ValidationError.
+    """
+    axes = scan_parameters(net)
+    cpts = dict(net.cpts)
+    for name, value in values.items():
+        if name not in axes:
+            raise ValidationError(f"unknown scan parameter {name!r}")
+        p = float(value)
+        if not 0.0 <= p <= 1.0:
+            raise ValidationError(f"parameter {name}={value} outside [0,1]")
+        node, row = axes[name]
+        if net.card(node) != 2:
+            raise ValidationError(f"parameter {name!r} needs a binary node, not {node!r}")
+        table = cpts[node].table.copy()
+        table[row] = (1.0 - p, p)
+        cpts[node] = Cpt(node, cpts[node].parents, table)
+    return DiscreteBayesNet(net.dag, net.variables, cpts)
 
 
 @dataclass(frozen=True)
@@ -316,36 +222,29 @@ class ScanResult:
 
 
 def _scan_cell(
-    template: str,
-    params: dict[str, float],
+    base: DiscreteBayesNet,
     grid_point: dict[str, float],
     treatment: str,
     outcome: str,
     covariate: str,
 ) -> ScanResult:
     try:
-        net = build_scenario(ScenarioParams(template, params))
+        net = with_parameters(base, grid_point)
         rep = effect_report(net, treatment, outcome, (covariate,))
         f = joint(net)
         dep_zx = dependence_strength(f, covariate, treatment)
         dep_xy = dependence_strength(f, covariate, outcome)
-        tpl = TEMPLATES[template]
-        x_pars = tpl.parents[covariate]
-        if len(x_pars) == 2:
-            interaction = classify_interaction(net, x_pars[0], x_pars[1], covariate)
-        else:
-            interaction = "none"
+        x_pars = net.dag.parents[covariate]
+        interaction = (
+            classify_interaction(net, *x_pars, covariate) if len(x_pars) == 2 else "none"
+        )
         levels, truth, adj, unadj = rep.levels, rep.truth, rep.adjusted, rep.unadjusted
         err_adj = {lv: abs(e - t) for lv, e, t in zip(levels, adj, truth)}
         err_unadj = {lv: abs(e - t) for lv, e, t in zip(levels, unadj, truth)}
         err_adj_ace = abs((adj[-1] - adj[0]) - (truth[-1] - truth[0]))
         err_unadj_ace = abs((unadj[-1] - unadj[0]) - (truth[-1] - truth[0]))
-        if abs(err_adj_ace - err_unadj_ace) <= TIE_TOL:
-            winner = "tie"
-        elif err_adj_ace < err_unadj_ace:
-            winner = "condition"
-        else:
-            winner = "ignore"
+        gap = err_adj_ace - err_unadj_ace
+        winner = "tie" if abs(gap) <= TIE_TOL else "condition" if gap < 0 else "ignore"
         return ScanResult(
             grid_point=grid_point,
             dep_zx=dep_zx,
@@ -362,54 +261,51 @@ def _scan_cell(
 
 
 def _check_grid_cells(axis_lengths: Iterable[int]) -> None:
-    """Raise ValidationError if a grid with these axis lengths has more
-    than ``MAX_SCAN_CELLS`` cells."""
+    """Refuse a grid of more than ``MAX_SCAN_CELLS`` cells (ValidationError)."""
     cells = math.prod(axis_lengths)
     if cells > MAX_SCAN_CELLS:
         raise ValidationError(f"grid of {cells} cells exceeds {MAX_SCAN_CELLS}")
 
 
 def bias_scan(
-    template: str,
+    net: DiscreteBayesNet,
     grid_spec: Mapping[str, Sequence[float]],
     treatment: str = "Z",
     outcome: str = "Y",
     covariate: str = "X",
     base_params: Mapping[str, float] | None = None,
 ) -> list[ScanResult]:
-    """Exact bias comparison on every cell of a parameter grid.
+    """Exact bias comparison on every cell of a grid of ``scan_parameters``.
 
-    Grid axes iterate row-major with parameter names sorted.  Treatment,
-    outcome and covariate must be three distinct nodes of the template,
-    every grid axis must be non-empty with values in [0, 1], and the grid
-    may have at most ``MAX_SCAN_CELLS`` cells.
+    Each cell is ``with_parameters`` at its grid point of ``net`` with
+    ``base_params`` set; axes iterate row-major, sorted.  Before any cell,
+    ValidationError is raised unless every node's states are "0", "1", the
+    three roles are distinct nodes, every axis is a scan axis with values,
+    all in [0, 1], the grid has at most ``MAX_SCAN_CELLS`` cells and
+    ``base_params`` is valid.
     """
-    if template not in TEMPLATES:
-        raise ValidationError(f"unknown template {template!r}")
-    nodes = TEMPLATES[template].nodes
+    nodes = net.dag.nodes
+    for node, var in net.variables.items():
+        if var.states != BINARY:
+            raise ValidationError(f"a scan needs states {BINARY}; {node!r} has {var.states}")
     if len({treatment, outcome, covariate} & set(nodes)) != 3:
         raise ValidationError(
             f"treatment {treatment!r}, outcome {outcome!r} and covariate {covariate!r} "
-            f"are not three distinct nodes of {template} {nodes}"
+            f"are not three distinct nodes of {nodes}"
         )
-    schema = set(TEMPLATES[template].param_keys())
+    axes = scan_parameters(net)
     for name, values in grid_spec.items():
-        if name not in schema:
-            raise ValidationError(f"grid parameter {name!r} not in template schema")
+        if name not in axes:
+            raise ValidationError(f"grid parameter {name!r} is not a scan axis of the network")
         if len(values) == 0 or not all(0.0 <= float(v) <= 1.0 for v in values):
             raise ValidationError(f"grid parameter {name!r} needs values, all in [0, 1]")
     _check_grid_cells(len(values) for values in grid_spec.values())
-    base = dict(DEFAULT_PARAMS[template])
-    if base_params:
-        base.update(base_params)
-    axes = sorted(grid_spec)
-    results = []
-    for values in itertools.product(*[grid_spec[a] for a in axes]):
-        point = dict(zip(axes, [float(v) for v in values]))
-        params = dict(base)
-        params.update(point)
-        results.append(_scan_cell(template, params, point, treatment, outcome, covariate))
-    return results
+    base = with_parameters(net, base_params or {})
+    names = sorted(grid_spec)
+    return [
+        _scan_cell(base, dict(zip(names, map(float, values))), treatment, outcome, covariate)
+        for values in itertools.product(*[grid_spec[a] for a in names])
+    ]
 
 
 def _fmt(x: float) -> str:
@@ -465,3 +361,50 @@ def scan_summary(results: Sequence[ScanResult]) -> str:
     total_wins = sum(1 for r in ok if r.winner == "condition")
     lines.append(f"overall: condition wins {total_wins}/{len(ok)} ({total_wins / len(ok):.1%})")
     return "\n".join(lines)
+
+
+# ------------------------------------------------------------------------
+# Aliases of the former template API, kept only for the benchmark's scan
+# workload; nothing else in the package uses them, and they go when that
+# workload moves to model files.  Each former template is a bundled model,
+# loaded on first use, and its default parameters are the model's rows.
+
+_TEMPLATE_MODELS = {
+    "model1_fig1": "fig1_left", "model2_fig1": "fig1_right", "model1_fig2": "fig2_model1",
+    "modelA": "modelA_observed", "modelB": "modelB", "modelC": "modelC", "modelD": "modelD",
+}
+
+ScenarioParams = NamedTuple("ScenarioParams", [("template", str), ("parameters", Mapping)])
+
+
+def build_scenario(sp: ScenarioParams) -> DiscreteBayesNet:
+    return with_parameters(load_model(_TEMPLATE_MODELS[sp.template]), sp.parameters)
+
+
+_scan_network = bias_scan
+
+
+@functools.wraps(_scan_network)
+def bias_scan(net, *args, **kwargs):  # noqa: F811 (also takes a former template name)
+    net = load_model(_TEMPLATE_MODELS[net]) if isinstance(net, str) else net
+    return _scan_network(net, *args, **kwargs)
+
+
+@functools.cache
+def _template_tables() -> dict[str, dict]:
+    templates, defaults = {}, {}
+    for name, model in _TEMPLATE_MODELS.items():
+        net = load_model(model)
+        axes = scan_parameters(net)
+        templates[name] = SimpleNamespace(
+            nodes=net.dag.nodes, parents=net.dag.parents, param_keys=lambda a=axes: list(a)
+        )
+        defaults[name] = {k: float(net.cpts[n].table[row, 1]) for k, (n, row) in axes.items()}
+    return {"TEMPLATES": templates, "DEFAULT_PARAMS": defaults}
+
+
+def __getattr__(name: str):
+    # TEMPLATES and DEFAULT_PARAMS parse models, so they are built on first use
+    if name in ("TEMPLATES", "DEFAULT_PARAMS"):
+        return _template_tables()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,6 +5,7 @@ recursive DFS) and shares no code with the library's fast paths.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -213,3 +214,74 @@ def chain(n_nodes):
         q = 0.1 + 0.8 * ((i * 7) % 10) / 10
         cpts[c] = Cpt(c, (p,), [[1 - q, q], [q / 2, 1 - q / 2]])
     return DiscreteBayesNet(dag, {v: Variable(v, ("0", "1")) for v in names}, cpts)
+
+
+def unscannable_net(change):
+    """A scan-shaped network with one defect: other states at a node, or
+    two roots ``X`` and ``x`` whose scan axes are both named ``x``."""
+    states = {n: ("0", "1") for n in ("U", "X", "Z", "Y")}
+    parents = {"U": (), "X": ("U",), "Z": ("U",), "Y": ("Z", "X")}
+    if change == "X and x":
+        parents = {"x": (), **parents, "X": ()}
+        states["x"] = ("0", "1")
+    else:
+        states.update(change)
+    cpts = {}
+    for node, pars in parents.items():
+        rows = math.prod(len(states[p]) for p in pars)
+        k = len(states[node])
+        cpts[node] = Cpt(node, pars, [[1 / k] * k] * rows)
+    variables = {n: Variable(n, s) for n, s in states.items()}
+    return DiscreteBayesNet(Dag(tuple(parents), parents), variables, cpts)
+
+
+def with_rows(net, point):
+    """``net`` with each CPT row named in ``point`` set to [1 - p, p].
+
+    A root's row is named by its lower-case node, any other row by the
+    node and its parent states ('x|u=0,w=1'), spelled here from the
+    documented rule rather than by the library.
+    """
+    tables = {n: net.cpts[n].table.copy() for n in net.dag.nodes}
+    for node in net.dag.nodes:
+        pars = net.dag.parents[node]
+        for row, cfg in enumerate(itertools.product("01", repeat=len(pars))):
+            cond = ",".join(f"{p.lower()}={v}" for p, v in zip(pars, cfg))
+            name = f"{node.lower()}|{cond}" if pars else node.lower()
+            if name in point:
+                tables[node][row] = [1 - point[name], point[name]]
+    cpts = {n: Cpt(n, net.dag.parents[n], t) for n, t in tables.items()}
+    return DiscreteBayesNet(net.dag, net.variables, cpts)
+
+
+def scan_row(net, treatment, outcome, covariate):
+    """Expected values of one binary scan row, by enumeration.
+
+    ``interaction_delta`` is p(w=1 | x=1, u=1) - p(w=1 | x=1, u=0) for the
+    covariate's two parents (u, w), or None when it has other than two.
+    """
+    t, y, x = treatment, outcome, covariate
+    truth = {z: brute_do(net, y, {t: z})["1"] for z in "01"}
+    pxy = brute_query(net, [x, y], {})
+    px = {a: pxy[(a, "0")] + pxy[(a, "1")] for a in "01"}
+    py = {b: pxy[("0", b)] + pxy[("1", b)] for b in "01"}
+    ref, adj, unadj, px_z = {}, {}, {}, {}
+    for z in "01":
+        pyx = brute_query(net, [y, x], {t: z})
+        px_z[z] = {a: pyx[("0", a)] + pyx[("1", a)] for a in "01"}
+        unadj[z] = pyx[("1", "0")] + pyx[("1", "1")]
+        adj[z] = sum(pyx[("1", a)] / px_z[z][a] * px[a] for a in "01")
+        ref[f"err_adj_z{z}"] = abs(adj[z] - truth[z])
+        ref[f"err_unadj_z{z}"] = abs(unadj[z] - truth[z])
+    ace = truth["1"] - truth["0"]
+    ref["err_adj_ace"] = abs(adj["1"] - adj["0"] - ace)
+    ref["err_unadj_ace"] = abs(unadj["1"] - unadj["0"] - ace)
+    ref["dep_zx"] = max(abs(px_z[z][a] - px[a]) for z in "01" for a in "01")
+    ref["dep_xy"] = max(abs(pxy[(a, b)] / py[b] - px[a]) for b in "01" for a in "01")
+    ref["interaction_delta"] = None
+    if len(net.dag.parents[x]) == 2:
+        u, w = net.dag.parents[x]
+        pwu = brute_query(net, [w, u], {x: "1"})
+        post = {a: pwu[("1", a)] / (pwu[("0", a)] + pwu[("1", a)]) for a in "01"}
+        ref["interaction_delta"] = post["1"] - post["0"]
+    return ref

@@ -15,7 +15,7 @@ import pytest
 from causalbn.bayesnet import empirical_joint, forward_sample, joint
 from causalbn.cli import main
 from causalbn.errors import InfeasibleEndpoints
-from causalbn.graph import Dag, backdoor_admissible
+from causalbn.graph import backdoor_admissible
 from causalbn.intervention import (
     adjusted_estimate,
     conditioning_bias,
@@ -25,22 +25,25 @@ from causalbn.intervention import (
     unadjusted_estimate,
 )
 from causalbn.latent import (
-    TEMPLATES,
-    ScenarioParams,
     bias_scan,
-    build_scenario,
     decompose_common_cause,
+    scan_parameters,
     scan_summary,
     scan_to_csv,
+    with_parameters,
 )
 from causalbn.modelfile import load_model
 
+#: the scanned models, in the order criterion 3 has always drawn them
+SCAN_MODELS = (
+    "fig1_left", "fig2_model1", "fig1_right", "modelA_observed", "modelB", "modelC", "modelD",
+)
 
-def random_scenario(template, rng, lo=0.02, hi=0.98):
-    keys = TEMPLATES[template].param_keys()
-    return build_scenario(
-        ScenarioParams(template, {k: float(rng.uniform(lo, hi)) for k in keys})
-    )
+
+def random_scenario(model, rng, lo=0.02, hi=0.98):
+    """``model`` with every CPT row redrawn, one uniform per scan axis in order."""
+    net = load_model(model)
+    return with_parameters(net, {k: float(rng.uniform(lo, hi)) for k in scan_parameters(net)})
 
 
 class Stopwatch:
@@ -113,10 +116,9 @@ def test_criterion_3_backdoor_soundness():
     sw = Stopwatch()
     rng = np.random.default_rng(3)
     checked = 0
-    for template in sorted(TEMPLATES):
-        tpl = TEMPLATES[template]
-        dag = Dag(tpl.nodes, tpl.parents)
-        pool = [v for v in tpl.nodes if v not in ("Z", "Y")]
+    for model in SCAN_MODELS:
+        dag = load_model(model).dag
+        pool = [v for v in dag.nodes if v not in ("Z", "Y")]
         admissible = [
             set(s)
             for r in range(len(pool) + 1)
@@ -124,7 +126,7 @@ def test_criterion_3_backdoor_soundness():
             if backdoor_admissible(dag, "Z", "Y", set(s))
         ]
         for _ in range(100):
-            net = random_scenario(template, rng)
+            net = random_scenario(model, rng)
             truths = {
                 level: interventional_distribution(net, "Y", {"Z": level})
                 for level in ("0", "1")
@@ -141,9 +143,9 @@ def test_criterion_3_backdoor_soundness():
 def test_criterion_4_bias_formula_identity():
     sw = Stopwatch()
     rng = np.random.default_rng(4)
-    templates = ("modelB", "modelC", "modelD", "model1_fig2", "model1_fig1")
+    models = ("modelB", "modelC", "modelD", "fig2_model1", "fig1_left")
     for i in range(1000):
-        net = random_scenario(templates[i % len(templates)], rng)
+        net = random_scenario(models[i % len(models)], rng)
         rep = effect_report(net, "Z", "Y", ["X"])
         direct = conditioning_bias(net, "Z", "Y", "X")
         two_route = (rep.adjusted[-1] - rep.adjusted[0]) - (
@@ -195,17 +197,12 @@ def test_criterion_6_proposition_behavior():
         "fig2_model1": {"X", "W"},
     }
     rng = np.random.default_rng(6)
-    template_of = {
-        "fig1_left": "model1_fig1",
-        "fig1_right": "model2_fig1",
-        "fig2_model1": "model1_fig2",
-    }
     for name, want in expected.items():
         net = load_model(name)
         result = select_sufficient_confounders(net, "Z", "Y", mode="graphical")
         assert set(result.chosen) == want, f"{name}: got {result.chosen}"
         for _ in range(100):
-            draw = random_scenario(template_of[name], rng)
+            draw = random_scenario(name, rng)
             adj = adjusted_estimate(draw, "Z", "Y", result.chosen)
             for level in ("0", "1"):
                 truth = interventional_distribution(draw, "Y", {"Z": level})
@@ -217,11 +214,11 @@ def test_criterion_6_proposition_behavior():
 def test_criterion_7_models_c_d_double_failure():
     sw = Stopwatch()
     rng = np.random.default_rng(7)
-    for template in ("modelC", "modelD"):
+    for model in ("modelC", "modelD"):
         n = 1000
         both_fail = 0
         for _ in range(n):
-            net = random_scenario(template, rng)
+            net = random_scenario(model, rng)
             adj = adjusted_estimate(net, "Z", "Y", {"X"})
             unadj = unadjusted_estimate(net, "Z", "Y")
             adj_err = unadj_err = 0.0
@@ -233,7 +230,7 @@ def test_criterion_7_models_c_d_double_failure():
                 )
             if adj_err > 1e-6 and unadj_err > 1e-6:
                 both_fail += 1
-        assert both_fail >= 0.95 * n, f"{template}: only {both_fail}/{n} double failures"
+        assert both_fail >= 0.95 * n, f"{model}: only {both_fail}/{n} double failures"
     assert sw.elapsed_cpu() < 20.0
     report(7, "Models C/D double failure", sw)
 
@@ -257,9 +254,9 @@ def test_criterion_9_scan_determinism_and_report():
         "x|u=1,w=1": list(np.round(np.linspace(0.05, 0.95, 10), 6)),
         "w|u=1": list(np.round(np.linspace(0.05, 0.95, 10), 6)),
     }
-    results = bias_scan("modelD", grid)
+    results = bias_scan(load_model("modelD"), grid)
     csv = scan_to_csv(results).encode()
-    assert scan_to_csv(bias_scan("modelD", grid)).encode() == csv
+    assert scan_to_csv(bias_scan(load_model("modelD"), grid)).encode() == csv
     # re-pinned when the interventional truth began to contract only the
     # outcome's ancestors: two rows' err_unadj values moved by at most 5.6e-17
     assert hashlib.sha256(csv).hexdigest() == (

@@ -376,6 +376,8 @@ class TestJointCache:
 
     def test_kept_entries_never_exceed_the_bound(self, monkeypatch):
         monkeypatch.setattr(bayesnet, "JOINT_CACHE_ENTRIES", 24)
+        # a small overhead, so that the small bound still keeps a few tables
+        monkeypatch.setattr(bayesnet, "_TABLE_OVERHEAD", 3)
         rng = np.random.default_rng(11)
         net = random_net(rng, 6)
         pool = [random_request(rng, net) for _ in range(20)]
@@ -385,11 +387,11 @@ class TestJointCache:
             before = dict(net._tables)
             f = joint(net, do, keep=keep, evidence=ev)
             kept = net._tables
-            assert kept.entries == sum(g.values.size for _, g in kept.values()) <= 24
+            assert kept.entries == sum(g.values.size + 3 for _, g in kept.values()) <= 24
             if any(f is g for _, g in before.values()):
                 seen["hit"] += 1
                 assert list(kept) == list(before)
-            elif f.values.size > 24:
+            elif f.values.size + 3 > 24:
                 seen["past the bound"] += 1
                 assert list(kept) == list(before)
             else:
@@ -404,6 +406,7 @@ class TestJointCache:
 
     def test_threads_storing_at_once_keep_the_count(self, monkeypatch):
         monkeypatch.setattr(bayesnet, "JOINT_CACHE_ENTRIES", 24)
+        monkeypatch.setattr(bayesnet, "_TABLE_OVERHEAD", 3)
         net = two_coins()
         coin = joint(net, keep={"A"})
         keys = [("request", i) for i in range(64)]
@@ -433,7 +436,17 @@ class TestJointCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
         kept = net._tables
-        assert kept.entries == sum(g.values.size for _, g in kept.values()) <= 24
+        assert kept.entries == sum(g.values.size + 3 for _, g in kept.values()) <= 24
+
+    def test_tiny_tables_are_charged_their_overhead(self):
+        net = chain(12)
+        requests = itertools.islice(itertools.product("01", repeat=12), 4000)
+        for states in requests:
+            f = joint(net, keep=(), evidence=dict(zip(net.dag.nodes, states)))
+            assert f.values.size == 1
+        kept = net._tables
+        assert len(kept) <= 2**16 // 161
+        assert kept.entries == len(kept) * 161 <= 2**16
 
     def test_a_table_past_the_bound_is_returned_not_kept(self):
         net = chain(17)  # 2**17 entries, past the default bound of 2**16

@@ -1,9 +1,14 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and
+importing the package parses no model.
 
-``__init__.py`` is left out: its imports are the package's public API.
+``__init__.py`` is left out of the import check: its imports are the
+package's public API.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +39,19 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_name():
     source = "import io\nfrom .bayesnet import DEFAULT_SIZE_CAP, joint\njoint()\n"
     assert unused_imports(source) == ["io (line 1)", "DEFAULT_SIZE_CAP (line 2)"]
+
+
+def test_import_parses_no_model():
+    # in a fresh interpreter, so no earlier test has filled the caches
+    program = (
+        "import causalbn\n"
+        "from causalbn import latent, modelfile\n"
+        "print(modelfile._bundled_model.cache_info().currsize,"
+        " modelfile._parsed_text.cache_info().currsize,"
+        " latent._template_tables.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "0 0 0\n"

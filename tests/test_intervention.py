@@ -16,16 +16,16 @@ from causalbn.intervention import (
     select_sufficient_confounders,
     unadjusted_estimate,
 )
-from causalbn.latent import DEFAULT_PARAMS, TEMPLATES, ScenarioParams, build_scenario
+from causalbn.latent import scan_parameters, with_parameters
 from causalbn.modelfile import load_model
 
 from oracles import brute_do, brute_query, brute_truncated_joint, random_cpts, random_net
 
 
-def random_scenario(template, rng, lo=0.05, hi=0.95):
-    keys = TEMPLATES[template].param_keys()
-    params = {k: float(rng.uniform(lo, hi)) for k in keys}
-    return build_scenario(ScenarioParams(template, params))
+def random_scenario(model, rng, lo=0.05, hi=0.95):
+    """``model`` with every CPT row redrawn, one uniform per scan axis in order."""
+    net = load_model(model)
+    return with_parameters(net, {k: float(rng.uniform(lo, hi)) for k in scan_parameters(net)})
 
 
 def ace_gap(rep):
@@ -55,9 +55,9 @@ class TestInterventionalDistribution:
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(31)
-        for template in ("modelB", "modelC", "modelD", "model1_fig2"):
+        for model in ("modelB", "modelC", "modelD", "fig2_model1"):
             for _ in range(20):
-                net = random_scenario(template, rng)
+                net = random_scenario(model, rng)
                 for level in ("0", "1"):
                     got = interventional_distribution(net, "Y", {"Z": level})
                     want = brute_do(net, "Y", {"Z": level})
@@ -167,10 +167,9 @@ class TestAdjustedEstimate:
     def test_admissible_implies_truth(self):
         # cross-module: back-door admissible set => adjustment is exact
         rng = np.random.default_rng(41)
-        for template in ("model1_fig1", "modelB", "model1_fig2"):
-            tpl = TEMPLATES[template]
-            dag = Dag(tpl.nodes, tpl.parents)
-            pool = [n for n in tpl.nodes if n not in ("Z", "Y")]
+        for model in ("fig1_left", "modelB", "fig2_model1"):
+            dag = load_model(model).dag
+            pool = [n for n in dag.nodes if n not in ("Z", "Y")]
             admissible = [
                 set(s)
                 for r in range(len(pool) + 1)
@@ -179,7 +178,7 @@ class TestAdjustedEstimate:
             ]
             assert admissible
             for _ in range(100):
-                net = random_scenario(template, rng)
+                net = random_scenario(model, rng)
                 for s in admissible:
                     adj = adjusted_estimate(net, "Z", "Y", s)
                     for level in ("0", "1"):
@@ -219,9 +218,9 @@ class TestConditioningBias:
 
     def test_two_route_identity_random(self):
         rng = np.random.default_rng(43)
-        for template in ("modelB", "modelC", "modelD"):
+        for model in ("modelB", "modelC", "modelD"):
             for _ in range(100):
-                net = random_scenario(template, rng)
+                net = random_scenario(model, rng)
                 rep = effect_report(net, "Z", "Y", ["X"])
                 direct = conditioning_bias(net, "Z", "Y", "X")
                 assert abs(direct - ace_gap(rep)) < 1e-12
@@ -269,11 +268,10 @@ class TestSelection:
 
     def test_selected_set_recovers_truth(self):
         rng = np.random.default_rng(53)
-        for template in ("model1_fig1", "model2_fig1", "model1_fig2"):
-            tpl_net = build_scenario(ScenarioParams(template, DEFAULT_PARAMS[template]))
-            chosen = select_sufficient_confounders(tpl_net, "Z", "Y").chosen
+        for model in ("fig1_left", "fig1_right", "fig2_model1"):
+            chosen = select_sufficient_confounders(load_model(model), "Z", "Y").chosen
             for _ in range(50):
-                net = random_scenario(template, rng)
+                net = random_scenario(model, rng)
                 adj = adjusted_estimate(net, "Z", "Y", chosen)
                 for level in ("0", "1"):
                     truth = interventional_distribution(net, "Y", {"Z": level})
@@ -345,8 +343,8 @@ class TestEffectReport:
 
     def test_internal_consistency(self):
         rng = np.random.default_rng(59)
-        for template in ("modelB", "modelC", "modelD"):
-            net = random_scenario(template, rng)
+        for model in ("modelB", "modelC", "modelD"):
+            net = random_scenario(model, rng)
             rep = effect_report(net, "Z", "Y", ["X"])
             ace_true = rep.truth[-1] - rep.truth[0]
             for est in (rep.adjusted, rep.unadjusted):

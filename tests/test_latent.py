@@ -18,37 +18,40 @@ from causalbn.errors import (
 )
 from causalbn.graph import Dag, d_separated
 from causalbn.latent import (
-    DEFAULT_PARAMS,
-    TEMPLATES,
     TIE_TOL,
-    ScenarioParams,
     bias_scan,
-    build_scenario,
     classify_interaction,
     correlation_feasible,
     decompose_common_cause,
     dependence_strength,
+    scan_parameters,
     scan_summary,
     scan_to_csv,
     third_correlation_interval,
+    with_parameters,
 )
+from causalbn.modelfile import load_model
 
-from oracles import brute_query, random_net
+from oracles import brute_query, random_net, unscannable_net
 
 
 class TestBuildScenario:
+    """``with_parameters`` on a loaded model builds each scan network."""
+
     def test_model_b_structure(self):
-        net = build_scenario(ScenarioParams("modelB", DEFAULT_PARAMS["modelB"]))
+        net = with_parameters(load_model("modelB"), {"u": 0.25})
         assert net.dag.nodes == ("U", "W", "X", "Z", "Y")
         assert d_separated(net.dag, {"W"}, {"Z"})
+        assert net.cpts["U"].table.tolist() == [[0.75, 0.25]]
 
     def test_model_c_structure(self):
-        net = build_scenario(ScenarioParams("modelC", DEFAULT_PARAMS["modelC"]))
+        net = with_parameters(load_model("modelC"), {"x|v=1": 0.5})
         assert set(net.dag.edges()) == {("V", "X"), ("V", "Z"), ("V", "Y"), ("Z", "Y")}
+        assert net.cpts["X"].table[1].tolist() == [0.5, 0.5]
 
     def test_degenerate_half(self):
-        params = {k: 0.5 for k in TEMPLATES["modelB"].param_keys()}
-        net = build_scenario(ScenarioParams("modelB", params))
+        model = load_model("modelB")
+        net = with_parameters(model, {k: 0.5 for k in scan_parameters(model)})
         f = joint(net)
         # every CPT constant at 0.5 makes all pairs independent
         for a in net.dag.nodes:
@@ -56,15 +59,91 @@ class TestBuildScenario:
                 if a < b:
                     assert dependence_strength(f, a, b) < 1e-12
 
-    def test_parameter_mismatch(self):
-        with pytest.raises(ValidationError, match="parameter mismatch"):
-            ScenarioParams("modelB", {"u": 0.5})
+    def test_unknown_parameter(self):
+        with pytest.raises(ValidationError, match="unknown scan parameter 'nope'"):
+            with_parameters(load_model("modelB"), {"u": 0.5, "nope": 0.5})
 
     def test_parameter_range(self):
-        params = dict(DEFAULT_PARAMS["modelB"])
-        params["u"] = 1.5
-        with pytest.raises(ValidationError, match="outside"):
-            ScenarioParams("modelB", params)
+        for value in (1.5, -0.1, math.nan):
+            with pytest.raises(ValidationError, match="outside"):
+                with_parameters(load_model("modelB"), {"u": value})
+
+    def test_axis_names_and_rows(self):
+        assert scan_parameters(load_model("fig2_model2")) == {
+            "u": ("U", 0),
+            "w|u=0": ("W", 0), "w|u=1": ("W", 1),
+            "x|u=0,w=0": ("X", 0), "x|u=0,w=1": ("X", 1),
+            "x|u=1,w=0": ("X", 2), "x|u=1,w=1": ("X", 3),
+            "z|u=0,x=0": ("Z", 0), "z|u=0,x=1": ("Z", 1),
+            "z|u=1,x=0": ("Z", 2), "z|u=1,x=1": ("Z", 3),
+            **{
+                f"y|w={w},x={x},z={z}": ("Y", i)
+                for i, (w, x, z) in enumerate(itertools.product("01", repeat=3))
+            },
+        }
+        # a state label names its row, whatever the spelling
+        net = collider_net([[0.7, 0.3]] * 4)
+        relabelled = DiscreteBayesNet(
+            net.dag,
+            {**net.variables, "U": Variable("U", ("lo", "hi"))},
+            net.cpts,
+        )
+        assert list(scan_parameters(relabelled))[2:4] == ["x|u=lo,w=0", "x|u=lo,w=1"]
+
+    def test_only_named_rows_change(self):
+        model = load_model("modelD")
+        net = with_parameters(model, {"x|u=1,w=0": 0.25, "w|u=1": 1.0})
+        for node in model.dag.nodes:
+            want = model.cpts[node].table.copy()
+            if node == "X":
+                want[2] = [0.75, 0.25]
+            if node == "W":
+                want[1] = [0.0, 1.0]
+            assert np.array_equal(net.cpts[node].table, want)
+        # the loaded model is shared, so it must not change
+        assert model.cpts["X"].table[2].tolist() == [0.4, 0.6]
+
+    def test_non_binary_row_refused(self):
+        dag = Dag(("A", "B"), {"A": (), "B": ("A",)})
+        net = DiscreteBayesNet(
+            dag,
+            {"A": Variable("A", ("0", "1")), "B": Variable("B", ("0", "1", "2"))},
+            {"A": Cpt("A", (), [[0.5, 0.5]]), "B": Cpt("B", ("A",), [[0.2, 0.3, 0.5]] * 2)},
+        )
+        assert with_parameters(net, {"a": 0.25}).cpts["A"].table.tolist() == [[0.75, 0.25]]
+        with pytest.raises(ValidationError, match="binary"):
+            with_parameters(net, {"b|a=1": 0.5})
+
+    def test_template_aliases_are_the_bundled_models(self):
+        # the former template API, kept for the benchmark's scan workload
+        from causalbn import ScenarioParams, build_scenario, latent
+
+        files = {
+            "model1_fig1": "fig1_left", "model2_fig1": "fig1_right",
+            "model1_fig2": "fig2_model1", "modelA": "modelA_observed",
+            "modelB": "modelB", "modelC": "modelC", "modelD": "modelD",
+        }
+        assert list(latent.TEMPLATES) == list(latent.DEFAULT_PARAMS) == list(files)
+        for name, model in files.items():
+            net = build_scenario(ScenarioParams(name, latent.DEFAULT_PARAMS[name]))
+            want = load_model(model)
+            tpl = latent.TEMPLATES[name]
+            assert tpl.nodes == want.dag.nodes == net.dag.nodes
+            assert dict(tpl.parents) == dict(want.dag.parents)
+            assert tpl.param_keys() == list(scan_parameters(want))
+            for node in want.dag.nodes:
+                assert np.array_equal(net.cpts[node].table, want.cpts[node].table)
+        assert latent.TEMPLATES["modelD"].param_keys() == [
+            "u", "w|u=0", "w|u=1",
+            "x|u=0,w=0", "x|u=0,w=1", "x|u=1,w=0", "x|u=1,w=1",
+            "z|u=0", "z|u=1",
+            "y|z=0,w=0", "y|z=0,w=1", "y|z=1,w=0", "y|z=1,w=1",
+        ]
+        grid = {"u": [0.2, 0.5], "w|u=1": [0.3, 0.9]}
+        base = {"z|u=0": 0.4}
+        by_name = latent.bias_scan("modelD", grid, base_params=base)
+        by_net = latent.bias_scan(load_model("modelD"), grid, base_params=base)
+        assert scan_to_csv(by_name) == scan_to_csv(by_net)
 
 
 class TestDecompose:
@@ -263,7 +342,7 @@ class TestConditionalReaders:
 class TestBiasScan:
     def test_model_b_unadjusted_exact(self):
         grid = {"z|u=1": [0.5, 0.7, 0.9], "x|u=1,w=1": [0.6, 0.9]}
-        results = bias_scan("modelB", grid)
+        results = bias_scan(load_model("modelB"), grid)
         assert len(results) == 6
         for r in results:
             assert r.err_unadjusted_ace < 1e-12
@@ -272,20 +351,18 @@ class TestBiasScan:
 
     def test_independent_covariate_all_ties(self):
         # X's CPT constant in (U, W): no dependence, no bias either way
-        base = dict(DEFAULT_PARAMS["modelB"])
-        for k in list(base):
-            if k.startswith("x|"):
-                base[k] = 0.5
-        results = bias_scan("modelB", {"z|u=1": [0.4, 0.8]}, base_params=base)
+        net = load_model("modelB")
+        base = {k: 0.5 for k in scan_parameters(net) if k.startswith("x|")}
+        results = bias_scan(net, {"z|u=1": [0.4, 0.8]}, base_params=base)
         for r in results:
             assert r.winner == "tie"
             assert r.err_adjusted_ace < 1e-12
             assert r.dep_zx < 1e-12
 
     def test_model_c_and_d_double_failure_cells(self):
-        for template in ("modelC", "modelD"):
-            key = "x|v=1" if template == "modelC" else "x|u=1,w=1"
-            results = bias_scan(template, {key: [0.7, 0.9]})
+        for model in ("modelC", "modelD"):
+            key = "x|v=1" if model == "modelC" else "x|u=1,w=1"
+            results = bias_scan(load_model(model), {key: [0.7, 0.9]})
             assert any(
                 max(r.err_adjusted.values()) > 1e-6
                 and max(r.err_unadjusted.values()) > 1e-6
@@ -294,14 +371,14 @@ class TestBiasScan:
             )
 
     def test_row_major_order_and_grid_columns(self):
-        results = bias_scan("modelB", {"u": [0.2, 0.8], "w": [0.3, 0.6]})
+        results = bias_scan(load_model("modelB"), {"u": [0.2, 0.8], "w": [0.3, 0.6]})
         points = [tuple(r.grid_point[k] for k in sorted(r.grid_point)) for r in results]
         assert points == [(0.2, 0.3), (0.2, 0.6), (0.8, 0.3), (0.8, 0.6)]
 
     def test_repeated_scans_identical_and_pinned(self):
         grid = {"u": [0.2, 0.5, 0.8], "w|u=1": [0.3, 0.6, 0.9]}
-        first = scan_to_csv(bias_scan("modelD", grid)).encode()
-        assert scan_to_csv(bias_scan("modelD", grid)).encode() == first
+        first = scan_to_csv(bias_scan(load_model("modelD"), grid)).encode()
+        assert scan_to_csv(bias_scan(load_model("modelD"), grid)).encode() == first
         assert hashlib.sha256(first).hexdigest() == (
             "6db4dfe0a6c7814d0fd7afa35c32c071d8f533a7f36c2390e36ac6540a81e7ea"
         )
@@ -310,9 +387,7 @@ class TestBiasScan:
         # z|u=0 = z|u=1 = 0 makes p(Z=1) = 0, so the plain conditional is
         # undefined in that cell alone
         grid = {"z|u=0": [0.0, 0.5], "z|u=1": [0.0, 0.5]}
-        base = dict(DEFAULT_PARAMS["modelB"])
-        base["x|u=0,w=0"] = 0.0
-        results = bias_scan("modelB", grid, base_params=base)
+        results = bias_scan(load_model("modelB"), grid, base_params={"x|u=0,w=0": 0.0})
         assert [r.winner == "failed" for r in results] == [True, False, False, False]
         failed = results[0]
         assert failed.grid_point == {"z|u=0": 0.0, "z|u=1": 0.0}
@@ -331,7 +406,7 @@ class TestBiasScan:
 
         monkeypatch.setattr("causalbn.latent.dependence_strength", broken)
         with pytest.raises(TypeError, match="bug in a cell"):
-            bias_scan("modelB", {"u": [0.25]})
+            bias_scan(load_model("modelB"), {"u": [0.25]})
 
     @pytest.mark.parametrize(
         "roles", [("Z", "Y", "Q"), ("Z", "Y", "Z"), ("Z", "Z", "X"), ("Q", "Y", "X")]
@@ -344,7 +419,7 @@ class TestBiasScan:
         treatment, outcome, covariate = roles
         with pytest.raises(ValidationError, match="three distinct nodes"):
             bias_scan(
-                "modelD", {"u": [0.2, 0.3]},
+                load_model("modelD"), {"u": [0.2, 0.3]},
                 treatment=treatment, outcome=outcome, covariate=covariate,
             )
 
@@ -357,14 +432,14 @@ class TestBiasScan:
 
         monkeypatch.setattr("causalbn.latent._scan_cell", no_cell)
         with pytest.raises(ValidationError, match=r"needs values, all in \[0, 1\]"):
-            bias_scan("modelD", {"w|u=1": [0.3], "u": values})
+            bias_scan(load_model("modelD"), {"w|u=1": [0.3], "u": values})
 
     def test_unknown_grid_parameter(self):
         with pytest.raises(ValidationError):
-            bias_scan("modelB", {"nope": [0.5]})
+            bias_scan(load_model("modelB"), {"nope": [0.5]})
 
     def test_csv_format(self):
-        results = bias_scan("modelB", {"u": [0.25]})
+        results = bias_scan(load_model("modelB"), {"u": [0.25]})
         text = scan_to_csv(results)
         lines = text.split("\n")
         assert lines[0] == (
@@ -375,7 +450,43 @@ class TestBiasScan:
         assert text.endswith("\n")
 
     def test_summary_mentions_classes(self):
-        results = bias_scan("modelD", {"u": [0.2, 0.8], "w|u=1": [0.3, 0.9]})
+        results = bias_scan(load_model("modelD"), {"u": [0.2, 0.8], "w|u=1": [0.3, 0.9]})
         text = scan_summary(results)
         assert "cells: 4" in text
         assert "condition wins" in text
+
+    @pytest.mark.parametrize(
+        "base, message",
+        [
+            ({"nope": 0.5}, "unknown scan parameter 'nope'"),
+            ({"u": 1.5}, "outside"),
+            ({"u": math.nan}, "outside"),
+        ],
+        ids=["unknown", "above-one", "nan"],
+    )
+    def test_bad_base_params_refused_before_any_cell(self, monkeypatch, base, message):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("causalbn.latent._scan_cell", no_cell)
+        with pytest.raises(ValidationError, match=message):
+            bias_scan(load_model("modelB"), {"z|u=1": [0.4, 0.8]}, base_params=base)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"X": ("0", "1", "2")}, "states"),
+            ({"U": ("a", "b")}, "states"),
+            ({"U": ("1", "0")}, "states"),
+            ("X and x", "names two CPT rows"),
+        ],
+        ids=["three-states", "relabelled", "reordered", "colliding-axes"],
+    )
+    def test_unscannable_network_refused_before_any_cell(self, monkeypatch, change, message):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("causalbn.latent._scan_cell", no_cell)
+        with pytest.raises(ValidationError, match=message):
+            bias_scan(unscannable_net(change), {"z|u=1": [0.4]})
+

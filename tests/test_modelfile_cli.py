@@ -11,7 +11,7 @@ import pytest
 
 import causalbn
 from causalbn import cli, errors, latent, modelfile
-from causalbn.bayesnet import forward_sample
+from causalbn.bayesnet import Cpt, DiscreteBayesNet, Variable, forward_sample
 from causalbn.cli import _parse_grid_value, build_parser, main
 from causalbn.errors import DomainError, ParseError, ValidationError
 from causalbn.graph import Dag
@@ -23,7 +23,15 @@ from causalbn.modelfile import (
     serialize_model,
 )
 
-from oracles import brute_do, brute_query, chain, random_cpts
+from oracles import (
+    brute_do,
+    brute_query,
+    chain,
+    random_cpts,
+    scan_row,
+    unscannable_net,
+    with_rows,
+)
 
 
 @pytest.fixture
@@ -373,7 +381,7 @@ class TestCli:
         with pytest.raises(ValidationError, match="start exceeds end"):
             _parse_grid_value("0.4:0.2:0.1")
         out = tmp_path / "scan.csv"
-        argv = ["scan", "--template", "modelD", "--param", "u=0.4:0.2:0.1", "--out", str(out)]
+        argv = ["scan", "modelD", "--param", "u=0.4:0.2:0.1", "--out", str(out)]
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error: empty grid range")
         assert not out.exists()
@@ -382,7 +390,7 @@ class TestCli:
         out = tmp_path / "scan.csv"
         assert main(
             [
-                "scan", "--template", "modelD",
+                "scan", "modelD",
                 "--param", "u=0.2:0.8:0.3",
                 "--param", "w|u=1=0.3:0.9:0.3",
                 "--out", str(out),
@@ -396,7 +404,7 @@ class TestCli:
     @pytest.mark.parametrize("covariate", ["Q", "Z"])
     def test_scan_bad_node_exit_3(self, tmp_path, capsys, covariate):
         out = tmp_path / "scan.csv"
-        argv = ["scan", "--template", "modelD", "--param", "u=0.2:0.4:0.1",
+        argv = ["scan", "modelD", "--param", "u=0.2:0.4:0.1",
                 "--covariate", covariate, "--out", str(out)]
         assert main(argv) == 3
         captured = capsys.readouterr()
@@ -482,7 +490,7 @@ def _write_broken_models(tmp_path):
         (["select", "modelD", "--treatment", "Z", "--outcome", "Z"], "must be distinct"),
         (["select", "modelD", "--treatment", "Z", "--outcome", "Z", "--mode", "dist"],
          "must be distinct"),
-        (["scan", "--template", "modelD", "--param", "u=a:1:0.1", "--out", "TMP/out.csv"],
+        (["scan", "modelD", "--param", "u=a:1:0.1", "--out", "TMP/out.csv"],
          "must be numbers"),
         (["bias", "modelD", "--treatment", "Z", "--outcome", "Y", "--covariate", "Z"],
          "must be distinct"),
@@ -491,24 +499,24 @@ def _write_broken_models(tmp_path):
         (["query", "TMP", "--target", "Y"], "cannot read TMP: Is a directory"),
         (["query", "TMP/latin1.model", "--target", "Y"],
          "cannot read TMP/latin1.model: 'utf-8' codec can't decode"),
-        (["scan", "--template", "modelD", "--param", "u=nan:1:0.1", "--out", "TMP/out.csv"],
+        (["scan", "modelD", "--param", "u=nan:1:0.1", "--out", "TMP/out.csv"],
          "must be finite"),
-        (["scan", "--template", "modelD", "--param", "u=0:1:inf", "--out", "TMP/out.csv"],
+        (["scan", "modelD", "--param", "u=0:1:inf", "--out", "TMP/out.csv"],
          "must be finite"),
-        (["scan", "--template", "modelD", "--param", "u=0.5:1.5:0.5", "--out", "TMP/out.csv"],
+        (["scan", "modelD", "--param", "u=0.5:1.5:0.5", "--out", "TMP/out.csv"],
          "needs values, all in [0, 1]"),
-        (["scan", "--template", "modelD", "--param", "u=0.2:0.4:0.2",
+        (["scan", "modelD", "--param", "u=0.2:0.4:0.2",
           "--param", "u=0.6:0.8:0.2", "--out", "TMP/out.csv"], "repeated --param 'u'"),
         (["query", "fig1_left", "--target", "Y", "--given", "Z=1,Z=0"],
          "repeated assignment to 'Z'"),
         (["do", "fig1_left", "--target", "Y", "--do", "Z=1, Z=1"],
          "repeated assignment to 'Z'"),
-        (["scan", "--template", "modelD", "--param", "u=0:1:1e-300", "--out", "TMP/out.csv"],
+        (["scan", "modelD", "--param", "u=0:1:1e-300", "--out", "TMP/out.csv"],
          "too many values; its index passes 1000000"),
-        (["scan", "--template", "modelD", "--param", "u=0:1:0.001",
+        (["scan", "modelD", "--param", "u=0:1:0.001",
           "--param", "w|u=1=0:1:0.001", "--out", "TMP/out.csv"],
          "grid of 1002001 cells exceeds 1000000"),
-        (["scan", "--template", "modelD", "--param", "u=0:1:0.000001", "--out", "TMP/out.csv"],
+        (["scan", "modelD", "--param", "u=0:1:0.000001", "--out", "TMP/out.csv"],
          "grid of 1000001 cells exceeds 1000000"),
     ],
     ids=[
@@ -543,7 +551,7 @@ def test_oversized_grid_refused_before_its_values_are_built(
 
     monkeypatch.setattr(cli, "_grid_values", refuse)
     out = tmp_path / "out.csv"
-    argv = ["scan", "--template", "modelD", "--out", str(out)]
+    argv = ["scan", "modelD", "--out", str(out)]
     for p in params:
         argv += ["--param", p]
     assert main(argv) == 3
@@ -554,7 +562,7 @@ def test_oversized_grid_refused_before_its_values_are_built(
     monkeypatch.undo()
     grid = {p.rsplit("=", 1)[0]: _parse_grid_value(p.rsplit("=", 1)[1]) for p in params}
     with pytest.raises(ValidationError) as exc:
-        latent.bias_scan("modelD", grid)
+        latent.bias_scan(load_model("modelD"), grid)
     assert f"error: {exc.value}\n" == message
 
 
@@ -564,9 +572,9 @@ def test_oversized_grid_refused_before_its_values_are_built(
         (["sample", "fig1_left", "-n", "5", "--seed", "1", "--out", "TMP"], "Is a directory"),
         (["sample", "fig1_left", "-n", "5", "--seed", "1", "--out", "TMP/missing/out.csv"],
          "No such file or directory"),
-        (["scan", "--template", "modelD", "--param", "u=0.2:0.4:0.2", "--out", "TMP"],
+        (["scan", "modelD", "--param", "u=0.2:0.4:0.2", "--out", "TMP"],
          "Is a directory"),
-        (["scan", "--template", "modelD", "--param", "u=0.2:0.4:0.2", "--out",
+        (["scan", "modelD", "--param", "u=0.2:0.4:0.2", "--out",
           "TMP/missing/out.csv"], "No such file or directory"),
     ],
     ids=["sample-dir", "sample-missing-dir", "scan-dir", "scan-missing-dir"],
@@ -581,11 +589,112 @@ def test_unwritable_out_exit_3_without_traceback(tmp_path, capsys, argv, reason)
     assert not (tmp_path / "missing").exists()
 
 
+def check_scan_csv(text, net, grid, roles):
+    """Every row of a scan CSV against ``oracles.scan_row`` at its grid point."""
+    names = sorted(grid)
+    header, *rows = text.splitlines()
+    columns = header.split(",")[-10:]
+    assert header == ",".join(names + columns)
+    cells = list(itertools.product(*[grid[a] for a in names]))
+    assert len(rows) == len(cells)
+    for values, line in zip(cells, rows):
+        fields = line.split(",")
+        assert fields[: len(names)] == [f"{v:.12g}" for v in values]
+        row = dict(zip(columns, fields[len(names):]))
+        ref = scan_row(with_rows(net, dict(zip(names, values))), *roles)
+        for col in ("dep_zx", "dep_xy", "err_adj_z0", "err_adj_z1", "err_unadj_z0",
+                    "err_unadj_z1", "err_adj_ace", "err_unadj_ace"):
+            assert abs(float(row[col]) - ref[col]) <= 1e-10, (values, col)
+        delta = ref["interaction_delta"]
+        if delta is None:
+            assert row["interaction_class"] == "none"
+        elif abs(delta) > 1e-9:
+            klass = "explaining_away" if delta < 0 else "monotonic"
+            assert row["interaction_class"] == klass
+        gap = ref["err_adj_ace"] - ref["err_unadj_ace"]
+        if abs(gap) > 1e-9:
+            assert row["winner"] == ("condition" if gap < 0 else "ignore")
+
+
+def renamed(net, names):
+    """``net`` with each node renamed by ``names``."""
+    dag = Dag(
+        tuple(names[n] for n in net.dag.nodes),
+        {names[n]: tuple(names[p] for p in net.dag.parents[n]) for n in net.dag.nodes},
+    )
+    variables = {names[n]: Variable(names[n], v.states) for n, v in net.variables.items()}
+    cpts = {
+        names[n]: Cpt(names[n], tuple(names[p] for p in c.parents), c.table)
+        for n, c in net.cpts.items()
+    }
+    return DiscreteBayesNet(dag, variables, cpts)
+
+
+@pytest.mark.parametrize("model", BUNDLED_MODELS + ("renamed-modelD",))
+def test_every_model_scans_and_matches_the_oracles(tmp_path, capsys, model):
+    roles = ("Z", "Y", "X")
+    if model == "renamed-modelD":
+        names = dict(zip("UWXZY", "ABCDE"))
+        net = renamed(load_model("modelD"), names)
+        roles = ("D", "E", "C")
+        model = str(tmp_path / "abcde.model")
+        Path(model).write_text(serialize_model(net), encoding="utf-8")
+    net = load_model(model)
+    # the first node is a root, and the last CPT row of the last node
+    first, last = net.dag.nodes[0], net.dag.nodes[-1]
+    cond = ",".join(f"{p.lower()}=1" for p in net.dag.parents[last])
+    axes = [first.lower(), f"{last.lower()}|{cond}"]
+    grid = {a: [0.2, 0.5, 0.8] for a in axes}
+    out = tmp_path / "scan.csv"
+    argv = ["scan", model, "--treatment", roles[0], "--outcome", roles[1],
+            "--covariate", roles[2], "--out", str(out)]
+    for a in axes:
+        argv += ["--param", f"{a}=0.2:0.8:0.3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("cells: 9 (0 failed)\n")
+    check_scan_csv(out.read_text(encoding="utf-8"), net, grid, roles)
+
+
+def test_fig2_model2_scans(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    argv = ["scan", "fig2_model2", "--param", "w|u=1=0.2:0.8:0.3", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("cells: 3 (0 failed)\n")
+    check_scan_csv(out.read_text(encoding="utf-8"), load_model("fig2_model2"),
+                   {"w|u=1": [0.2, 0.5, 0.8]}, ("Z", "Y", "X"))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"X": ("0", "1", "2")}, "'X' has ('0', '1', '2')"),
+        ({"U": ("a", "b")}, "'U' has ('a', 'b')"),
+        ({"U": ("1", "0")}, "'U' has ('1', '0')"),
+        ("X and x", "scan axis 'x' names two CPT rows"),
+    ],
+    ids=["three-states", "relabelled", "reordered", "colliding-axes"],
+)
+def test_unscannable_model_exit_3_before_any_cell(tmp_path, capsys, monkeypatch, change, message):
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(latent, "_scan_cell", no_cell)
+    path = tmp_path / "bad.model"
+    path.write_text(serialize_model(unscannable_net(change)), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    argv = ["scan", str(path), "--param", "z|u=1=0.4:0.6:0.2", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+    assert not out.exists()
+
+
 def test_scan_boundary_cells_stay_failed_rows(tmp_path, capsys):
     # u = 0 and u = 1 are valid grid values; each leaves a state of U with
     # probability 0, so its cell is a modelled failure, not a rejected grid
     out = tmp_path / "out.csv"
-    argv = ["scan", "--template", "modelD", "--param", "u=0:1:1", "--out", str(out)]
+    argv = ["scan", "modelD", "--param", "u=0:1:1", "--out", str(out)]
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith("cells: 2 (2 failed)")
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
@@ -601,9 +710,9 @@ def test_scan_boundary_cells_stay_failed_rows(tmp_path, capsys):
          "No such file or directory"),
         (["sample", "fig1_left", "-n", "5", "--seed", "1", "--out", "TMP/file.txt/out.csv"],
          "Not a directory"),
-        (["scan", "--template", "modelD", "--param", "u=0.2:0.4:0.2", "--out", "TMP"],
+        (["scan", "modelD", "--param", "u=0.2:0.4:0.2", "--out", "TMP"],
          "Is a directory"),
-        (["scan", "--template", "modelD", "--param", "u=0.2:0.4:0.2", "--out",
+        (["scan", "modelD", "--param", "u=0.2:0.4:0.2", "--out",
           "TMP/missing/out.csv"], "No such file or directory"),
     ],
     ids=["sample-dir", "sample-missing-dir", "sample-file-as-dir", "scan-dir",
@@ -674,7 +783,7 @@ class TestSharedParser:
             ["do", "modelD", "--target", "Y", "--do", "Z=1"],
             ["ace", "modelB", "--treatment", "Z", "--outcome", "Y"],
             ["adjust", "fig1_left", "--treatment", "Z", "--outcome", "Y", "--set", "X"],
-            ["scan", "--template", "modelD", "--param", "u=0.2:0.8:0.3",
+            ["scan", "modelD", "--param", "u=0.2:0.8:0.3",
              "--param", "w|u=1=0.3:0.9:0.3", "--out", scan_a],
             ["dsep", "modelB", "--a", "Z", "--b", "W", "--given", "X"],
             ["query", "fig1_left"],  # usage error: exit 2
@@ -682,7 +791,7 @@ class TestSharedParser:
             ["select", "fig2_model1", "--treatment", "Z", "--outcome", "Y", "--mode", "dist"],
             ["bias", "modelB", "--treatment", "Z", "--outcome", "Y", "--covariate", "X"],
             ["query", "no_such_model", "--target", "Y"],
-            ["scan", "--template", "modelD", "--param", "u=0.1:0.5:0.2", "--out", scan_b],
+            ["scan", "modelD", "--param", "u=0.1:0.5:0.2", "--out", scan_b],
             ["decompose", "--py", "0.3", "--pyp", "0.6"],
             ["corr", "--r1", "0.8", "--r2", "0.7", "--r3", "0.0"],
             ["sample", "fig1_left", "-n", "50", "--seed", "4", "--out", sample],
