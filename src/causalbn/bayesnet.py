@@ -451,8 +451,11 @@ class Dataset:
         return "".join(parts)
 
     def write_csv(self, path) -> None:
+        """Write ``to_csv()`` to ``path``; the text is rendered before the
+        file is opened, so a failed render leaves an existing file as it was."""
+        text = self.to_csv()
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv())
+            fh.write(text)
 
 
 def _mixed_radix(rows: np.ndarray, cols: Sequence[int], cards: Sequence[int]) -> np.ndarray:

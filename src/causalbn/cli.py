@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import latent
 from .bayesnet import forward_sample, query
-from .errors import CausalbnError, ValidationError
+from .errors import CausalbnError, SizeCapExceeded, ValidationError
 from .graph import backdoor_admissible, d_separated
 from .intervention import (
     ace,
@@ -133,9 +133,11 @@ def cmd_adjust(args) -> int:
 
 def cmd_dsep(args) -> int:
     net = load_model(args.model)
-    verdict = d_separated(
-        net.dag, _parse_set(args.a), _parse_set(args.b), _parse_set(args.given)
-    )
+    a, b = _parse_set(args.a), _parse_set(args.b)
+    for flag, names in (("--a", a), ("--b", b)):
+        if not names:
+            raise ValidationError(f"{flag} names no variable")
+    verdict = d_separated(net.dag, a, b, _parse_set(args.given))
     print("true" if verdict else "false")
     return 0 if verdict else 1
 
@@ -280,9 +282,12 @@ def cmd_corr(args) -> int:
 def cmd_sample(args) -> int:
     net = load_model(args.model)
     _check_out(args.out)
-    ds = forward_sample(net, args.n, args.seed)
-    with _writing(args.out):
-        ds.write_csv(args.out)
+    try:
+        ds = forward_sample(net, args.n, args.seed)
+        with _writing(args.out):
+            ds.write_csv(args.out)
+    except MemoryError:
+        raise SizeCapExceeded(f"{args.n} rows do not fit in memory") from None
     print(f"wrote {len(ds)} rows to {args.out}")
     return 0
 
@@ -390,8 +395,29 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)`` in one pass over the arguments.
+
+    The top-level parser only hands everything after the command to that
+    command's parser, so a known command is parsed by its own parser
+    alone.  Anything else (no command, an unknown one, top-level options,
+    leftover arguments) goes through the top-level parser, which reports
+    it with the same bytes and exit code as always.
+    """
+    parser = _parser()
+    if argv:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                sub = action.choices.get(argv[0])
+                if sub is not None:
+                    args, extra = sub.parse_known_args(argv[1:])
+                    if not extra:
+                        return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except CausalbnError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -228,22 +228,29 @@ def _conditional_equal(
     target: str,
     given_common: tuple[str, ...],
     full_set: tuple[str, ...],
-    sub_set: tuple[str, ...],
-) -> bool:
-    """Numeric test of P(target | common, full) == P(target | common, sub).
+) -> Callable[[tuple[str, ...]], bool]:
+    """The numeric test of P(target | common, full) == P(target | common, sub),
+    as a function of ``sub``.
 
-    ``sub_set`` is an ordered subsequence of ``full_set``, so the smaller
-    table broadcasts over the larger one once its missing axes are 1.
-    Compared only on positive-probability configurations of the larger
-    conditioning set; max-norm against ``SELECTION_TOL``.
+    The full-set conditional and its weights are computed once, here, and
+    serve every subset tested against them.  ``sub`` is an ordered
+    subsequence of ``full_set``, so the smaller table broadcasts over the
+    larger one once its missing axes are 1.  Compared only on
+    positive-probability configurations of the larger conditioning set;
+    max-norm against ``SELECTION_TOL``.
     """
     cond_full = (*given_common, *full_set)
-    cond_sub = (*given_common, *sub_set)
     p_full, weight = f.conditional([target], cond_full)
-    p_sub, _ = f.conditional([target], cond_sub)
-    shape = [n if v in cond_sub else 1 for v, n in zip(cond_full, weight.shape)]
-    gap = np.abs(p_full - p_sub.reshape(shape + [p_full.shape[-1]]))
-    return float(np.max(gap[weight > 0], initial=0.0)) <= SELECTION_TOL
+    positive = weight > 0
+
+    def equal(sub_set: tuple[str, ...]) -> bool:
+        cond_sub = (*given_common, *sub_set)
+        p_sub, _ = f.conditional([target], cond_sub)
+        shape = [n if v in cond_sub else 1 for v, n in zip(cond_full, weight.shape)]
+        gap = np.abs(p_full - p_sub.reshape(shape + [p_full.shape[-1]]))
+        return float(np.max(gap[positive], initial=0.0)) <= SELECTION_TOL
+
+    return equal
 
 
 def select_sufficient_confounders(
@@ -285,31 +292,34 @@ def select_sufficient_confounders(
     )
     audit: list[AuditRecord] = []
 
-    def equality(stage: int, target: str, common: tuple[str, ...], full_set, sub) -> bool:
-        removed = tuple(v for v in full_set if v not in sub)
-        if not removed:
-            verdict = True
-        elif mode == "graphical":
-            verdict = d_separated(dag, {target}, set(removed), set(common) | set(sub))
-        else:
-            verdict = _conditional_equal(full, target, common, full_set, sub)
-        audit.append(AuditRecord(stage, sub, verdict))
-        return verdict
+    def smallest_equal(
+        stage: int, target: str, common: tuple[str, ...], full_set: tuple[str, ...]
+    ) -> tuple[str, ...]:
+        """The first subset of ``full_set``, smallest first, that keeps the
+        conditional of ``target`` given ``common`` and the set."""
+        # an empty full set has only itself to test, which needs no table
+        equal = (
+            _conditional_equal(full, target, common, full_set)
+            if mode == "distributional" and full_set
+            else None
+        )
+        for sub in _subsets_smallest_first(net, full_set):
+            removed = tuple(v for v in full_set if v not in sub)
+            if not removed:
+                verdict = True
+            elif mode == "graphical":
+                verdict = d_separated(dag, {target}, set(removed), set(common) | set(sub))
+            else:
+                verdict = equal(sub)
+            audit.append(AuditRecord(stage, sub, verdict))
+            if verdict:
+                return sub
+        return full_set
 
     # stage 1: smallest X' with P(outcome | treatment, pool) preserved
-    stage1 = pool
-    for sub in _subsets_smallest_first(net, pool):
-        if equality(1, outcome, (treatment,), pool, sub):
-            stage1 = sub
-            break
-
+    stage1 = smallest_equal(1, outcome, (treatment,), pool)
     # stage 2: smallest X with P(treatment | X') preserved
-    chosen = stage1
-    for sub in _subsets_smallest_first(net, stage1):
-        if equality(2, treatment, (), stage1, sub):
-            chosen = sub
-            break
-
+    chosen = smallest_equal(2, treatment, (), stage1)
     return SelectionResult(chosen, pool, stage1, tuple(audit))
 
 

@@ -1,7 +1,9 @@
 """Independent reference implementations used only for cross-checking.
 
 Everything here is deliberately naive (nested loops, path enumeration,
-recursive DFS) and shares no code with the library's fast paths.
+recursive DFS) and shares no code with the library's fast paths, except
+``select_distributional``, which keeps an earlier form of a library
+algorithm on the library's own kernel.
 """
 
 import itertools
@@ -9,7 +11,7 @@ import math
 
 import numpy as np
 
-from causalbn.bayesnet import Cpt, DiscreteBayesNet, Variable
+from causalbn.bayesnet import Cpt, DiscreteBayesNet, Variable, joint
 from causalbn.graph import Dag
 
 
@@ -285,3 +287,55 @@ def scan_row(net, treatment, outcome, covariate):
         post = {a: pwu[("1", a)] / (pwu[("0", a)] + pwu[("1", a)]) for a in "01"}
         ref["interaction_delta"] = post["1"] - post["0"]
     return ref
+
+
+def _conditional_equal(f, target, given_common, full_set, sub_set, tolerance):
+    """P(target | common, full) == P(target | common, sub) on the
+    positive-probability configurations of the larger set, both
+    conditionals computed afresh for this one test."""
+    cond_full = (*given_common, *full_set)
+    cond_sub = (*given_common, *sub_set)
+    p_full, weight = f.conditional([target], cond_full)
+    p_sub, _ = f.conditional([target], cond_sub)
+    shape = [n if v in cond_sub else 1 for v, n in zip(cond_full, weight.shape)]
+    gap = np.abs(p_full - p_sub.reshape(shape + [p_full.shape[-1]]))
+    return float(np.max(gap[weight > 0], initial=0.0)) <= tolerance
+
+
+def select_distributional(net, treatment, outcome, tolerance):
+    """Distributional two-stage selection as a per-subset loop.
+
+    Each equality test recomputes the full-set conditional as well as the
+    subset's.  The tables come from the library's ``joint`` and
+    ``Factor.conditional``, so every verdict comes from the same float
+    operations as the library's.  Returns ``(chosen, pool, stage1,
+    audit)``, the audit a list of ``(stage, subset, verdict)``.
+    """
+    nodes = net.dag.nodes
+    below = {treatment}
+    while True:  # the treatment's descendants, by repeated parent scans
+        more = {n for n in nodes if below & set(net.dag.parents[n])} - below
+        if not more:
+            break
+        below |= more
+    pool = tuple(n for n in nodes if n not in below | {outcome})
+    f = joint(net, keep={treatment, outcome, *pool}) if pool else None
+    audit = []
+
+    def smallest_equal(stage, target, common, full_set):
+        subsets = [
+            sub for r in range(len(full_set) + 1)
+            for sub in itertools.combinations(full_set, r)
+        ]
+        subsets.sort(key=lambda sub: (sum(net.card(v) for v in sub), sorted(sub)))
+        for sub in subsets:
+            verdict = sub == full_set or _conditional_equal(
+                f, target, common, full_set, sub, tolerance
+            )
+            audit.append((stage, sub, verdict))
+            if verdict:
+                return sub
+
+    stage1 = smallest_equal(1, outcome, (treatment,), pool)
+    chosen = smallest_equal(2, treatment, (), stage1)
+    return chosen, pool, stage1, audit

@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalbn.bayesnet import Cpt, DiscreteBayesNet, Variable, joint, query
 from causalbn.errors import PositivityViolation, SizeCapExceeded, UnknownVariable
 from causalbn.graph import Dag, backdoor_admissible
 from causalbn.intervention import (
+    SELECTION_TOL,
     _conditional_equal,
     ace,
     adjusted_estimate,
@@ -19,7 +22,14 @@ from causalbn.intervention import (
 from causalbn.latent import scan_parameters, with_parameters
 from causalbn.modelfile import load_model
 
-from oracles import brute_do, brute_query, brute_truncated_joint, random_cpts, random_net
+from oracles import (
+    brute_do,
+    brute_query,
+    brute_truncated_joint,
+    random_cpts,
+    random_net,
+    select_distributional,
+)
 
 
 def random_scenario(model, rng, lo=0.05, hi=0.95):
@@ -277,6 +287,18 @@ class TestSelection:
                     truth = interventional_distribution(net, "Y", {"Z": level})
                     assert np.max(np.abs(adj[level].values - truth.values)) < 1e-10
 
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_distributional_matches_per_subset_loop(self, seed):
+        # the reference recomputes the full-set conditional at every test
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, int(rng.integers(2, 8)), zero_frac=0.3)
+        t, o = (str(v) for v in rng.choice(net.dag.nodes, size=2, replace=False))
+        got = select_sufficient_confounders(net, t, o, mode="distributional")
+        chosen, pool, stage1, audit = select_distributional(net, t, o, SELECTION_TOL)
+        assert (got.chosen, got.pool, got.stage1) == (chosen, pool, stage1)
+        assert [(r.stage, r.subset, r.verdict) for r in got.audit] == audit
+
     def test_pool_cap(self):
         names = tuple(f"C{i}" for i in range(13)) + ("Z", "Y")
         dag = Dag(names, {n: () for n in names})
@@ -323,7 +345,8 @@ class TestConditionalEqual:
                         for target, common in ((o, (t,)), (t, ())):
                             args = (target, common, full_set, sub)
                             expected = conditional_equal_loop(net, f, *args, 1e-9)
-                            assert _conditional_equal(f, *args) == expected
+                            equal = _conditional_equal(f, target, common, full_set)
+                            assert equal(sub) == expected
                             seen.append(expected)
         assert 0 < sum(seen) < len(seen)
 

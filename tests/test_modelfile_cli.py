@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import causalbn
-from causalbn import cli, errors, latent, modelfile
+from causalbn import cli, errors, intervention, latent, modelfile
 from causalbn.bayesnet import Cpt, DiscreteBayesNet, Variable, forward_sample
 from causalbn.cli import _parse_grid_value, build_parser, main
 from causalbn.errors import DomainError, ParseError, ValidationError
@@ -518,6 +519,9 @@ def _write_broken_models(tmp_path):
          "grid of 1002001 cells exceeds 1000000"),
         (["scan", "modelD", "--param", "u=0:1:0.000001", "--out", "TMP/out.csv"],
          "grid of 1000001 cells exceeds 1000000"),
+        (["dsep", "fig1_left", "--a", "", "--b", "Y"], "--a names no variable"),
+        (["dsep", "fig1_left", "--a", ",", "--b", "Y"], "--a names no variable"),
+        (["dsep", "fig1_left", "--a", "Z", "--b", " , "], "--b names no variable"),
     ],
     ids=[
         "query-cyclic", "sample-cyclic", "query-parent-twice", "backdoor", "ace",
@@ -526,6 +530,7 @@ def _write_broken_models(tmp_path):
         "query-not-utf8", "scan-nan-bound", "scan-inf-step", "scan-outside-unit",
         "scan-repeated-param", "query-repeated-given", "do-repeated-do",
         "scan-axis-too-long", "scan-grid-too-large", "scan-axis-past-the-grid-bound",
+        "dsep-empty-a", "dsep-comma-a", "dsep-blank-b",
     ],
 )
 def test_invalid_input_exit_3_without_traceback(tmp_path, capsys, argv, message):
@@ -741,6 +746,49 @@ def test_failed_sample_leaves_an_existing_out_untouched(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == "kept"
 
 
+@pytest.mark.parametrize("fails", ["allocation", "rendering"])
+def test_sample_out_of_memory_exit_4(tmp_path, capsys, monkeypatch, fails):
+    zeros = np.zeros
+
+    def no_room(shape, *args, **kwargs):
+        if np.prod(shape) > 10**9:  # never allocated for real
+            raise MemoryError
+        return zeros(shape, *args, **kwargs)
+
+    def render_fails(self):
+        raise MemoryError
+
+    if fails == "allocation":
+        monkeypatch.setattr(np, "zeros", no_room)
+        n = "10000000000000"
+    else:
+        monkeypatch.setattr(causalbn.bayesnet.Dataset, "to_csv", render_fails)
+        n = "50"
+    out = tmp_path / "out.csv"
+    out.write_text("kept", encoding="utf-8")
+    assert main(["sample", "fig1_left", "-n", n, "--seed", "1", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {n} rows do not fit in memory\n"
+    assert out.read_text(encoding="utf-8") == "kept"
+
+
+def test_library_calls_print_nothing(capfd):
+    # only the cli.cmd_* handlers print; a library call that wrote to
+    # stdout would corrupt the output of a caller that captures it
+    results = latent.bias_scan(
+        load_model("modelD"), {"u": [0.0, 0.5], "w|u=1": [0.3, 0.9]}, "Z", "Y", "X"
+    )
+    latent.scan_summary(results)
+    latent.scan_to_csv(results)
+    net = load_model("fig2_model1")
+    for mode in ("graphical", "distributional"):
+        intervention.select_sufficient_confounders(net, "Z", "Y", mode=mode)
+    intervention.effect_report(load_model("modelB"), "Z", "Y", ["X"])
+    forward_sample(load_model("fig1_left"), 100, 1).to_csv()
+    assert capfd.readouterr().out == ""
+
+
 def test_every_error_type_has_its_exit_code():
     def walk(cls):
         yield cls
@@ -812,6 +860,105 @@ class TestSharedParser:
         first, second = (text.splitlines() for text in shared[1][:2])
         assert first[0].startswith("u,w|u=1,dep_zx") and len(first) == 1 + 3 * 3
         assert second[0].startswith("u,dep_zx") and len(second) == 1 + 3
+
+
+def _reference_main(argv):
+    """``main`` as two parser passes: the top-level parser, then the handler."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except errors.CausalbnError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+
+
+class TestDispatch:
+    """``main`` parses a known command with that command's parser alone,
+    and answers every input as the top-level parser does."""
+
+    CORPUS = [
+        ["query", "fig1_left", "--target", "Y", "--given", "Z=1"],
+        ["do", "modelD", "--target", "Y", "--do", "Z=1"],
+        ["ace", "modelB", "--treatment", "Z", "--outcome", "Y", "--z1", "1", "--z0", "0"],
+        ["adjust", "fig1_left", "--treatment", "Z", "--outcome", "Y", "--set", "X"],
+        ["adjust", "fig1_left", "--treatment", "Z", "--outcome", "Y", "--set", ""],
+        ["dsep", "modelB", "--a", "Z", "--b", "W", "--given", "X"],
+        ["backdoor", "modelB", "--treatment", "Z", "--outcome", "Y", "--set", "X"],
+        ["backdoor", "modelB", "--treatment", "Z", "--outcome", "Y", "--set", ""],
+        ["select", "fig2_model1", "--treatment", "Z", "--outcome", "Y", "--mode", "dist"],
+        ["bias", "modelB", "--treatment", "Z", "--outcome", "Y", "--covariate", "X"],
+        ["scan", "modelD", "--param", "u=0.2:0.8:0.3", "--out", "TMP/scan.csv"],
+        ["decompose", "--py", "0.3", "--pyp", "0.6"],
+        ["corr", "--r1", "0.8", "--r2", "0.7", "--r3", "0.0"],
+        ["sample", "fig1_left", "-n", "20", "--seed", "4", "--out", "TMP/sample.csv"],
+        # help, before and after the command
+        ["-h"],
+        ["--help"],
+        ["-h", "query"],
+        ["--help", "corr"],
+        ["query", "-h"],
+        ["scan", "--help"],
+        ["select", "fig2_model1", "--treatment", "Z", "--help"],
+        # usage errors
+        ["query", "fig1_left"],
+        ["corr", "--r1", "0.5"],
+        ["select", "fig2_model1", "--treatment", "Z", "--outcome", "Y", "--mode", "both"],
+        ["query", "fig1_left", "--target", "Y", "--foo", "1"],
+        ["ace", "modelB", "--treatment", "Z", "--outcome", "Y", "extra"],
+        ["sample", "fig1_left", "-n", "x", "--seed", "1", "--out", "TMP/bad.csv"],
+        ["bias", "modelB", "--treatment", "Z", "--outcome", "Y", "--covariate", "X",
+         "--z", "1"],
+        ["query", "fig1_left", "--target"],
+        # spellings of an option or its value
+        ["query", "fig1_left", "--target", "Y", "--given=Z=1"],
+        ["query", "--target", "Y", "--", "fig1_left"],
+        ["ace", "modelB", "--treat", "Z", "--outcome", "Y"],
+        ["sample", "fig1_left", "-n20", "--seed=4", "--out", "TMP/sample.csv"],
+        ["corr", "--r1", "-0.5", "--r2", "-0.3"],
+        ["corr", "--r1", "0.8", "--r2", "-0.7", "--r3", "-0.1"],
+        ["decompose", "--py", "0.3", "--pyp", "0.6", "--lo", "-0.5"],
+        # no command, or one that is not known
+        [],
+        ["frobnicate", "x"],
+        ["que", "fig1_left", "--target", "Y"],
+        ["--target", "Y"],
+        # errors the handlers raise
+        ["query", "no_such_model", "--target", "Y"],
+        ["dsep", "fig1_left", "--a", "", "--b", "Y"],
+    ]
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+    def test_same_reply_as_the_top_level_parser(self, tmp_path, capsys, argv):
+        argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+        replies = []
+        for run in (main, _reference_main):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            written = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+            replies.append((code, captured.out, captured.err, written))
+        assert replies[0] == replies[1]
+
+    def test_a_valid_request_is_parsed_once(self, monkeypatch, capsys):
+        cli._parser()
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert main(["dsep", "modelB", "--a", "Z", "--b", "W", "--given", "X"]) == 1
+        assert calls == ["causalbn dsep"]
+        # leftovers are reported by the top-level parser, which parses again
+        calls.clear()
+        with pytest.raises(SystemExit):
+            main(["dsep", "modelB", "--a", "Z", "--b", "W", "--foo"])
+        assert calls == ["causalbn dsep", "causalbn", "causalbn dsep"]
+        assert "causalbn: error: unrecognized arguments: --foo" in capsys.readouterr().err
 
 
 #: SHA-256 of ``select`` output, both modes, every bundled model and ordered
