@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -39,12 +40,15 @@ ARITH_TOL = 1e-12
 #: call time
 DEFAULT_SIZE_CAP = 2**24
 #: float64 entries of contracted tables one network keeps for ``joint`` to
-#: reuse, each charged ``_TABLE_OVERHEAD`` more; a larger table is not kept
+#: reuse, each charged for its Python objects too (``_charge``); a table
+#: charged more is not kept
 JOINT_CACHE_ENTRIES = 2**16
-#: entries charged to each kept table for its key, Factor and array header:
-#: tracemalloc read 1300-2200 bytes (160-280 float64 entries) per kept
-#: one-entry table of a 12-node chain, more for keys with more evidence
-_TABLE_OVERHEAD = 160
+#: entries charged to each kept table for its Factor, array, tuples and
+#: store slot; ``_charge`` adds its key's sets and pairs.  Over 24-200 kept
+#: one-entry tables of a 12-node chain, tracemalloc read 760-910 bytes per
+#: table with 1-4 evidence pairs and 1420-1850 with 5-12, against charges
+#: of 1048-1216 and 1784-2176 bytes
+_TABLE_OVERHEAD = 96
 #: rows rendered per chunk by ``Dataset.to_csv``
 _CSV_CHUNK_ROWS = 1 << 17
 
@@ -180,21 +184,11 @@ class Factor:
             raise ValueError("negative factor value")
         object.__setattr__(self, "values", vals)
 
-    def _axis(self, name: str) -> int:
-        try:
-            return self.scope.index(name)
-        except ValueError:
-            raise UnknownVariable(f"{name!r} not in factor scope") from None
-
     def marginal(self, keep: Iterable[str]) -> "Factor":
         """Sum out everything not in ``keep``; scope keeps its order."""
-        keep = set(keep)
-        for name in keep:
-            self._axis(name)
-        drop_axes = tuple(i for i, v in enumerate(self.scope) if v not in keep)
-        new_scope = tuple(v for v in self.scope if v in keep)
-        new_states = tuple(s for v, s in zip(self.scope, self.states) if v in keep)
-        return Factor(new_scope, new_states, self.values.sum(axis=drop_axes))
+        scope, values = _marginal(self.scope, self.values, keep)
+        states = tuple(s for v, s in zip(self.scope, self.states) if v in scope)
+        return Factor(scope, states, values)
 
     def conditional(
         self, target: Sequence[str], given: Sequence[str]
@@ -205,8 +199,8 @@ class Factor:
         ``weight`` has axes ``given``.  Entries whose weight is 0 are 0.
         """
         given, target = tuple(given), tuple(target)
-        marg = self.marginal(given + target)
-        p = marg.values.transpose([marg.scope.index(v) for v in given + target])
+        scope, values = _marginal(self.scope, self.values, given + target)
+        p = values.transpose([scope.index(v) for v in given + target])
         weight = p.sum(axis=tuple(range(len(given), p.ndim)))
         with np.errstate(divide="ignore", invalid="ignore"):
             table = p / weight[(...,) + (None,) * len(target)]
@@ -214,20 +208,9 @@ class Factor:
 
     def condition(self, evidence: Mapping[str, str]) -> "Factor":
         """Slice at the evidence states and renormalize the rest."""
-        index: list[object] = [slice(None)] * len(self.scope)
-        for name, state in evidence.items():
-            ax = self._axis(name)
-            try:
-                index[ax] = self.states[ax].index(state)
-            except ValueError:
-                raise UnknownVariable(f"{state!r} is not a state of {name!r}") from None
-        sliced = self.values[tuple(index)]
-        total = sliced.sum()
-        if total <= 0:
-            raise ZeroProbabilityEvidence(f"evidence {dict(evidence)} has probability 0")
-        new_scope = tuple(v for v in self.scope if v not in evidence)
-        new_states = tuple(s for v, s in zip(self.scope, self.states) if v not in evidence)
-        return Factor(new_scope, new_states, sliced / total)
+        scope, values = _condition(self.scope, self.states, self.values, evidence)
+        states = tuple(s for v, s in zip(self.scope, self.states) if v not in evidence)
+        return Factor(scope, states, values)
 
     def prob(self, assignment: Mapping[str, str]) -> float:
         """Value at one full-scope assignment."""
@@ -237,6 +220,57 @@ class Factor:
                 raise UnknownVariable(f"assignment missing {v!r}")
             idx.append(states.index(assignment[v]))
         return float(self.values[tuple(idx)])
+
+
+def _axis(scope: tuple[str, ...], name: str) -> int:
+    try:
+        return scope.index(name)
+    except ValueError:
+        raise UnknownVariable(f"{name!r} not in factor scope") from None
+
+
+def _marginal(
+    scope: tuple[str, ...], values: np.ndarray, keep: Iterable[str]
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """(scope, values) of the table with everything not in ``keep`` summed
+    out; the scope keeps its order.  A name outside ``scope`` raises
+    UnknownVariable."""
+    keep = set(keep)
+    for name in keep:
+        _axis(scope, name)
+    drop_axes = tuple(i for i, v in enumerate(scope) if v not in keep)
+    return tuple(v for v in scope if v in keep), values.sum(axis=drop_axes)
+
+
+def _condition(
+    scope: tuple[str, ...],
+    states: tuple[tuple[str, ...], ...],
+    values: np.ndarray,
+    evidence: Mapping[str, str],
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """(scope, values) of the table sliced at the evidence states and
+    renormalised.  An unknown name or state raises UnknownVariable, and
+    evidence of probability 0 raises ZeroProbabilityEvidence."""
+    index: list[object] = [slice(None)] * len(scope)
+    for name, state in evidence.items():
+        ax = _axis(scope, name)
+        try:
+            index[ax] = states[ax].index(state)
+        except ValueError:
+            raise UnknownVariable(f"{state!r} is not a state of {name!r}") from None
+    sliced = values[tuple(index)]
+    total = sliced.sum()
+    if total <= 0:
+        raise ZeroProbabilityEvidence(f"evidence {dict(evidence)} has probability 0")
+    return tuple(v for v in scope if v not in evidence), sliced / total
+
+
+#: the one empty set that every kept key uses, so that it costs no memory
+_NO_ITEMS: frozenset = frozenset()
+
+
+def _items(assignment: Mapping[str, str]) -> frozenset:
+    return frozenset(assignment.items()) if assignment else _NO_ITEMS
 
 
 def joint(
@@ -271,8 +305,8 @@ def joint(
     do, evidence = do or {}, evidence or {}
     point_at = {n: net.state_index(n, state) for n, state in do.items()}
     fixed = {n: net.state_index(n, state) for n, state in evidence.items()}
-    keep = frozenset(nodes if keep is None else keep)
-    key = (keep, frozenset(do.items()), frozenset(evidence.items()))
+    keep = frozenset(nodes if keep is None else keep) or _NO_ITEMS
+    key = (keep, _items(do), _items(evidence))
     kept = net._tables.get(key)
     if kept is not None:
         _check_size(kept[0])
@@ -335,8 +369,8 @@ def _check_size(configurations: int) -> None:
 class _Tables(dict):
     """The tables ``joint`` contracted for one network, oldest first.
 
-    Each request key maps to (free configurations, Factor).  Each kept
-    table is charged its size plus ``_TABLE_OVERHEAD`` in ``entries``, at
+    Each request key (a tuple of sets) maps to (free configurations,
+    Factor).  Each kept table is charged ``_charge`` in ``entries``, at
     most ``JOINT_CACHE_ENTRIES``: the oldest go first to make room, and a
     table charged more is not kept.  ``put`` holds a lock, so
     threads that store at once neither raise nor miscount.
@@ -348,7 +382,7 @@ class _Tables(dict):
         self._lock = threading.Lock()
 
     def put(self, key: tuple, configurations: int, factor: Factor) -> None:
-        size = factor.values.size + _TABLE_OVERHEAD
+        size = _charge(key, factor)
         if size > JOINT_CACHE_ENTRIES:
             return
         with self._lock:
@@ -357,8 +391,18 @@ class _Tables(dict):
             self[key] = (configurations, factor)
             self.entries += size
             while self.entries > JOINT_CACHE_ENTRIES:
-                _, oldest = self.pop(next(iter(self)))
-                self.entries -= oldest.values.size + _TABLE_OVERHEAD
+                old = next(iter(self))
+                self.entries -= _charge(old, self.pop(old)[1])
+
+
+def _charge(key: tuple, factor: Factor) -> int:
+    """Entries a kept table is charged: its size, ``_TABLE_OVERHEAD``, and
+    the bytes of its key's nonempty sets and of the (name, state) pairs they
+    hold, as ``sys.getsizeof`` counts them, in float64 entries."""
+    _, do, evidence = key
+    held = sum(sys.getsizeof(part) for part in key if part)
+    held += sum(map(sys.getsizeof, (*do, *evidence)))
+    return factor.values.size + _TABLE_OVERHEAD + held // 8
 
 
 def query(

@@ -23,8 +23,9 @@ from .bayesnet import forward_sample, query
 from .errors import CausalbnError, SizeCapExceeded, ValidationError
 from .graph import backdoor_admissible, d_separated
 from .intervention import (
+    _adjusted_values,
+    _do_values,
     ace,
-    adjusted_estimate,
     conditioning_bias,
     effect_report,
     interventional_distribution,
@@ -102,6 +103,8 @@ def cmd_query(args) -> int:
 def cmd_do(args) -> int:
     net = load_model(args.model)
     do = _parse_assignments(args.do)
+    if not do:
+        raise ValidationError("--do names no variable")
     dist = interventional_distribution(net, args.target, do)
     _print_dist(args.target, dist)
     return 0
@@ -117,13 +120,12 @@ def cmd_ace(args) -> int:
 def cmd_adjust(args) -> int:
     net = load_model(args.model)
     s = _parse_set(args.set)
-    adj = adjusted_estimate(net, args.treatment, args.outcome, s)
-    for level in net.variables[args.treatment].states:
-        truth = interventional_distribution(net, args.outcome, {args.treatment: level})
+    adj = _adjusted_values(net, args.treatment, args.outcome, s)
+    states = net.variables[args.outcome].states
+    for level, row in zip(net.variables[args.treatment].states, adj):
+        truth = _do_values(net, args.outcome, {args.treatment: level})
         print(f"do({args.treatment}={level}):")
-        for i, state in enumerate(adj[level].states[0]):
-            a = float(adj[level].values[i])
-            t = float(truth.values[i])
+        for state, a, t in zip(states, map(float, row), map(float, truth)):
             print(
                 f"  {args.outcome}={state}: adjusted={_fmt(a)} "
                 f"true={_fmt(t)} diff={_fmt(a - t)}"

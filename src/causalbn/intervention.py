@@ -4,7 +4,8 @@ Interventional distributions come from the truncated factorization
 (drop the intervened CPT factors, clamp the intervened values).  On top
 of that sit the adjustment estimator, the unadjusted conditional, the
 conditioning-bias expression, and the two-stage sufficient-confounder
-selection.
+selection.  The estimators keep their intermediate tables as arrays; the
+public functions wrap their results in validated Factors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import DiscreteBayesNet, Factor, joint
+from .bayesnet import DiscreteBayesNet, Factor, _condition, _marginal, joint
 from .errors import (
     PositivityViolation,
     SizeCapExceeded,
@@ -37,10 +38,16 @@ def interventional_distribution(
 
     The kernel rejects an unknown name or state with UnknownVariable.
     """
+    values = _do_values(net, target, do)
+    return Factor((target,), (net.states(target),), values)
+
+
+def _do_values(net: DiscreteBayesNet, target: str, do: Mapping[str, str]) -> np.ndarray:
+    """``interventional_distribution``'s values, over the target's states."""
     if target in do:
         raise ValueError("target cannot be intervened on")
-    f = joint(net, do, keep={target})
-    return Factor(f.scope, f.states, f.values / f.values.sum())
+    values = joint(net, do, keep={target}).values
+    return values / values.sum()
 
 
 def _distinct(**roles: str) -> None:
@@ -73,8 +80,8 @@ def _outcome_values(net: DiscreteBayesNet, outcome: str) -> np.ndarray:
     return np.array(vals)
 
 
-def _expected(dist: Factor, values: np.ndarray) -> float:
-    return float(np.dot(values, dist.values))
+def _expected(values: np.ndarray, dist: np.ndarray) -> float:
+    return float(np.dot(values, dist))
 
 
 def ace(
@@ -88,9 +95,9 @@ def ace(
     _distinct(treatment=treatment, outcome=outcome)
     level1, level0 = _levels(net, treatment, level1, level0)
     vals = _outcome_values(net, outcome)
-    d1 = interventional_distribution(net, outcome, {treatment: level1})
-    d0 = interventional_distribution(net, outcome, {treatment: level0})
-    return _expected(d1, vals) - _expected(d0, vals)
+    d1 = _do_values(net, outcome, {treatment: level1})
+    d0 = _do_values(net, outcome, {treatment: level0})
+    return _expected(vals, d1) - _expected(vals, d0)
 
 
 def adjusted_estimate(
@@ -104,6 +111,16 @@ def adjusted_estimate(
     Raises PositivityViolation whenever some stratum of ``s`` with
     positive probability lacks a treatment level.
     """
+    rows = _adjusted_values(net, treatment, outcome, s)
+    states = (net.variables[outcome].states,)
+    levels = net.variables[treatment].states
+    return {level: Factor((outcome,), states, row) for level, row in zip(levels, rows)}
+
+
+def _adjusted_values(
+    net: DiscreteBayesNet, treatment: str, outcome: str, s: Iterable[str]
+) -> list[np.ndarray]:
+    """``adjusted_estimate``'s values, one row per treatment state."""
     _distinct(treatment=treatment, outcome=outcome)
     s = set(s)
     if treatment in s or outcome in s:
@@ -111,7 +128,6 @@ def adjusted_estimate(
     # the kernel rejects unknown names; its scope is in declaration order
     f = joint(net, keep={treatment, outcome, *s})
     s = [v for v in f.scope if v in s]
-    out_states = net.variables[outcome].states
     # cond[z, s..., y] = p(y | z, s) and p_zs[z, s...] = p(z, s)
     cond, p_zs = f.conditional([outcome], [treatment, *s])
     p_s = p_zs.sum(axis=0)  # (s...)
@@ -127,27 +143,34 @@ def adjusted_estimate(
     sum_axes = tuple(range(1, 1 + len(s)))
     weighted = cond * p_s[None, ..., None] if s else cond
     dist = weighted.sum(axis=sum_axes) if s else weighted
-    result: dict[str, Factor] = {}
-    for i, level in enumerate(net.variables[treatment].states):
-        acc = dist[i]
-        result[level] = Factor((outcome,), (out_states,), acc / acc.sum())
-    return result
+    return [acc / acc.sum() for acc in dist]
 
 
 def unadjusted_estimate(
     net: DiscreteBayesNet, treatment: str, outcome: str
 ) -> dict[str, Factor]:
     """Plain conditional p(outcome | z) per treatment level."""
+    rows = _unadjusted_values(net, treatment, outcome)
+    states = (net.variables[outcome].states,)
+    levels = net.variables[treatment].states
+    return {level: Factor((outcome,), states, row) for level, row in zip(levels, rows)}
+
+
+def _unadjusted_values(
+    net: DiscreteBayesNet, treatment: str, outcome: str
+) -> list[np.ndarray]:
+    """``unadjusted_estimate``'s values, one row per treatment state."""
     full = joint(net)
-    result = {}
+    rows = []
     for level in net.variables[treatment].states:
         try:
-            result[level] = full.condition({treatment: level}).marginal({outcome})
+            scope, values = _condition(full.scope, full.states, full.values, {treatment: level})
         except ZeroProbabilityEvidence:
             raise ZeroProbabilityEvidence(
                 f"p({treatment}={level}) = 0; conditional undefined"
             ) from None
-    return result
+        rows.append(_marginal(scope, values, {outcome})[1])
+    return rows
 
 
 def conditioning_bias(
@@ -163,30 +186,39 @@ def conditioning_bias(
     Computes sum_{y,x} y p(y|z,x) [p(x) - p(x|z)] at each level and takes
     the level difference.  Algebraically identical to
     ace(adjusted by {x}) - ace(unadjusted); kept as a separate code path
-    so the two can be cross-checked; it therefore stays on
-    ``Factor.condition`` rather than ``Factor.conditional``.
+    so the two can be cross-checked; it therefore slices and renormalises
+    the joint (as ``Factor.condition`` does) rather than reading
+    ``Factor.conditional``.
     """
     _distinct(treatment=treatment, outcome=outcome, covariate=x)
     level1, level0 = _levels(net, treatment, level1, level0)
     y_vals = _outcome_values(net, outcome)
     full = joint(net)
-    p_x = full.marginal({x})
-    p_zx = full.marginal({treatment, x})
+    scope, states, values = full.scope, full.states, full.values
+    _, p_x = _marginal(scope, values, {x})
+    zx_scope, p_zx = _marginal(scope, values, {treatment, x})
+    p_zx = p_zx if zx_scope[0] == treatment else p_zx.T  # axes (treatment, x)
+
+    def given(evidence: Mapping[str, str], keep: str) -> np.ndarray:
+        """p(keep | evidence) over the joint's states of ``keep``."""
+        sub_scope, sub = _condition(scope, states, values, evidence)
+        return _marginal(sub_scope, sub, {keep})[1]
 
     def level_term(level: str) -> float:
-        p_x_given_z = full.condition({treatment: level}).marginal({x})
+        p_x_given_z = given({treatment: level}, x)
+        z = net.state_index(treatment, level)
         term = 0.0
         x_states = net.variables[x].states
         for i, xs in enumerate(x_states):
-            geom_weight = p_x.values[i] - p_x_given_z.values[i]
+            geom_weight = p_x[i] - p_x_given_z[i]
             if geom_weight == 0.0:
                 continue
-            if p_zx.prob({treatment: level, x: xs}) <= 0:
+            if p_zx[z, i] <= 0:
                 raise PositivityViolation(
                     f"p({treatment}={level}, {x}={xs}) = 0 in bias expression"
                 )
-            p_y = full.condition({treatment: level, x: xs}).marginal({outcome})
-            term += float(np.dot(y_vals, p_y.values)) * geom_weight
+            p_y = given({treatment: level, x: xs}, outcome)
+            term += float(np.dot(y_vals, p_y)) * geom_weight
         return term
 
     return level_term(level1) - level_term(level0)
@@ -348,15 +380,12 @@ def effect_report(
     ``covariates``) and the unadjusted estimate, at every treatment state."""
     levels = net.states(treatment)
     vals = _outcome_values(net, outcome)
-    truth = tuple(
-        _expected(interventional_distribution(net, outcome, {treatment: lv}), vals)
-        for lv in levels
-    )
-    unadj = unadjusted_estimate(net, treatment, outcome)
-    adj = adjusted_estimate(net, treatment, outcome, covariates)
+    truth = tuple(_expected(vals, _do_values(net, outcome, {treatment: lv})) for lv in levels)
+    unadj = _unadjusted_values(net, treatment, outcome)
+    adj = _adjusted_values(net, treatment, outcome, covariates)
     return EffectReport(
         levels,
         truth,
-        tuple(_expected(adj[lv], vals) for lv in levels),
-        tuple(_expected(unadj[lv], vals) for lv in levels),
+        tuple(_expected(vals, row) for row in adj),
+        tuple(_expected(vals, row) for row in unadj),
     )

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bayesnet import Cpt, DiscreteBayesNet, Factor, joint
+from .bayesnet import Cpt, DiscreteBayesNet, Factor, _marginal, joint
 from .errors import (
     CausalbnError,
     DegenerateEndpoints,
@@ -70,7 +70,13 @@ def with_parameters(net: DiscreteBayesNet, values: Mapping[str, float]) -> Discr
     node's second state.  An unknown name, a node that is not binary or a
     p outside [0, 1] raises ValidationError.
     """
-    axes = scan_parameters(net)
+    return _with_parameters(net, scan_parameters(net), values)
+
+
+def _with_parameters(
+    net: DiscreteBayesNet, axes: Mapping[str, tuple[str, int]], values: Mapping[str, float]
+) -> DiscreteBayesNet:
+    """``with_parameters`` given ``axes``, the ``scan_parameters`` of ``net``."""
     cpts = dict(net.cpts)
     for name, value in values.items():
         if name not in axes:
@@ -202,7 +208,7 @@ def dependence_strength(f: Factor, a: str, b: str) -> float:
     cond, weight = f.conditional([a], [b])
     if np.any(weight <= 0):
         raise ZeroProbabilityEvidence(f"a state of {b!r} has probability 0")
-    return float(np.max(np.abs(cond - f.marginal({a}).values)))
+    return float(np.max(np.abs(cond - _marginal(f.scope, f.values, {a})[1])))
 
 
 @dataclass(frozen=True)
@@ -223,13 +229,14 @@ class ScanResult:
 
 def _scan_cell(
     base: DiscreteBayesNet,
+    axes: Mapping[str, tuple[str, int]],
     grid_point: dict[str, float],
     treatment: str,
     outcome: str,
     covariate: str,
 ) -> ScanResult:
     try:
-        net = with_parameters(base, grid_point)
+        net = _with_parameters(base, axes, grid_point)
         rep = effect_report(net, treatment, outcome, (covariate,))
         f = joint(net)
         dep_zx = dependence_strength(f, covariate, treatment)
@@ -300,10 +307,13 @@ def bias_scan(
         if len(values) == 0 or not all(0.0 <= float(v) <= 1.0 for v in values):
             raise ValidationError(f"grid parameter {name!r} needs values, all in [0, 1]")
     _check_grid_cells(len(values) for values in grid_spec.values())
-    base = with_parameters(net, base_params or {})
+    # the cells share the network's axes, so they are named once per scan
+    base = _with_parameters(net, axes, base_params or {})
     names = sorted(grid_spec)
     return [
-        _scan_cell(base, dict(zip(names, map(float, values))), treatment, outcome, covariate)
+        _scan_cell(
+            base, axes, dict(zip(names, map(float, values))), treatment, outcome, covariate
+        )
         for values in itertools.product(*[grid_spec[a] for a in names])
     ]
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -157,10 +157,12 @@ def load_model(path_or_name: str) -> DiscreteBayesNet:
     A bundled model is parsed once per process.  Either way the
     (immutable) network is shared by every caller.
     """
-    p = Path(path_or_name)
-    if p.exists():
+    # the path as pathlib spells it: no trailing separator, and "" is "."
+    path = path_or_name.rstrip(os.sep) or (os.sep if path_or_name else ".")
+    if os.path.exists(path):
         try:
-            text = p.read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             raise ParseError(f"cannot read {path_or_name}: {reason}") from None

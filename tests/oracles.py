@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive (nested loops, path enumeration,
 recursive DFS) and shares no code with the library's fast paths, except
-``select_distributional``, which keeps an earlier form of a library
-algorithm on the library's own kernel.
+``select_distributional`` and the Factor-chain references at the end,
+which keep earlier forms of library algorithms on the library's own
+kernel.
 """
 
 import itertools
@@ -11,8 +12,10 @@ import math
 
 import numpy as np
 
-from causalbn.bayesnet import Cpt, DiscreteBayesNet, Variable, joint
+from causalbn.bayesnet import Cpt, DiscreteBayesNet, Factor, Variable, joint
+from causalbn.errors import PositivityViolation, ZeroProbabilityEvidence
 from causalbn.graph import Dag
+from causalbn.intervention import EffectReport, _distinct, _levels, _outcome_values
 
 
 def has_cycle_dfs(nodes, parents):
@@ -339,3 +342,122 @@ def select_distributional(net, treatment, outcome, tolerance):
     stage1 = smallest_equal(1, outcome, (treatment,), pool)
     chosen = smallest_equal(2, treatment, (), stage1)
     return chosen, pool, stage1, audit
+
+
+# ------------------------------------------------------------------------
+# Factor-chain references: the estimators as they were written when every
+# slice and marginal was a validated ``Factor``.  They call only the
+# library's kernel, its ``Factor`` methods and its argument checks, so the
+# array forms in ``causalbn.intervention`` and ``causalbn.latent`` must give
+# the same floats and raise the same errors.
+
+
+def factor_conditional(f, target, given):
+    """``Factor.conditional`` with its marginal taken as a ``Factor``."""
+    given, target = tuple(given), tuple(target)
+    marg = f.marginal(given + target)
+    p = marg.values.transpose([marg.scope.index(v) for v in given + target])
+    weight = p.sum(axis=tuple(range(len(given), p.ndim)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = p / weight[(...,) + (None,) * len(target)]
+    return np.where(np.isfinite(table), table, 0.0), weight
+
+
+def interventional_distribution(net, target, do):
+    if target in do:
+        raise ValueError("target cannot be intervened on")
+    f = joint(net, do, keep={target})
+    return Factor(f.scope, f.states, f.values / f.values.sum())
+
+
+def adjusted_estimate(net, treatment, outcome, s):
+    _distinct(treatment=treatment, outcome=outcome)
+    s = set(s)
+    if treatment in s or outcome in s:
+        raise ValueError("adjustment set must exclude treatment and outcome")
+    f = joint(net, keep={treatment, outcome, *s})
+    s = [v for v in f.scope if v in s]
+    out_states = net.variables[outcome].states
+    cond, p_zs = factor_conditional(f, [outcome], [treatment, *s])
+    p_s = p_zs.sum(axis=0)
+    bad = (p_s > 0) & np.any(p_zs <= 0, axis=0)
+    if np.any(bad):
+        cell = np.argwhere(bad)[0]
+        cfg = {v: net.variables[v].states[i] for v, i in zip(s, cell)}
+        lvl_idx = int(np.argmin(p_zs[(slice(None), *cell)]))
+        level = net.variables[treatment].states[lvl_idx]
+        raise PositivityViolation(f"p({treatment}={level}, {cfg}) = 0 while p({cfg}) > 0")
+    sum_axes = tuple(range(1, 1 + len(s)))
+    weighted = cond * p_s[None, ..., None] if s else cond
+    dist = weighted.sum(axis=sum_axes) if s else weighted
+    result = {}
+    for i, level in enumerate(net.variables[treatment].states):
+        acc = dist[i]
+        result[level] = Factor((outcome,), (out_states,), acc / acc.sum())
+    return result
+
+
+def unadjusted_estimate(net, treatment, outcome):
+    full = joint(net)
+    result = {}
+    for level in net.variables[treatment].states:
+        try:
+            result[level] = full.condition({treatment: level}).marginal({outcome})
+        except ZeroProbabilityEvidence:
+            raise ZeroProbabilityEvidence(
+                f"p({treatment}={level}) = 0; conditional undefined"
+            ) from None
+    return result
+
+
+def conditioning_bias(net, treatment, outcome, x, level1=None, level0=None):
+    _distinct(treatment=treatment, outcome=outcome, covariate=x)
+    level1, level0 = _levels(net, treatment, level1, level0)
+    y_vals = _outcome_values(net, outcome)
+    full = joint(net)
+    p_x = full.marginal({x})
+    p_zx = full.marginal({treatment, x})
+
+    def level_term(level):
+        p_x_given_z = full.condition({treatment: level}).marginal({x})
+        term = 0.0
+        for i, xs in enumerate(net.variables[x].states):
+            geom_weight = p_x.values[i] - p_x_given_z.values[i]
+            if geom_weight == 0.0:
+                continue
+            if p_zx.prob({treatment: level, x: xs}) <= 0:
+                raise PositivityViolation(
+                    f"p({treatment}={level}, {x}={xs}) = 0 in bias expression"
+                )
+            p_y = full.condition({treatment: level, x: xs}).marginal({outcome})
+            term += float(np.dot(y_vals, p_y.values)) * geom_weight
+        return term
+
+    return level_term(level1) - level_term(level0)
+
+
+def effect_report(net, treatment, outcome, covariates):
+    levels = net.states(treatment)
+    vals = _outcome_values(net, outcome)
+
+    def expected(dist):
+        return float(np.dot(vals, dist.values))
+
+    truth = tuple(
+        expected(interventional_distribution(net, outcome, {treatment: lv})) for lv in levels
+    )
+    unadj = unadjusted_estimate(net, treatment, outcome)
+    adj = adjusted_estimate(net, treatment, outcome, covariates)
+    return EffectReport(
+        levels,
+        truth,
+        tuple(expected(adj[lv]) for lv in levels),
+        tuple(expected(unadj[lv]) for lv in levels),
+    )
+
+
+def dependence_strength(f, a, b):
+    cond, weight = factor_conditional(f, [a], [b])
+    if np.any(weight <= 0):
+        raise ZeroProbabilityEvidence(f"a state of {b!r} has probability 0")
+    return float(np.max(np.abs(cond - f.marginal({a}).values)))

@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import itertools
+import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,8 +379,13 @@ class TestJointCache:
 
     def test_kept_entries_never_exceed_the_bound(self, monkeypatch):
         monkeypatch.setattr(bayesnet, "JOINT_CACHE_ENTRIES", 24)
-        # a small overhead, so that the small bound still keeps a few tables
-        monkeypatch.setattr(bayesnet, "_TABLE_OVERHEAD", 3)
+
+        # a small charge that grows with the key, so that the small bound
+        # still keeps a few tables
+        def charge(key, g):
+            return g.values.size + 3 + sum(len(part) for part in key)
+
+        monkeypatch.setattr(bayesnet, "_charge", charge)
         rng = np.random.default_rng(11)
         net = random_net(rng, 6)
         pool = [random_request(rng, net) for _ in range(20)]
@@ -387,11 +395,16 @@ class TestJointCache:
             before = dict(net._tables)
             f = joint(net, do, keep=keep, evidence=ev)
             kept = net._tables
-            assert kept.entries == sum(g.values.size + 3 for _, g in kept.values()) <= 24
+            assert kept.entries == sum(charge(k, g) for k, (_, g) in kept.items()) <= 24
+            key = (
+                frozenset(net.dag.nodes if keep is None else keep),
+                frozenset(do.items()),
+                frozenset(ev.items()),
+            )
             if any(f is g for _, g in before.values()):
                 seen["hit"] += 1
                 assert list(kept) == list(before)
-            elif f.values.size + 3 > 24:
+            elif charge(key, f) > 24:
                 seen["past the bound"] += 1
                 assert list(kept) == list(before)
             else:
@@ -406,7 +419,7 @@ class TestJointCache:
 
     def test_threads_storing_at_once_keep_the_count(self, monkeypatch):
         monkeypatch.setattr(bayesnet, "JOINT_CACHE_ENTRIES", 24)
-        monkeypatch.setattr(bayesnet, "_TABLE_OVERHEAD", 3)
+        monkeypatch.setattr(bayesnet, "_charge", lambda key, g: g.values.size + 3)
         net = two_coins()
         coin = joint(net, keep={"A"})
         keys = [("request", i) for i in range(64)]
@@ -445,8 +458,48 @@ class TestJointCache:
             f = joint(net, keep=(), evidence=dict(zip(net.dag.nodes, states)))
             assert f.values.size == 1
         kept = net._tables
-        assert len(kept) <= 2**16 // 161
-        assert kept.entries == len(kept) * 161 <= 2**16
+        # one entry, the fixed overhead, the evidence set and its 12 pairs
+        held = sys.getsizeof(frozenset(range(12))) + 12 * sys.getsizeof(("N0", "0"))
+        charge = 1 + bayesnet._TABLE_OVERHEAD + held // 8
+        assert len(kept) == 2**16 // charge
+        assert kept.entries == len(kept) * charge <= 2**16
+
+    def test_keys_share_the_empty_set(self):
+        net = chain(4)
+        for request in ({}, {"keep": ()}, {"keep": (), "evidence": {"N1": "0"}}):
+            joint(net, **request)
+        # 2 + 3 + 2 empty sets of keep, do and evidence
+        empty = [part for key in net._tables for part in key if not part]
+        assert len(empty) == 7 and all(part is empty[0] for part in empty)
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3, 4, 5, 6, 11, 12])
+    def test_charge_covers_the_measured_bytes(self, monkeypatch, pairs):
+        """tracemalloc's bytes per kept one-entry table of a fresh 12-node
+        chain stay within 8 bytes per charged entry.  Every request is
+        distinct, and there are at least 24 of them, so the store's own first
+        allocation, made once per network, is spread thin."""
+        monkeypatch.setattr(bayesnet, "JOINT_CACHE_ENTRIES", 2**30)  # keep them all
+        net = chain(12)
+        rng = np.random.default_rng(pairs)
+        requests = {}
+        while len(requests) < min(200, 2**pairs * math.comb(12, pairs)):
+            names = rng.choice(net.dag.nodes, size=pairs, replace=False)
+            evidence = {str(v): str(rng.integers(2)) for v in names}
+            requests[frozenset(evidence.items())] = evidence
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for evidence in requests.values():
+                joint(net, keep=(), evidence=evidence)
+            gc.collect()
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(net._tables) == len(requests)
+        held = sys.getsizeof(frozenset(range(pairs))) + pairs * sys.getsizeof(("N0", "0"))
+        charge = 1 + bayesnet._TABLE_OVERHEAD + held // 8
+        assert len(requests) >= 24 and used / len(requests) <= 8 * charge
 
     def test_a_table_past_the_bound_is_returned_not_kept(self):
         net = chain(17)  # 2**17 entries, past the default bound of 2**16

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalbn.bayesnet import Cpt, DiscreteBayesNet, Variable, joint, query
+from causalbn import intervention, latent
+from causalbn.bayesnet import Cpt, DiscreteBayesNet, Factor, Variable, joint, query
 from causalbn.errors import PositivityViolation, SizeCapExceeded, UnknownVariable
 from causalbn.graph import Dag, backdoor_admissible
 from causalbn.intervention import (
@@ -22,6 +23,7 @@ from causalbn.intervention import (
 from causalbn.latent import scan_parameters, with_parameters
 from causalbn.modelfile import load_model
 
+import oracles
 from oracles import (
     brute_do,
     brute_query,
@@ -404,3 +406,107 @@ class TestEffectReport:
         # X blocks the back door, so adjusting recovers the truth and ignoring does not
         assert rep.adjusted == pytest.approx(rep.truth, abs=1e-10)
         assert max(abs(u - t) for u, t in zip(rep.unadjusted, rep.truth)) > 1e-6
+
+
+def outcome_of(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return "returned", call()
+    except Exception as exc:  # compared, type and message, with the reference's
+        return "raised", (type(exc), str(exc))
+
+
+def assert_same(got, want):
+    """Exact equality: the same floats, Factors and errors."""
+    assert got[0] == want[0], (got, want)
+    got, want = got[1], want[1]
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for level, f in want.items():
+            g = got[level]
+            assert (g.scope, g.states) == (f.scope, f.states)
+            assert np.array_equal(g.values, f.values)
+    elif isinstance(want, Factor):
+        assert (got.scope, got.states) == (want.scope, want.states)
+        assert np.array_equal(got.values, want.values)
+    else:
+        assert got == want
+
+
+def zero_net():
+    """X -> Z, X -> Y, Z -> Y, W root with p(W=1) = 0; Z is never 1 when X is 1."""
+    parents = {"X": (), "W": (), "Z": ("X",), "Y": ("Z", "X")}
+    tables = {
+        "X": [[0.6, 0.4]],
+        "W": [[1.0, 0.0]],
+        "Z": [[0.3, 0.7], [1.0, 0.0]],
+        "Y": [[0.9, 0.1], [0.4, 0.6], [0.5, 0.5], [0.2, 0.8]],
+    }
+    return DiscreteBayesNet(
+        Dag(tuple(parents), parents),
+        {n: Variable(n, ("0", "1")) for n in parents},
+        {n: Cpt(n, parents[n], tables[n]) for n in parents},
+    )
+
+
+class TestArrayIntermediates:
+    """The estimators keep their intermediate tables as arrays; the
+    Factor-chain references in ``oracles`` give the same floats and errors."""
+
+    @staticmethod
+    def check_all(net, t, o, x, s, level1, level0):
+        f = joint(net)
+        calls = {
+            "conditioning_bias": lambda m: m.conditioning_bias(net, t, o, x, level1, level0),
+            "unadjusted_estimate": lambda m: m.unadjusted_estimate(net, t, o),
+            "adjusted_estimate": lambda m: m.adjusted_estimate(net, t, o, s),
+            "effect_report": lambda m: m.effect_report(net, t, o, s),
+            "interventional_distribution": lambda m: m.interventional_distribution(
+                net, o, {t: level1 or net.states(t)[0]}
+            ),
+            "dependence_strength": lambda m: m.dependence_strength(f, x, t),
+        }
+        seen = {}
+        for name, call in calls.items():
+            library = latent if name == "dependence_strength" else intervention
+            got = outcome_of(lambda: call(library))
+            assert_same(got, outcome_of(lambda: call(oracles)))
+            seen[name] = got
+        return seen
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_networks_match_the_factor_chain(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, int(rng.integers(2, 7)), zero_frac=0.3)
+        nodes = net.dag.nodes
+        # names may repeat or be unknown, and levels may be unknown, so that
+        # the error paths are compared too
+        repeat = len(nodes) < 3 or rng.random() < 0.2
+        t, o, x = ("Q" if rng.random() < 0.05 else str(v)
+                   for v in rng.choice(nodes, size=3, replace=repeat))
+        s = [v for v in (*nodes, "Q") if rng.random() < (0.05 if v in (t, o, "Q") else 0.4)]
+        states = net.variables[t].states if t in net.variables else ("0",)
+
+        def level():
+            return None if rng.random() < 0.2 else str(rng.choice([*states, "7"]))
+
+        self.check_all(net, t, o, x, s, level(), level())
+
+    @pytest.mark.parametrize(
+        "t, o, x, s, level1, name, error",
+        [
+            ("Q", "Y", "X", [], None, "effect_report", "unknown variable 'Q'"),
+            ("Z", "Q", "X", ["X"], None, "adjusted_estimate", "unknown variable 'Q'"),
+            ("Z", "Y", "Q", [], None, "conditioning_bias", "'Q' not in factor scope"),
+            ("Z", "Y", "X", [], "7", "conditioning_bias", "'7' is not a state of 'Z'"),
+            ("Z", "Y", "X", [], "7", "interventional_distribution", "'7' is not a state of 'Z'"),
+            ("W", "Y", "X", [], None, "unadjusted_estimate", "p(W=1) = 0; conditional"),
+            ("W", "Y", "X", [], None, "dependence_strength", "a state of 'W' has probability 0"),
+            ("Z", "Y", "X", ["X"], None, "adjusted_estimate", "p(Z=1, {'X': '1'}) = 0 while"),
+            ("Z", "Y", "X", [], None, "conditioning_bias", "p(Z=1, X=1) = 0 in bias expression"),
+        ],
+    )
+    def test_each_error_matches_the_factor_chain(self, t, o, x, s, level1, name, error):
+        kind, (_, message) = self.check_all(zero_net(), t, o, x, s, level1, None)[name]
+        assert kind == "raised" and error in message

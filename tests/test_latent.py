@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalbn import latent
 from causalbn.bayesnet import Cpt, DiscreteBayesNet, Variable, joint
 from causalbn.errors import (
     DegenerateEndpoints,
@@ -382,6 +383,21 @@ class TestBiasScan:
         assert hashlib.sha256(first).hexdigest() == (
             "6db4dfe0a6c7814d0fd7afa35c32c071d8f533a7f36c2390e36ac6540a81e7ea"
         )
+
+    def test_axes_are_named_once_per_scan(self, monkeypatch):
+        calls = []
+
+        def counting(net):
+            calls.append(net)
+            return scan_parameters(net)
+
+        monkeypatch.setattr(latent, "scan_parameters", counting)
+        grid = {"u": [0.2, 0.5, 0.8], "w|u=1": [0.3, 0.6, 0.9]}
+        results = bias_scan(load_model("modelD"), grid, base_params={"x|u=0,w=0": 0.4})
+        assert len(results) == 9 and len(calls) == 1
+        # the public form names the axes itself, on every call
+        with_parameters(load_model("modelD"), {"u": 0.5})
+        assert len(calls) == 2
 
     def test_failed_cell_marked_and_scan_continues(self):
         # z|u=0 = z|u=1 = 0 makes p(Z=1) = 0, so the plain conditional is

@@ -522,6 +522,7 @@ def _write_broken_models(tmp_path):
         (["dsep", "fig1_left", "--a", "", "--b", "Y"], "--a names no variable"),
         (["dsep", "fig1_left", "--a", ",", "--b", "Y"], "--a names no variable"),
         (["dsep", "fig1_left", "--a", "Z", "--b", " , "], "--b names no variable"),
+        (["do", "fig1_left", "--target", "Y", "--do", ""], "--do names no variable"),
     ],
     ids=[
         "query-cyclic", "sample-cyclic", "query-parent-twice", "backdoor", "ace",
@@ -530,7 +531,7 @@ def _write_broken_models(tmp_path):
         "query-not-utf8", "scan-nan-bound", "scan-inf-step", "scan-outside-unit",
         "scan-repeated-param", "query-repeated-given", "do-repeated-do",
         "scan-axis-too-long", "scan-grid-too-large", "scan-axis-past-the-grid-bound",
-        "dsep-empty-a", "dsep-comma-a", "dsep-blank-b",
+        "dsep-empty-a", "dsep-comma-a", "dsep-blank-b", "do-empty-do",
     ],
 )
 def test_invalid_input_exit_3_without_traceback(tmp_path, capsys, argv, message):
@@ -981,8 +982,11 @@ def test_select_output_is_pinned(capsys):
 
 
 #: SHA-256 of the exit code and stdout of every ``query`` and ``do`` call
-#: below, computed while both still contracted the full joint
-QUERY_DO_DIGEST = "af40266c9ff2cd3550acc9abaf37295278e4000148564a49df18752bdf10485c"
+#: below, computed while both still contracted the full joint.  Re-pinned
+#: when ``do --do ""`` began to exit 3: each of the 33 such calls (one per
+#: target) lost its stdout and changed its code from 0 to 3, and no other
+#: line of the hashed stream changed.
+QUERY_DO_DIGEST = "41cfa67ae4ed7a0912adf92aa16560daa0824c46e6d87bfeef0a9f981dbe6987"
 
 
 def test_query_and_do_output_is_pinned(capsys):
