@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import latent
 from .bayesnet import forward_sample, query
@@ -397,25 +398,154 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)`` in one pass over the arguments.
+_Argument = tuple  # (action, dest, type function, choices, appends)
 
-    The top-level parser only hands everything after the command to that
-    command's parser, so a known command is parsed by its own parser
-    alone.  Anything else (no command, an unknown one, top-level options,
-    leftover arguments) goes through the top-level parser, which reports
-    it with the same bytes and exit code as always.
+
+class _Plan(NamedTuple):
+    """What one subcommand parser's ``parse_known_args`` would read."""
+
+    #: each exact option string, and the positionals in order
+    options: dict[str, _Argument]
+    positionals: tuple[_Argument, ...]
+    #: the namespace before any argument is read
+    defaults: dict[str, object]
+    required: frozenset[argparse.Action]
+    #: arguments whose ``str`` default goes through their type when unseen
+    str_defaults: tuple[_Argument, ...]
+    #: argparse's test for an argument that is a negative number
+    negative: Callable[[str], object]
+
+
+def _plan(sub: argparse.ArgumentParser) -> _Plan | None:
+    """The table of ``sub``'s arguments, or None when ``sub`` has an action
+    kind the table cannot read.
+
+    The table reads stores and appends of one value each, and the help
+    action, whose option strings it leaves out so that a help request goes
+    to argparse.  A mutually exclusive group, another prefix character,
+    argument files, or an option string that a negative number could spell
+    or abbreviate (``-5``, ``-.x``) leave ``sub`` to argparse.
+    """
+    if (
+        sub._mutually_exclusive_groups
+        or sub.prefix_chars != "-"
+        or sub.fromfile_prefix_chars
+        or any(s[1:2].isdigit() or s[1:2] == "." for s in sub._option_string_actions)
+    ):
+        return None
+    arguments, defaults = {}, {}
+    for action in sub._actions:
+        kind = type(action)
+        if kind is argparse._HelpAction:
+            continue
+        if kind not in (argparse._StoreAction, argparse._AppendAction) or action.nargs is not None:
+            return None
+        convert = sub._registry_get("type", action.type, action.type)
+        arguments[action] = (
+            action, action.dest, convert, action.choices, kind is argparse._AppendAction
+        )
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    for dest, value in sub._defaults.items():
+        defaults.setdefault(dest, value)
+    return _Plan(
+        options={s: arguments[a] for s, a in sub._option_string_actions.items() if a in arguments},
+        positionals=tuple(arg for a, arg in arguments.items() if not a.option_strings),
+        defaults=defaults,
+        required=frozenset(a for a in arguments if a.required),
+        str_defaults=tuple(arg for a, arg in arguments.items() if isinstance(a.default, str)),
+        negative=sub._negative_number_matcher.match,
+    )
+
+
+@functools.cache
+def _plans() -> dict[str, _Plan]:
+    """``_plan`` of each subcommand of ``_parser()`` that has one, by name,
+    with the top-level defaults and the command name in its namespace.
+
+    A top-level parser of only its help and the subcommands hands every
+    argument after the command to that command's parser, unread by any
+    other action; any other top-level parser gets no tables.
     """
     parser = _parser()
-    if argv:
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                sub = action.choices.get(argv[0])
-                if sub is not None:
-                    args, extra = sub.parse_known_args(argv[1:])
-                    if not extra:
-                        return args
-    return parser.parse_args(argv)
+    kinds = [type(action) for action in parser._actions]
+    if parser.fromfile_prefix_chars or kinds != [argparse._HelpAction, argparse._SubParsersAction]:
+        return {}
+    command = parser._actions[1]
+    plans = {}
+    for name, sub in command.choices.items():
+        plan = _plan(sub)
+        if plan is not None:
+            top = dict(parser._defaults)
+            if command.dest is not argparse.SUPPRESS:
+                top[command.dest] = name
+            plans[name] = plan._replace(defaults={**top, **plan.defaults})
+    return plans
+
+
+def _take(argv: list[str]) -> argparse.Namespace | None:
+    """``_parser().parse_args(argv)`` read from ``_plans()`` in one pass, or
+    None when the table does not take ``argv``.
+
+    It takes a known command followed by exact option strings, each with
+    its value in the next argument, and exactly its positionals; a value or
+    positional may start with ``-`` only as a negative number.  Every type
+    must convert and every choice must hold.  It never prints or exits.
+    """
+    plan = _plans().get(argv[0]) if argv else None
+    if plan is None:
+        return None
+    args = argparse.Namespace()
+    values = vars(args)
+    values.update(plan.defaults)
+    seen = set()
+    positionals = iter(plan.positionals)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        argument = plan.options.get(token)
+        if argument is not None:
+            token = next(tokens, None)
+            if token is None:
+                return None
+        else:
+            argument = next(positionals, None)
+            if argument is None:
+                return None
+        if token[:1] == "-" and not plan.negative(token):
+            return None
+        action, dest, convert, choices, append = argument
+        try:
+            value = convert(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        if append:
+            items = argparse._copy_items(values.get(dest))
+            items.append(value)
+            value = items
+        values[dest] = value
+        seen.add(action)
+    if not plan.required <= seen:
+        return None
+    for action, dest, convert, _, _ in plan.str_defaults:
+        if action not in seen and values.get(dest) is action.default:
+            try:
+                values[dest] = convert(action.default)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+    return args
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, from the table when it takes ``argv``.
+
+    Everything else (help, errors, abbreviations, ``--opt=value``,
+    ``-n20``, ``--``) goes to the top-level parser, which answers with the
+    same bytes and exit code as always.
+    """
+    args = _take(argv)
+    return args if args is not None else _parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -160,9 +160,10 @@ def _unadjusted_values(
     net: DiscreteBayesNet, treatment: str, outcome: str
 ) -> list[np.ndarray]:
     """``unadjusted_estimate``'s values, one row per treatment state."""
+    levels = net.states(treatment)
     full = joint(net)
     rows = []
-    for level in net.variables[treatment].states:
+    for level in levels:
         try:
             scope, values = _condition(full.scope, full.states, full.values, {treatment: level})
         except ZeroProbabilityEvidence:

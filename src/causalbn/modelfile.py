@@ -157,9 +157,10 @@ def load_model(path_or_name: str) -> DiscreteBayesNet:
     A bundled model is parsed once per process.  Either way the
     (immutable) network is shared by every caller.
     """
-    # the path as pathlib spells it: no trailing separator, and "" is "."
-    path = path_or_name.rstrip(os.sep) or (os.sep if path_or_name else ".")
-    if os.path.exists(path):
+    # the path as pathlib spells it, with no trailing separator; "" names no
+    # file (pathlib would read it as ".")
+    path = path_or_name.rstrip(os.sep) or os.sep
+    if path_or_name and os.path.exists(path):
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()

@@ -398,9 +398,10 @@ def adjusted_estimate(net, treatment, outcome, s):
 
 
 def unadjusted_estimate(net, treatment, outcome):
+    levels = net.states(treatment)
     full = joint(net)
     result = {}
-    for level in net.variables[treatment].states:
+    for level in levels:
         try:
             result[level] = full.condition({treatment: level}).marginal({outcome})
         except ZeroProbabilityEvidence:

@@ -497,6 +497,7 @@ class TestArrayIntermediates:
         "t, o, x, s, level1, name, error",
         [
             ("Q", "Y", "X", [], None, "effect_report", "unknown variable 'Q'"),
+            ("Q", "Y", "X", [], None, "unadjusted_estimate", "unknown variable 'Q'"),
             ("Z", "Q", "X", ["X"], None, "adjusted_estimate", "unknown variable 'Q'"),
             ("Z", "Y", "Q", [], None, "conditioning_bias", "'Q' not in factor scope"),
             ("Z", "Y", "X", [], "7", "conditioning_bias", "'7' is not a state of 'Z'"),

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import functools
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import causalbn
 from causalbn import cli, errors, intervention, latent, modelfile
@@ -498,6 +503,7 @@ def _write_broken_models(tmp_path):
         (["bias", "modelD", "--treatment", "Z", "--outcome", "Y", "--covariate", "Y"],
          "must be distinct"),
         (["query", "TMP", "--target", "Y"], "cannot read TMP: Is a directory"),
+        (["query", "", "--target", "Y"], "no such file or bundled model: ''"),
         (["query", "TMP/latin1.model", "--target", "Y"],
          "cannot read TMP/latin1.model: 'utf-8' codec can't decode"),
         (["scan", "modelD", "--param", "u=nan:1:0.1", "--out", "TMP/out.csv"],
@@ -528,7 +534,8 @@ def _write_broken_models(tmp_path):
         "query-cyclic", "sample-cyclic", "query-parent-twice", "backdoor", "ace",
         "adjust", "select-graph", "select-dist", "scan-non-number",
         "bias-covariate-treatment", "bias-covariate-outcome", "query-directory",
-        "query-not-utf8", "scan-nan-bound", "scan-inf-step", "scan-outside-unit",
+        "query-empty-path", "query-not-utf8", "scan-nan-bound", "scan-inf-step",
+        "scan-outside-unit",
         "scan-repeated-param", "query-repeated-given", "do-repeated-do",
         "scan-axis-too-long", "scan-grid-too-large", "scan-axis-past-the-grid-bound",
         "dsep-empty-a", "dsep-comma-a", "dsep-blank-b", "do-empty-do",
@@ -874,8 +881,7 @@ def _reference_main(argv):
 
 
 class TestDispatch:
-    """``main`` parses a known command with that command's parser alone,
-    and answers every input as the top-level parser does."""
+    """``main`` answers every input as the top-level parser does."""
 
     CORPUS = [
         ["query", "fig1_left", "--target", "Y", "--given", "Z=1"],
@@ -918,6 +924,16 @@ class TestDispatch:
         ["corr", "--r1", "-0.5", "--r2", "-0.3"],
         ["corr", "--r1", "0.8", "--r2", "-0.7", "--r3", "-0.1"],
         ["decompose", "--py", "0.3", "--pyp", "0.6", "--lo", "-0.5"],
+        ["corr", "--r1", "-.5", "--r2", "0.1", "--r1", "0.2"],
+        ["query", "--target", "Y", "fig1_left"],
+        ["query", "-5", "--target", "Y"],
+        ["query", "-", "--target", "Y"],
+        ["dsep", "modelB", "--a", "--b", "W"],
+        ["select", "fig2_model1", "--treatment", "Z", "--outcome", "Y", "--mode", "dist",
+         "--mode", "graph"],
+        ["scan", "modelD", "--param", "u=0.2:0.8:0.3", "--param", "w|u=1=0.3:0.9:0.3",
+         "--out", "TMP/scan.csv"],
+        ["sample", "fig1_left", "-n", "1e1", "--seed", "4", "--out", "TMP/sample.csv"],
         # no command, or one that is not known
         [],
         ["frobnicate", "x"],
@@ -953,13 +969,139 @@ class TestDispatch:
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
         assert main(["dsep", "modelB", "--a", "Z", "--b", "W", "--given", "X"]) == 1
-        assert calls == ["causalbn dsep"]
-        # leftovers are reported by the top-level parser, which parses again
-        calls.clear()
+        assert calls == []
+        # leftovers are reported by one pass of the top-level parser
         with pytest.raises(SystemExit):
             main(["dsep", "modelB", "--a", "Z", "--b", "W", "--foo"])
-        assert calls == ["causalbn dsep", "causalbn", "causalbn dsep"]
+        assert calls == ["causalbn", "causalbn dsep"]
         assert "causalbn: error: unrecognized arguments: --foo" in capsys.readouterr().err
+
+
+#: one well-formed request per subcommand; ``TMP`` stands for a scratch directory
+WELL_FORMED = [
+    ["query", "fig1_left", "--target", "Y", "--given", "Z=1"],
+    ["do", "modelD", "--target", "Y", "--do", "Z=1"],
+    ["ace", "modelB", "--treatment", "Z", "--outcome", "Y", "--z1", "1", "--z0", "0"],
+    ["adjust", "fig1_left", "--treatment", "Z", "--outcome", "Y", "--set", "X"],
+    ["dsep", "modelB", "--a", "Z", "--b", "W", "--given", "X"],
+    ["backdoor", "modelB", "--treatment", "Z", "--outcome", "Y", "--set", "X"],
+    ["select", "fig2_model1", "--treatment", "Z", "--outcome", "Y", "--mode", "graph"],
+    ["bias", "modelB", "--treatment", "Z", "--outcome", "Y", "--covariate", "X"],
+    ["scan", "modelD", "--param", "u=0.2:0.8:0.3", "--out", "TMP/scan.csv"],
+    ["decompose", "--py", "0.3", "--pyp", "0.6"],
+    ["corr", "--r1", "0.8", "--r2", "0.7", "--r3", "0.0"],
+    ["sample", "fig1_left", "-n", "20", "--seed", "4", "--out", "TMP/sample.csv"],
+]
+
+
+def _subcommands(parser):
+    (command,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return command.choices
+
+
+#: values: names, numbers, negative and malformed numbers
+VALUES = [
+    "", "-5", "-0.5", "-.5", "-1-", "1e", "0x1", "nan", "inf", "1_0", "20", "0", "1",
+    "0.3", "0.6", "Y", "Z", "X", "W", "Q", "Z=1", "fig1_left", "modelB", "modelD",
+    "graph", "dist", "fast", "u=0.2:0.8:0.3", "w|u=1=0.3:0.9:0.3", "TMP/out.csv", "-a b",
+]
+#: the values, every subcommand name and option string, and other spellings
+TOKENS = sorted(
+    {
+        *VALUES,
+        *_subcommands(build_parser()),
+        *(s for sub in _subcommands(build_parser()).values() for s in sub._option_string_actions),
+        "que", "frobnicate", "--tar", "--treat", "--o", "--out", "--cov", "--p", "--par",
+        "--mo", "--r", "--target=Y", "--given=Z=1", "--seed=4", "--mode=dist", "-n20",
+        "-h", "--help", "--", "-", "--5",
+    }
+)
+
+
+@st.composite
+def mutated_requests(draw):
+    """A well-formed request with a few tokens after its command inserted,
+    or replaced by a value, or deleted, or one of its command's options
+    added with a value (so options repeat)."""
+    argv = list(draw(st.sampled_from(WELL_FORMED)))
+    options = sorted(_subcommands(cli._parser())[argv[0]]._option_string_actions)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, len(argv)))
+        edit = draw(st.sampled_from(["insert", "pair", "replace", "delete"]))
+        if edit == "insert":
+            argv.insert(i, draw(st.sampled_from(TOKENS)))
+        elif edit == "pair":
+            argv += [draw(st.sampled_from(options)), draw(st.sampled_from(VALUES))]
+        elif i < len(argv):
+            argv[i : i + 1] = [draw(st.sampled_from(VALUES))] if edit == "replace" else []
+    return argv
+
+
+class TestTable:
+    """A request the table takes is the Namespace the top-level parser
+    gives; every request gets the reply of two parser passes."""
+
+    def test_every_subcommand_has_a_plan(self):
+        subcommands = _subcommands(build_parser())
+        assert all(cli._plan(sub) is not None for sub in subcommands.values())
+        assert set(cli._plans()) == set(subcommands) == {argv[0] for argv in WELL_FORMED}
+        for argv in WELL_FORMED:
+            assert cli._take(argv) == cli._parser().parse_args(argv) is not None
+
+    @pytest.mark.parametrize(
+        "add",
+        [
+            lambda p: p.add_argument("--flag", action="store_true"),
+            lambda p: p.add_argument("--two", nargs=2),
+            lambda p: p.add_argument("--maybe", nargs="?"),
+            lambda p: p.add_argument("rest", nargs="*"),
+            lambda p: p.add_mutually_exclusive_group().add_argument("--either"),
+            lambda p: p.add_argument("-5", dest="five"),
+            lambda p: p.add_argument("--count", action="count"),
+        ],
+        ids=["store_true", "nargs-2", "nargs-?", "nargs-*", "exclusive", "negative", "count"],
+    )
+    def test_an_unread_action_kind_gets_no_plan(self, add):
+        sub = argparse.ArgumentParser(prog="toy")
+        sub.add_argument("model")
+        sub.add_argument("--target")
+        assert cli._plan(sub) is not None
+        add(sub)
+        assert cli._plan(sub) is None
+
+    def test_defaults_as_argparse_fills_them(self, monkeypatch):
+        parser = argparse.ArgumentParser(prog="toy")
+        sub = parser.add_subparsers(dest="command").add_parser("run")
+        sub.add_argument("-k", type=int, default="3")
+        sub.add_argument("--tag", action="append", default=["a"])
+        sub.set_defaults(func=len)
+        monkeypatch.setattr(cli, "_parser", lambda: parser)
+        monkeypatch.setattr(cli, "_plans", functools.cache(cli._plans.__wrapped__))
+        for argv in (["run"], ["run", "-k", "5"], ["run", "--tag", "b", "--tag", "c"]):
+            assert cli._take(argv) == parser.parse_args(argv)
+        assert cli._take(["run"]).k == 3 and sub.get_default("tag") == ["a"]
+
+    @settings(max_examples=300)
+    @given(mutated_requests())
+    def test_same_namespace_and_reply_as_two_parser_passes(self, tmp_path_factory, argv):
+        scratch = tmp_path_factory.mktemp("table")
+        argv = [arg.replace("TMP", str(scratch)) for arg in argv]
+        taken = cli._take(argv)
+        if taken is not None:
+            assert taken == cli._parser().parse_args(argv)
+        replies = []
+        for run in (main, _reference_main):
+            for path in scratch.iterdir():
+                path.unlink()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = run(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            written = {p.name: p.read_bytes() for p in sorted(scratch.iterdir())}
+            replies.append((code, out.getvalue(), err.getvalue(), written))
+        assert replies[0] == replies[1]
 
 
 #: SHA-256 of ``select`` output, both modes, every bundled model and ordered
