@@ -5,6 +5,10 @@ errors; a ``CausalbnError`` prints ``error: ...`` on stderr and exits
 with its type's ``exit_code`` (see ``errors``).  All numbers
 print with 12 significant digits so identical invocations produce
 byte-identical output.
+
+``_COMMANDS`` is the one description of the CLI.  ``build_parser`` builds
+from it the argparse tree that writes every help text and usage error, and
+``_take`` reads it to parse a well-formed request without argparse.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import errno
 import functools
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -295,100 +300,81 @@ def cmd_sample(args) -> int:
     return 0
 
 
+class _Arg(NamedTuple):
+    """One argument of a subcommand: an option string (``--target``,
+    ``-n``) taking one value, or a positional's name."""
+
+    name: str
+    required: bool = False
+    #: a ``str`` default needs the ``str`` type, as argparse converts it unseen
+    default: object = None
+    type: Callable[[str], object] = str
+    choices: tuple[str, ...] | None = None
+    #: each use appends its value to a copy of the list so far
+    append: bool = False
+    metavar: str | None = None
+
+
+_MODEL = _Arg("model")
+_TREATMENT = _Arg("--treatment", required=True)
+_OUTCOME = _Arg("--outcome", required=True)
+
+#: each subcommand's help text, handler and arguments, in ``--help`` order;
+#: ``build_parser`` and ``_take`` both read it
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], tuple[_Arg, ...]]] = {
+    "query": ("conditional distribution of a variable", cmd_query, (
+        _MODEL, _Arg("--target", required=True), _Arg("--given", default=""))),
+    "do": ("interventional distribution", cmd_do, (
+        _MODEL, _Arg("--target", required=True), _Arg("--do", required=True))),
+    "ace": ("average causal effect", cmd_ace, (
+        _MODEL, _TREATMENT, _OUTCOME, _Arg("--z1"), _Arg("--z0"))),
+    "adjust": ("covariate-adjusted estimate vs truth", cmd_adjust, (
+        _MODEL, _TREATMENT, _OUTCOME, _Arg("--set", default=""))),
+    "dsep": ("d-separation test (exit 0 true, 1 false)", cmd_dsep, (
+        _MODEL, _Arg("--a", required=True), _Arg("--b", required=True),
+        _Arg("--given", default=""))),
+    "backdoor": ("back-door admissibility (exit 0/1)", cmd_backdoor, (
+        _MODEL, _TREATMENT, _OUTCOME, _Arg("--set", default=""))),
+    "select": ("minimal sufficient confounder set", cmd_select, (
+        _MODEL, _TREATMENT, _OUTCOME, _Arg("--mode", default="graph", choices=("graph", "dist")))),
+    "bias": ("bias of conditioning on one covariate", cmd_bias, (
+        _MODEL, _TREATMENT, _OUTCOME, _Arg("--covariate", required=True),
+        _Arg("--z1"), _Arg("--z0"))),
+    "scan": ("exact bias scan over a parameter grid", cmd_scan, (
+        _MODEL, _Arg("--param", default=[], append=True, metavar="NAME=a:b:step"),
+        _Arg("--treatment", default="Z"), _Arg("--outcome", default="Y"),
+        _Arg("--covariate", default="X"), _Arg("--out", required=True))),
+    "decompose": ("common-cause dissection weights", cmd_decompose, (
+        _Arg("--py", required=True, type=float), _Arg("--pyp", required=True, type=float),
+        _Arg("--lo", type=float), _Arg("--hi", type=float))),
+    "corr": ("third-correlation feasibility", cmd_corr, (
+        _Arg("--r1", required=True, type=float), _Arg("--r2", required=True, type=float),
+        _Arg("--r3", type=float))),
+    "sample": ("seeded forward sampling to CSV", cmd_sample, (
+        _MODEL, _Arg("-n", required=True, type=int), _Arg("--seed", required=True, type=int),
+        _Arg("--out", required=True))),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A new argparse parser for ``_COMMANDS``; it writes every help text
+    and usage error."""
     parser = argparse.ArgumentParser(
         prog="causalbn",
         description="Exact interventional inference and confounder-bias analysis "
         "on discrete Bayesian networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("query", help="conditional distribution of a variable")
-    p.add_argument("model")
-    p.add_argument("--target", required=True)
-    p.add_argument("--given", default="")
-    p.set_defaults(func=cmd_query)
-
-    p = sub.add_parser("do", help="interventional distribution")
-    p.add_argument("model")
-    p.add_argument("--target", required=True)
-    p.add_argument("--do", required=True)
-    p.set_defaults(func=cmd_do)
-
-    p = sub.add_parser("ace", help="average causal effect")
-    p.add_argument("model")
-    p.add_argument("--treatment", required=True)
-    p.add_argument("--outcome", required=True)
-    p.add_argument("--z1")
-    p.add_argument("--z0")
-    p.set_defaults(func=cmd_ace)
-
-    p = sub.add_parser("adjust", help="covariate-adjusted estimate vs truth")
-    p.add_argument("model")
-    p.add_argument("--treatment", required=True)
-    p.add_argument("--outcome", required=True)
-    p.add_argument("--set", default="")
-    p.set_defaults(func=cmd_adjust)
-
-    p = sub.add_parser("dsep", help="d-separation test (exit 0 true, 1 false)")
-    p.add_argument("model")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--given", default="")
-    p.set_defaults(func=cmd_dsep)
-
-    p = sub.add_parser("backdoor", help="back-door admissibility (exit 0/1)")
-    p.add_argument("model")
-    p.add_argument("--treatment", required=True)
-    p.add_argument("--outcome", required=True)
-    p.add_argument("--set", default="")
-    p.set_defaults(func=cmd_backdoor)
-
-    p = sub.add_parser("select", help="minimal sufficient confounder set")
-    p.add_argument("model")
-    p.add_argument("--treatment", required=True)
-    p.add_argument("--outcome", required=True)
-    p.add_argument("--mode", choices=["graph", "dist"], default="graph")
-    p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("bias", help="bias of conditioning on one covariate")
-    p.add_argument("model")
-    p.add_argument("--treatment", required=True)
-    p.add_argument("--outcome", required=True)
-    p.add_argument("--covariate", required=True)
-    p.add_argument("--z1")
-    p.add_argument("--z0")
-    p.set_defaults(func=cmd_bias)
-
-    p = sub.add_parser("scan", help="exact bias scan over a parameter grid")
-    p.add_argument("model")
-    p.add_argument("--param", action="append", default=[], metavar="NAME=a:b:step")
-    p.add_argument("--treatment", default="Z")
-    p.add_argument("--outcome", default="Y")
-    p.add_argument("--covariate", default="X")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("decompose", help="common-cause dissection weights")
-    p.add_argument("--py", type=float, required=True)
-    p.add_argument("--pyp", type=float, required=True)
-    p.add_argument("--lo", type=float)
-    p.add_argument("--hi", type=float)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("corr", help="third-correlation feasibility")
-    p.add_argument("--r1", type=float, required=True)
-    p.add_argument("--r2", type=float, required=True)
-    p.add_argument("--r3", type=float)
-    p.set_defaults(func=cmd_corr)
-
-    p = sub.add_parser("sample", help="seeded forward sampling to CSV")
-    p.add_argument("model")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
-
+    for name, (text, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for arg in arguments:
+            # argparse refuses ``required`` for a positional, which is always required
+            options = {"required": arg.required} if arg.name[0] == "-" else {}
+            p.add_argument(
+                arg.name, action="append" if arg.append else "store", default=arg.default,
+                type=arg.type, choices=arg.choices, metavar=arg.metavar, **options,
+            )
+        p.set_defaults(func=func)
     return parser
 
 
@@ -398,93 +384,40 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-_Argument = tuple  # (action, dest, type function, choices, appends)
+#: argparse's test for a ``-``-leading argument that is a negative number
+#: (and so a value) when no option string looks like one
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-class _Plan(NamedTuple):
-    """What one subcommand parser's ``parse_known_args`` would read."""
+class _View(NamedTuple):
+    """One subcommand of ``_COMMANDS`` as ``_take`` reads it."""
 
-    #: each exact option string, and the positionals in order
-    options: dict[str, _Argument]
-    positionals: tuple[_Argument, ...]
     #: the namespace before any argument is read
     defaults: dict[str, object]
-    required: frozenset[argparse.Action]
-    #: arguments whose ``str`` default goes through their type when unseen
-    str_defaults: tuple[_Argument, ...]
-    #: argparse's test for an argument that is a negative number
-    negative: Callable[[str], object]
-
-
-def _plan(sub: argparse.ArgumentParser) -> _Plan | None:
-    """The table of ``sub``'s arguments, or None when ``sub`` has an action
-    kind the table cannot read.
-
-    The table reads stores and appends of one value each, and the help
-    action, whose option strings it leaves out so that a help request goes
-    to argparse.  A mutually exclusive group, another prefix character,
-    argument files, or an option string that a negative number could spell
-    or abbreviate (``-5``, ``-.x``) leave ``sub`` to argparse.
-    """
-    if (
-        sub._mutually_exclusive_groups
-        or sub.prefix_chars != "-"
-        or sub.fromfile_prefix_chars
-        or any(s[1:2].isdigit() or s[1:2] == "." for s in sub._option_string_actions)
-    ):
-        return None
-    arguments, defaults = {}, {}
-    for action in sub._actions:
-        kind = type(action)
-        if kind is argparse._HelpAction:
-            continue
-        if kind not in (argparse._StoreAction, argparse._AppendAction) or action.nargs is not None:
-            return None
-        convert = sub._registry_get("type", action.type, action.type)
-        arguments[action] = (
-            action, action.dest, convert, action.choices, kind is argparse._AppendAction
-        )
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-    for dest, value in sub._defaults.items():
-        defaults.setdefault(dest, value)
-    return _Plan(
-        options={s: arguments[a] for s, a in sub._option_string_actions.items() if a in arguments},
-        positionals=tuple(arg for a, arg in arguments.items() if not a.option_strings),
-        defaults=defaults,
-        required=frozenset(a for a in arguments if a.required),
-        str_defaults=tuple(arg for a, arg in arguments.items() if isinstance(a.default, str)),
-        negative=sub._negative_number_matcher.match,
-    )
+    #: (dest, argument) by exact option string, and of each positional in order
+    options: dict[str, tuple[str, _Arg]]
+    positionals: tuple[tuple[str, _Arg], ...]
+    #: the dests a request must set: required options and every positional
+    required: frozenset[str]
 
 
 @functools.cache
-def _plans() -> dict[str, _Plan]:
-    """``_plan`` of each subcommand of ``_parser()`` that has one, by name,
-    with the top-level defaults and the command name in its namespace.
-
-    A top-level parser of only its help and the subcommands hands every
-    argument after the command to that command's parser, unread by any
-    other action; any other top-level parser gets no tables.
-    """
-    parser = _parser()
-    kinds = [type(action) for action in parser._actions]
-    if parser.fromfile_prefix_chars or kinds != [argparse._HelpAction, argparse._SubParsersAction]:
-        return {}
-    command = parser._actions[1]
-    plans = {}
-    for name, sub in command.choices.items():
-        plan = _plan(sub)
-        if plan is not None:
-            top = dict(parser._defaults)
-            if command.dest is not argparse.SUPPRESS:
-                top[command.dest] = name
-            plans[name] = plan._replace(defaults={**top, **plan.defaults})
-    return plans
+def _views() -> dict[str, _View]:
+    views = {}
+    for name, (_, func, arguments) in _COMMANDS.items():
+        # the dest argparse derives from a single option string or positional
+        dests = [(arg.name.lstrip("-").replace("-", "_"), arg) for arg in arguments]
+        views[name] = _View(
+            defaults={"command": name, "func": func, **{d: a.default for d, a in dests}},
+            options={a.name: (d, a) for d, a in dests if a.name[0] == "-"},
+            positionals=tuple((d, a) for d, a in dests if a.name[0] != "-"),
+            required=frozenset(d for d, a in dests if a.required or a.name[0] != "-"),
+        )
+    return views
 
 
 def _take(argv: list[str]) -> argparse.Namespace | None:
-    """``_parser().parse_args(argv)`` read from ``_plans()`` in one pass, or
+    """``_parser().parse_args(argv)`` read from ``_views()`` in one pass, or
     None when the table does not take ``argv``.
 
     It takes a known command followed by exact option strings, each with
@@ -492,49 +425,37 @@ def _take(argv: list[str]) -> argparse.Namespace | None:
     positional may start with ``-`` only as a negative number.  Every type
     must convert and every choice must hold.  It never prints or exits.
     """
-    plan = _plans().get(argv[0]) if argv else None
-    if plan is None:
+    view = _views().get(argv[0]) if argv else None
+    if view is None:
         return None
     args = argparse.Namespace()
     values = vars(args)
-    values.update(plan.defaults)
+    values.update(view.defaults)
     seen = set()
-    positionals = iter(plan.positionals)
+    positionals = iter(view.positionals)
     tokens = iter(argv[1:])
     for token in tokens:
-        argument = plan.options.get(token)
-        if argument is not None:
+        target = view.options.get(token)
+        if target is not None:
             token = next(tokens, None)
             if token is None:
                 return None
         else:
-            argument = next(positionals, None)
-            if argument is None:
+            target = next(positionals, None)
+            if target is None:
                 return None
-        if token[:1] == "-" and not plan.negative(token):
+        if token[:1] == "-" and not _NEGATIVE.match(token):
             return None
-        action, dest, convert, choices, append = argument
+        dest, arg = target
         try:
-            value = convert(token)
+            value = arg.type(token)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-        if choices is not None and value not in choices:
+        if arg.choices is not None and value not in arg.choices:
             return None
-        if append:
-            items = argparse._copy_items(values.get(dest))
-            items.append(value)
-            value = items
-        values[dest] = value
-        seen.add(action)
-    if not plan.required <= seen:
-        return None
-    for action, dest, convert, _, _ in plan.str_defaults:
-        if action not in seen and values.get(dest) is action.default:
-            try:
-                values[dest] = convert(action.default)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return None
-    return args
+        values[dest] = [*values[dest], value] if arg.append else value
+        seen.add(dest)
+    return args if view.required <= seen else None
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -544,8 +465,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     ``-n20``, ``--``) goes to the top-level parser, which answers with the
     same bytes and exit code as always.
     """
-    args = _take(argv)
-    return args if args is not None else _parser().parse_args(argv)
+    return _take(argv) or _parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -56,6 +56,9 @@ def parse_model(text: str) -> DiscreteBayesNet:
     extra = set(doc) - {"variables", "edges", "cpts"}
     if extra:
         raise ParseError(f"unexpected top-level keys {sorted(extra)}")
+    for key in ("variables", "edges"):
+        if not isinstance(doc[key], list):
+            raise ParseError(f"{key} must be a list")
 
     variables: dict[str, Variable] = {}
     order: list[str] = []
@@ -89,7 +92,9 @@ def parse_model(text: str) -> DiscreteBayesNet:
         if not isinstance(spec, dict) or set(spec) != {"parents", "table"}:
             raise ParseError(f"cpts[{child!r}]: expected keys parents, table")
         parents = spec["parents"]
-        if not isinstance(parents, list) or not all(p in variables for p in parents):
+        if not isinstance(parents, list) or not all(
+            isinstance(p, str) and p in variables for p in parents
+        ):
             raise ParseError(f"cpts[{child!r}]: parents must name existing variables")
         n_rows = 1
         for p in parents:
@@ -107,7 +112,11 @@ def parse_model(text: str) -> DiscreteBayesNet:
             if not all(isinstance(x, (int, float)) for x in row):
                 raise ParseError(f"cpts[{child!r}]: row {r} has a non-numeric entry")
         parents_map[child] = tuple(parents)
-        cpts[child] = Cpt(child, tuple(parents), np.array(table, dtype=float))
+        try:
+            values = np.array(table, dtype=float)
+        except OverflowError:
+            raise ParseError(f"cpts[{child!r}]: an entry is too large for a float") from None
+        cpts[child] = Cpt(child, tuple(parents), values)
     for name in order:
         if name not in cpts:
             raise ParseError(f"missing CPT for variable {name!r}")
@@ -116,6 +125,8 @@ def parse_model(text: str) -> DiscreteBayesNet:
     for i, edge in enumerate(doc["edges"]):
         if not isinstance(edge, list) or len(edge) != 2:
             raise ParseError(f"edges[{i}]: expected [parent, child]")
+        if not all(isinstance(name, str) for name in edge):
+            raise ParseError(f"edges[{i}]: variable names must be strings")
         p, c = edge
         if p not in variables or c not in variables:
             raise ParseError(f"edges[{i}]: unknown variable in [{p!r}, {c!r}]")

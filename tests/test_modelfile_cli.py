@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import functools
 import hashlib
 import io
 import itertools
@@ -470,16 +469,28 @@ class TestCli:
 
 
 def _write_broken_models(tmp_path):
-    """fig1_left (X -> Z -> Y, X -> Y) with an added Y -> X edge, and with
-    Z's parent listed twice; and a file that is not UTF-8."""
+    """fig1_left (X -> Z -> Y, X -> Y) with an added Y -> X edge, with Z's
+    parent listed twice, with a number for its variables or edges, with a
+    list for an edge's child or a CPT parent, and with a table entry past
+    the float range; and a file that is not UTF-8."""
     doc = json.loads(bundled_model_text("fig1_left"))
-    cyclic = json.loads(json.dumps(doc))
-    cyclic["cpts"]["X"] = {"parents": ["Y"], "table": [[0.5, 0.5], [0.5, 0.5]]}
-    cyclic["edges"].append(["Y", "X"])
-    (tmp_path / "cyclic.model").write_text(json.dumps(cyclic), encoding="utf-8")
-    twice = json.loads(json.dumps(doc))
-    twice["cpts"]["Z"] = {"parents": ["X", "X"], "table": [[0.5, 0.5]] * 4}
-    (tmp_path / "twice.model").write_text(json.dumps(twice), encoding="utf-8")
+
+    def write(name, edit):
+        broken = json.loads(json.dumps(doc))
+        edit(broken)
+        (tmp_path / f"{name}.model").write_text(json.dumps(broken), encoding="utf-8")
+
+    def cyclic(d):
+        d["cpts"]["X"] = {"parents": ["Y"], "table": [[0.5, 0.5], [0.5, 0.5]]}
+        d["edges"].append(["Y", "X"])
+
+    write("cyclic", cyclic)
+    write("twice", lambda d: d["cpts"].update(Z={"parents": ["X", "X"], "table": [[0.5, 0.5]] * 4}))
+    write("int-variables", lambda d: d.update(variables=5))
+    write("int-edges", lambda d: d.update(edges=5))
+    write("list-child", lambda d: d["edges"].__setitem__(0, ["X", ["Z"]]))
+    write("list-parent", lambda d: d["cpts"]["Z"].update(parents=[["X"]]))
+    write("huge-entry", lambda d: d["cpts"]["X"]["table"][0].__setitem__(0, 10**400))
     (tmp_path / "latin1.model").write_bytes(json.dumps(doc).encode("utf-8") + b"\xe9")
 
 
@@ -525,6 +536,14 @@ def _write_broken_models(tmp_path):
          "grid of 1002001 cells exceeds 1000000"),
         (["scan", "modelD", "--param", "u=0:1:0.000001", "--out", "TMP/out.csv"],
          "grid of 1000001 cells exceeds 1000000"),
+        (["query", "TMP/int-variables.model", "--target", "Y"], "variables must be a list"),
+        (["query", "TMP/int-edges.model", "--target", "Y"], "edges must be a list"),
+        (["query", "TMP/list-child.model", "--target", "Y"],
+         "edges[0]: variable names must be strings"),
+        (["query", "TMP/list-parent.model", "--target", "Y"],
+         "cpts['Z']: parents must name existing variables"),
+        (["query", "TMP/huge-entry.model", "--target", "Y"],
+         "cpts['X']: an entry is too large for a float"),
         (["dsep", "fig1_left", "--a", "", "--b", "Y"], "--a names no variable"),
         (["dsep", "fig1_left", "--a", ",", "--b", "Y"], "--a names no variable"),
         (["dsep", "fig1_left", "--a", "Z", "--b", " , "], "--b names no variable"),
@@ -538,7 +557,8 @@ def _write_broken_models(tmp_path):
         "scan-outside-unit",
         "scan-repeated-param", "query-repeated-given", "do-repeated-do",
         "scan-axis-too-long", "scan-grid-too-large", "scan-axis-past-the-grid-bound",
-        "dsep-empty-a", "dsep-comma-a", "dsep-blank-b", "do-empty-do",
+        "query-int-variables", "query-int-edges", "query-list-child", "query-list-parent",
+        "query-huge-entry", "dsep-empty-a", "dsep-comma-a", "dsep-blank-b", "do-empty-do",
     ],
 )
 def test_invalid_input_exit_3_without_traceback(tmp_path, capsys, argv, message):
@@ -958,7 +978,7 @@ class TestDispatch:
             replies.append((code, captured.out, captured.err, written))
         assert replies[0] == replies[1]
 
-    def test_a_valid_request_is_parsed_once(self, monkeypatch, capsys):
+    def test_a_valid_request_is_parsed_once(self, tmp_path, monkeypatch, capsys):
         cli._parser()
         calls = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
@@ -968,13 +988,39 @@ class TestDispatch:
             return parse_known_args(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
-        assert main(["dsep", "modelB", "--a", "Z", "--b", "W", "--given", "X"]) == 1
+        negative = [
+            ["corr", "--r1", "-0.5", "--r2", "-0.3"],
+            ["decompose", "--py", "0.3", "--pyp", "0.6", "--lo", "-0.5"],
+        ]
+        for argv in WELL_FORMED + negative:
+            main([arg.replace("TMP", str(tmp_path)) for arg in argv])
         assert calls == []
         # leftovers are reported by one pass of the top-level parser
         with pytest.raises(SystemExit):
             main(["dsep", "modelB", "--a", "Z", "--b", "W", "--foo"])
         assert calls == ["causalbn", "causalbn dsep"]
         assert "causalbn: error: unrecognized arguments: --foo" in capsys.readouterr().err
+
+
+#: SHA-256 of the exit code and stdout of ``causalbn --help`` and of
+#: ``causalbn SUB --help`` for every subcommand at 80 columns, computed while
+#: ``build_parser`` still spelled out each ``add_argument`` call
+HELP_DIGEST = "08d71ab79b5656f92c2c5447c150e5d7c2daf2a0a82f50804824f1e8f0e26cfd"
+SUBCOMMANDS = [
+    "query", "do", "ace", "adjust", "dsep", "backdoor", "select", "bias", "scan",
+    "decompose", "corr", "sample",
+]
+
+
+def test_help_texts_are_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in [["--help"], *([name, "--help"] for name in SUBCOMMANDS)]:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        digest.update(f"{' '.join(argv)} {exit_.value.code}\n".encode())
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == HELP_DIGEST
 
 
 #: one well-formed request per subcommand; ``TMP`` stands for a scratch directory
@@ -1041,45 +1087,16 @@ class TestTable:
     """A request the table takes is the Namespace the top-level parser
     gives; every request gets the reply of two parser passes."""
 
-    def test_every_subcommand_has_a_plan(self):
-        subcommands = _subcommands(build_parser())
-        assert all(cli._plan(sub) is not None for sub in subcommands.values())
-        assert set(cli._plans()) == set(subcommands) == {argv[0] for argv in WELL_FORMED}
+    def test_the_table_is_the_parser(self):
+        subcommands = set(_subcommands(build_parser()))
+        assert set(cli._COMMANDS) == subcommands == {argv[0] for argv in WELL_FORMED}
         for argv in WELL_FORMED:
             assert cli._take(argv) == cli._parser().parse_args(argv) is not None
 
-    @pytest.mark.parametrize(
-        "add",
-        [
-            lambda p: p.add_argument("--flag", action="store_true"),
-            lambda p: p.add_argument("--two", nargs=2),
-            lambda p: p.add_argument("--maybe", nargs="?"),
-            lambda p: p.add_argument("rest", nargs="*"),
-            lambda p: p.add_mutually_exclusive_group().add_argument("--either"),
-            lambda p: p.add_argument("-5", dest="five"),
-            lambda p: p.add_argument("--count", action="count"),
-        ],
-        ids=["store_true", "nargs-2", "nargs-?", "nargs-*", "exclusive", "negative", "count"],
-    )
-    def test_an_unread_action_kind_gets_no_plan(self, add):
-        sub = argparse.ArgumentParser(prog="toy")
-        sub.add_argument("model")
-        sub.add_argument("--target")
-        assert cli._plan(sub) is not None
-        add(sub)
-        assert cli._plan(sub) is None
-
-    def test_defaults_as_argparse_fills_them(self, monkeypatch):
-        parser = argparse.ArgumentParser(prog="toy")
-        sub = parser.add_subparsers(dest="command").add_parser("run")
-        sub.add_argument("-k", type=int, default="3")
-        sub.add_argument("--tag", action="append", default=["a"])
-        sub.set_defaults(func=len)
-        monkeypatch.setattr(cli, "_parser", lambda: parser)
-        monkeypatch.setattr(cli, "_plans", functools.cache(cli._plans.__wrapped__))
-        for argv in (["run"], ["run", "-k", "5"], ["run", "--tag", "b", "--tag", "c"]):
-            assert cli._take(argv) == parser.parse_args(argv)
-        assert cli._take(["run"]).k == 3 and sub.get_default("tag") == ["a"]
+    def test_negative_numbers_as_argparse_reads_them(self):
+        # a private read, so that an interpreter with another rule fails here
+        matcher = argparse.ArgumentParser()._negative_number_matcher
+        assert cli._NEGATIVE.pattern == matcher.pattern
 
     @settings(max_examples=300)
     @given(mutated_requests())
