@@ -5,9 +5,10 @@ variables a request needs, slices each CPT at the evidence and
 contracts what is left in one ``np.einsum`` call, guarded by a cap on
 the configurations that call iterates over.  A network is compiled once,
 when it is built: it keeps each node's cardinality and each CPT as a cube
-over ``(*parents, child)``, and ``joint`` keeps the read-only tables it
-has contracted for reuse.  Probabilities live in numpy arrays with one
-axis per variable, first scope variable slowest (C order).
+over ``(*parents, child)``, and one store (``_Tables``) of the read-only
+tables ``joint`` has contracted and of the answers estimators built on
+them.  Probabilities live in numpy arrays with one axis per variable,
+first scope variable slowest (C order).
 """
 
 from __future__ import annotations
@@ -39,15 +40,15 @@ ARITH_TOL = 1e-12
 #: cap on the configurations one ``joint`` call iterates over, read at
 #: call time
 DEFAULT_SIZE_CAP = 2**24
-#: float64 entries of contracted tables one network keeps for ``joint`` to
-#: reuse, each charged for its Python objects too (``_charge``); a table
-#: charged more is not kept
+#: float64 entries of tables and answers one network keeps for reuse, each
+#: charged for its Python objects too (``_charge``); an answer charged more
+#: is not kept
 JOINT_CACHE_ENTRIES = 2**16
-#: entries charged to each kept table for its Factor, array, tuples and
-#: store slot; ``_charge`` adds its key's sets and pairs.  Over 24-200 kept
-#: one-entry tables of a 12-node chain, tracemalloc read 760-910 bytes per
-#: table with 1-4 evidence pairs and 1420-1850 with 5-12, against charges
-#: of 1048-1216 and 1784-2176 bytes
+#: entries charged to each kept answer for its Factor, array, tuples and
+#: store slot; ``_charge`` adds what it holds and its key's sets and
+#: pairs.  Over 24-200 kept one-entry tables of a 12-node chain,
+#: tracemalloc read 760-910 bytes per table with 1-4 evidence pairs and
+#: 1420-1850 with 5-12, against charges of 1048-1216 and 1784-2176 bytes
 _TABLE_OVERHEAD = 96
 #: rows rendered per chunk by ``Dataset.to_csv``
 _CSV_CHUNK_ROWS = 1 << 17
@@ -93,8 +94,8 @@ class DiscreteBayesNet:
     ``variables`` and ``cpts`` are read-only views of private copies, so a
     built network stays valid and can be shared.  Building it also stores
     each node's cardinality, each CPT as a read-only cube over
-    ``(*parents, child)``, and an empty store of the tables ``joint``
-    contracts.
+    ``(*parents, child)``, and an empty store of the tables and answers it
+    keeps (``_Tables``).
     """
 
     dag: Dag
@@ -273,6 +274,17 @@ def _items(assignment: Mapping[str, str]) -> frozenset:
     return frozenset(assignment.items()) if assignment else _NO_ITEMS
 
 
+def _pairs(assignment: Mapping[str, str]) -> tuple:
+    """The assignment's (name, state) pairs, sorted: an estimator's key
+    part, which costs a quarter of a set's bytes."""
+    return tuple(sorted(assignment.items()))
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
 def joint(
     net: DiscreteBayesNet,
     do: Mapping[str, str] | None = None,
@@ -297,20 +309,42 @@ def joint(
     left free by that slicing, which is the space the call iterates over.
 
     The network keeps the table of each distinct ``(keep, do, evidence)``
-    request, up to ``JOINT_CACHE_ENTRIES`` entries, and a repeated request
-    returns the kept Factor.  Its values are therefore read-only; copy them
-    to modify them.  The size cap is checked on every call, kept or not.
+    request (see ``_Tables``), and a repeated request returns the kept
+    Factor.  Its values are therefore read-only; copy them to modify them.
+    The size cap is checked on every call, kept or not.
     """
+    return _joint(net, do or {}, keep, evidence or {})[1]
+
+
+def _joint(
+    net: DiscreteBayesNet,
+    do: Mapping[str, str],
+    keep: Iterable[str] | None,
+    evidence: Mapping[str, str],
+) -> tuple[int, Factor]:
+    """``joint``'s (configurations, table), kept by the network.
+
+    An estimator reads its table here when one table serves several of
+    its answers: the full joint, or the table over a selection pool with
+    both endpoints, whatever their roles.  The others contract theirs with
+    ``_contract``: it serves only their own answer, which the network
+    keeps instead.
+    """
+    keep = frozenset(net.dag.nodes if keep is None else keep) or _NO_ITEMS
+    key = (keep, _items(do), _items(evidence))
+    return net._tables.answer(key, _contract, net, do, keep, evidence)
+
+
+def _contract(
+    net: DiscreteBayesNet,
+    do: Mapping[str, str],
+    keep: frozenset,
+    evidence: Mapping[str, str],
+) -> tuple[int, Factor]:
+    """``joint``'s table, contracted, with the configurations it iterated."""
     nodes = net.dag.nodes
-    do, evidence = do or {}, evidence or {}
     point_at = {n: net.state_index(n, state) for n, state in do.items()}
     fixed = {n: net.state_index(n, state) for n, state in evidence.items()}
-    keep = frozenset(nodes if keep is None else keep) or _NO_ITEMS
-    key = (keep, _items(do), _items(evidence))
-    kept = net._tables.get(key)
-    if kept is not None:
-        _check_size(kept[0])
-        return kept[1]
     unknown = keep - net.variables.keys()
     if unknown:
         raise UnknownVariable(f"unknown variable {min(unknown)!r}")
@@ -355,9 +389,8 @@ def joint(
     out = tuple(n for n in free if n in keep)
     values = np.einsum(*operands, [label[n] for n in out], optimize=False)
     factor = Factor(out, tuple(net.variables[n].states for n in out), values)
-    factor.values.flags.writeable = False
-    net._tables.put(key, total, factor)
-    return factor
+    _read_only(factor.values)
+    return total, factor
 
 
 def _check_size(configurations: int) -> None:
@@ -367,13 +400,17 @@ def _check_size(configurations: int) -> None:
 
 
 class _Tables(dict):
-    """The tables ``joint`` contracted for one network, oldest first.
+    """The answers one network keeps, oldest first: the tables ``joint``
+    contracts and the answers of the estimators built on them.
 
-    Each request key (a tuple of sets) maps to (free configurations,
-    Factor).  Each kept table is charged ``_charge`` in ``entries``, at
-    most ``JOINT_CACHE_ENTRIES``: the oldest go first to make room, and a
-    table charged more is not kept.  ``put`` holds a lock, so
-    threads that store at once neither raise nor miscount.
+    Each key maps to (configurations, answer): the configurations of the
+    contraction the answer read (0 if it read none), and the answer.
+    Since a network never changes, a kept answer stays right; ``answer``
+    returns it again while ``DEFAULT_SIZE_CAP`` admits its configurations,
+    and a request that raises keeps nothing.  Each kept answer is charged
+    ``_charge`` in ``entries``, at most ``JOINT_CACHE_ENTRIES``: the oldest
+    go first to make room, and an answer charged more is not kept.  ``put``
+    holds a lock, so threads that store at once neither raise nor miscount.
     """
 
     def __init__(self):
@@ -381,28 +418,52 @@ class _Tables(dict):
         self.entries = 0
         self._lock = threading.Lock()
 
-    def put(self, key: tuple, configurations: int, factor: Factor) -> None:
-        size = _charge(key, factor)
+    def answer(self, key: tuple, compute, *args) -> tuple[int, object]:
+        """The kept (configurations, answer) of ``key``, or
+        ``compute(*args)``'s, kept."""
+        kept = self.get(key)
+        if kept is None:
+            kept = compute(*args)
+            self.put(key, *kept)
+        else:
+            _check_size(kept[0])
+        return kept
+
+    def put(self, key: tuple, configurations: int, answer) -> None:
+        size = _charge(key, answer)
         if size > JOINT_CACHE_ENTRIES:
             return
+        kept = (configurations, answer)
         with self._lock:
-            if key in self:
+            if self.setdefault(key, kept) is not kept:
                 return
-            self[key] = (configurations, factor)
             self.entries += size
             while self.entries > JOINT_CACHE_ENTRIES:
                 old = next(iter(self))
                 self.entries -= _charge(old, self.pop(old)[1])
 
 
-def _charge(key: tuple, factor: Factor) -> int:
-    """Entries a kept table is charged: its size, ``_TABLE_OVERHEAD``, and
-    the bytes of its key's nonempty sets and of the (name, state) pairs they
-    hold, as ``sys.getsizeof`` counts them, in float64 entries."""
-    _, do, evidence = key
-    held = sum(sys.getsizeof(part) for part in key if part)
-    held += sum(map(sys.getsizeof, (*do, *evidence)))
-    return factor.values.size + _TABLE_OVERHEAD + held // 8
+def _charge(key: tuple, answer) -> int:
+    """Entries a kept answer is charged: ``_TABLE_OVERHEAD``, which covers
+    the Python objects of a Factor or an array, and, in float64 entries, the
+    bytes of its array data (or what ``sys.getsizeof`` counts for any other
+    answer: a float, or a result that counts its own records), of its key's
+    nonempty sets and tuples and of the (name, state) pairs they hold."""
+    if isinstance(answer, Factor):
+        held = answer.values.nbytes
+    elif isinstance(answer, np.ndarray):
+        held = answer.nbytes
+    else:
+        held = sys.getsizeof(answer)
+    for part in key:
+        if type(part) in (frozenset, tuple) and part:
+            held += sys.getsizeof(part)
+            # a part holds names or (name, state) pairs, never both, and
+            # every pair is a tuple of one size
+            first = next(iter(part))
+            if type(first) is tuple:
+                held += len(part) * sys.getsizeof(first)
+    return _TABLE_OVERHEAD + held // 8
 
 
 def query(
@@ -410,13 +471,26 @@ def query(
     targets: Iterable[str],
     evidence: Mapping[str, str] | None = None,
 ) -> Factor:
-    """Conditional distribution of ``targets`` given ``evidence``."""
-    evidence = dict(evidence or {})
-    f = joint(net, keep=targets, evidence=evidence)
+    """Conditional distribution of ``targets`` given ``evidence``.
+
+    The network keeps the answer, so its values are read-only.
+    """
+    evidence = evidence or {}
+    targets = frozenset(targets)
+    key = ("query", tuple(sorted(targets)), _pairs(evidence))
+    return net._tables.answer(key, _query, net, targets, evidence)[1]
+
+
+def _query(
+    net: DiscreteBayesNet, targets: frozenset, evidence: Mapping[str, str]
+) -> tuple[int, Factor]:
+    configurations, f = _contract(net, {}, targets, evidence)
     total = f.values.sum()
     if total <= 0:
-        raise ZeroProbabilityEvidence(f"evidence {evidence} has probability 0")
-    return Factor(f.scope, f.states, f.values / total)
+        raise ZeroProbabilityEvidence(f"evidence {dict(evidence)} has probability 0")
+    answer = Factor(f.scope, f.states, f.values / total)
+    _read_only(answer.values)
+    return configurations, answer
 
 
 @dataclass(frozen=True)

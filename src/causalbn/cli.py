@@ -31,9 +31,10 @@ from .graph import backdoor_admissible, d_separated
 from .intervention import (
     _adjusted_values,
     _do_values,
+    _expected,
+    _outcome_values,
     ace,
     conditioning_bias,
-    effect_report,
     interventional_distribution,
     select_sufficient_confounders,
 )
@@ -177,9 +178,12 @@ def cmd_bias(args) -> int:
     value = conditioning_bias(
         net, args.treatment, args.outcome, args.covariate, args.z1, args.z0
     )
-    rep = effect_report(net, args.treatment, args.outcome, [args.covariate])
-    for level, adjusted, truth in zip(rep.levels, rep.adjusted, rep.truth):
-        print(f"per-level error at {args.treatment}={level}: {_fmt(adjusted - truth)}")
+    vals = _outcome_values(net, args.outcome)
+    adj = _adjusted_values(net, args.treatment, args.outcome, [args.covariate])
+    for level, row in zip(net.states(args.treatment), adj):
+        truth = _do_values(net, args.outcome, {args.treatment: level})
+        error = _expected(vals, row) - _expected(vals, truth)
+        print(f"per-level error at {args.treatment}={level}: {_fmt(error)}")
     print(f"bias: {_fmt(value)}")
     return 0
 

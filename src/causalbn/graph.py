@@ -81,7 +81,8 @@ def topological_order(dag: Dag) -> list[str]:
     """Kahn's algorithm with declaration-order tie-breaking.
 
     The ready set is a heap of declaration indices.  Raises CycleError if
-    the graph has a directed cycle.
+    the graph has a directed cycle, naming in declaration order the nodes
+    that lie on one.
     """
     index = {n: i for i, n in enumerate(dag.nodes)}
     indegree = [len(dag.parents[n]) for n in dag.nodes]
@@ -98,9 +99,23 @@ def topological_order(dag: Dag) -> list[str]:
                 heapq.heappush(ready, i)
     if len(order) != len(dag.nodes):
         done = set(order)
-        remaining = [n for n in dag.nodes if n not in done]
-        raise CycleError(f"no topological order; cycle among {remaining}")
+        on_cycle = [n for n in dag.nodes if n not in done and _returns(children, n)]
+        raise CycleError(f"no topological order; cycle among {on_cycle}")
     return order
+
+
+def _returns(children: Mapping[str, tuple[str, ...]], node: str) -> bool:
+    """Whether a directed path leads from ``node`` back to it."""
+    seen: set[str] = set()
+    stack = list(children[node])
+    while stack:
+        n = stack.pop()
+        if n == node:
+            return True
+        if n not in seen:
+            seen.add(n)
+            stack.extend(children[n])
+    return False
 
 
 def ancestors(dag: Dag, nodes: Iterable[str]) -> set[str]:
@@ -142,6 +157,18 @@ def d_separated(dag: Dag, a: Iterable[str], b: Iterable[str], s: Iterable[str] =
     dag._check_nodes(a | b | s)
     if a & b or a & s or b & s:
         raise ValueError("a, b, s must be pairwise disjoint")
+    return _sweep(dag, a, b, s)
+
+
+def _sweep(dag: Dag, a: set, b: set, s: set, cut: str | None = None) -> bool:
+    """``d_separated`` on checked sets, in the graph without the edges out
+    of ``cut``.
+
+    ``cut`` must be in ``a`` and have no descendant in ``s``.  Then the
+    edges left out change no ancestor of ``s``, and walking one of them up
+    into ``cut`` only reaches a start again, so the sweep need only not
+    walk them down.
+    """
     children = dag.children_map()
     anc_s = ancestors(dag, s) | s
 
@@ -156,14 +183,15 @@ def d_separated(dag: Dag, a: Iterable[str], b: Iterable[str], s: Iterable[str] =
         visited.add((node, direction))
         if node not in s and node in b:
             return False
+        below = () if node == cut else children[node]
         if direction == "up" and node not in s:
             for p in dag.parents[node]:
                 queue.append((p, "up"))
-            for c in children[node]:
+            for c in below:
                 queue.append((c, "down"))
         elif direction == "down":
             if node not in s:
-                for c in children[node]:
+                for c in below:
                     queue.append((c, "down"))
             if node in anc_s:
                 for p in dag.parents[node]:
@@ -182,14 +210,7 @@ def backdoor_admissible(dag: Dag, treatment: str, outcome: str, s: Iterable[str]
         raise ValueError("adjustment set must exclude treatment and outcome")
     if s & descendants(dag, treatment):
         return False
-    # removing the treatment's outgoing edges leaves exactly the
-    # back-door paths, so plain d-separation decides blocking
-    trimmed = Dag(
-        dag.nodes,
-        {
-            n: tuple(p for p in dag.parents[n] if p != treatment)
-            for n in dag.nodes
-        },
-    )
-    return d_separated(trimmed, {treatment}, {outcome}, s)
+    # without the treatment's outgoing edges only the back-door paths are
+    # left, so d-separation there decides blocking
+    return _sweep(dag, {treatment}, {outcome}, s, cut=treatment)
 

@@ -5,18 +5,30 @@ Interventional distributions come from the truncated factorization
 of that sit the adjustment estimator, the unadjusted conditional, the
 conditioning-bias expression, and the two-stage sufficient-confounder
 selection.  The estimators keep their intermediate tables as arrays; the
-public functions wrap their results in validated Factors.
+public functions wrap their results in validated Factors.  A network keeps
+each estimator's answer in its store (``bayesnet._Tables``), so a repeated
+request is one lookup; kept arrays are read-only.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import DiscreteBayesNet, Factor, _condition, _marginal, joint
+from .bayesnet import (
+    DiscreteBayesNet,
+    Factor,
+    _condition,
+    _contract,
+    _joint,
+    _marginal,
+    _pairs,
+    _read_only,
+)
 from .errors import (
     PositivityViolation,
     SizeCapExceeded,
@@ -43,11 +55,18 @@ def interventional_distribution(
 
 
 def _do_values(net: DiscreteBayesNet, target: str, do: Mapping[str, str]) -> np.ndarray:
-    """``interventional_distribution``'s values, over the target's states."""
+    """``interventional_distribution``'s values, over the target's states;
+    the network keeps them."""
+    return net._tables.answer(("do", target, _pairs(do)), _intervened, net, target, do)[1]
+
+
+def _intervened(
+    net: DiscreteBayesNet, target: str, do: Mapping[str, str]
+) -> tuple[int, np.ndarray]:
     if target in do:
         raise ValueError("target cannot be intervened on")
-    values = joint(net, do, keep={target}).values
-    return values / values.sum()
+    configurations, f = _contract(net, do, frozenset({target}), {})
+    return configurations, _read_only(f.values / f.values.sum())
 
 
 def _distinct(**roles: str) -> None:
@@ -119,15 +138,23 @@ def adjusted_estimate(
 
 def _adjusted_values(
     net: DiscreteBayesNet, treatment: str, outcome: str, s: Iterable[str]
-) -> list[np.ndarray]:
-    """``adjusted_estimate``'s values, one row per treatment state."""
+) -> np.ndarray:
+    """``adjusted_estimate``'s values, one row per treatment state; the
+    network keeps them."""
+    s = frozenset(s)
+    key = ("adjusted", treatment, outcome, tuple(sorted(s)))
+    return net._tables.answer(key, _adjusted, net, treatment, outcome, s)[1]
+
+
+def _adjusted(
+    net: DiscreteBayesNet, treatment: str, outcome: str, s_set: frozenset
+) -> tuple[int, np.ndarray]:
     _distinct(treatment=treatment, outcome=outcome)
-    s = set(s)
-    if treatment in s or outcome in s:
+    if treatment in s_set or outcome in s_set:
         raise ValueError("adjustment set must exclude treatment and outcome")
     # the kernel rejects unknown names; its scope is in declaration order
-    f = joint(net, keep={treatment, outcome, *s})
-    s = [v for v in f.scope if v in s]
+    configurations, f = _contract(net, {}, frozenset({treatment, outcome, *s_set}), {})
+    s = [v for v in f.scope if v in s_set]
     # cond[z, s..., y] = p(y | z, s) and p_zs[z, s...] = p(z, s)
     cond, p_zs = f.conditional([outcome], [treatment, *s])
     p_s = p_zs.sum(axis=0)  # (s...)
@@ -143,7 +170,7 @@ def _adjusted_values(
     sum_axes = tuple(range(1, 1 + len(s)))
     weighted = cond * p_s[None, ..., None] if s else cond
     dist = weighted.sum(axis=sum_axes) if s else weighted
-    return [acc / acc.sum() for acc in dist]
+    return configurations, _read_only(dist / dist.sum(axis=1, keepdims=True))
 
 
 def unadjusted_estimate(
@@ -158,10 +185,18 @@ def unadjusted_estimate(
 
 def _unadjusted_values(
     net: DiscreteBayesNet, treatment: str, outcome: str
-) -> list[np.ndarray]:
-    """``unadjusted_estimate``'s values, one row per treatment state."""
+) -> np.ndarray:
+    """``unadjusted_estimate``'s values, one row per treatment state; the
+    network keeps them."""
+    key = ("unadjusted", treatment, outcome)
+    return net._tables.answer(key, _unadjusted, net, treatment, outcome)[1]
+
+
+def _unadjusted(
+    net: DiscreteBayesNet, treatment: str, outcome: str
+) -> tuple[int, np.ndarray]:
     levels = net.states(treatment)
-    full = joint(net)
+    configurations, full = _joint(net, {}, None, {})
     rows = []
     for level in levels:
         try:
@@ -171,7 +206,7 @@ def _unadjusted_values(
                 f"p({treatment}={level}) = 0; conditional undefined"
             ) from None
         rows.append(_marginal(scope, values, {outcome})[1])
-    return rows
+    return configurations, _read_only(np.array(rows))
 
 
 def conditioning_bias(
@@ -189,12 +224,26 @@ def conditioning_bias(
     ace(adjusted by {x}) - ace(unadjusted); kept as a separate code path
     so the two can be cross-checked; it therefore slices and renormalises
     the joint (as ``Factor.condition`` does) rather than reading
-    ``Factor.conditional``.
+    ``Factor.conditional``.  The network keeps the answer.
     """
+    key = ("bias", treatment, outcome, x, level1, level0)
+    return net._tables.answer(
+        key, _bias, net, treatment, outcome, x, level1, level0
+    )[1]
+
+
+def _bias(
+    net: DiscreteBayesNet,
+    treatment: str,
+    outcome: str,
+    x: str,
+    level1: str | None,
+    level0: str | None,
+) -> tuple[int, float]:
     _distinct(treatment=treatment, outcome=outcome, covariate=x)
     level1, level0 = _levels(net, treatment, level1, level0)
     y_vals = _outcome_values(net, outcome)
-    full = joint(net)
+    configurations, full = _joint(net, {}, None, {})
     scope, states, values = full.scope, full.states, full.values
     _, p_x = _marginal(scope, values, {x})
     zx_scope, p_zx = _marginal(scope, values, {treatment, x})
@@ -222,38 +271,51 @@ def conditioning_bias(
             term += float(np.dot(y_vals, p_y)) * geom_weight
         return term
 
-    return level_term(level1) - level_term(level0)
+    return configurations, level_term(level1) - level_term(level0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditRecord:
     stage: int
     subset: tuple[str, ...]
     verdict: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectionResult:
     chosen: tuple[str, ...]
     pool: tuple[str, ...]
     stage1: tuple[str, ...]
     audit: tuple[AuditRecord, ...]
 
+    def __sizeof__(self) -> int:
+        """Bytes of the result with its tuples and audit records; the names
+        they hold are the network's."""
+        held = (self.chosen, self.pool, self.stage1, self.audit, *self.audit)
+        subsets = (record.subset for record in self.audit)
+        return object.__sizeof__(self) + sum(map(sys.getsizeof, (*held, *subsets)))
+
 
 def _subsets_smallest_first(
     net: DiscreteBayesNet, pool: Sequence[str]
-) -> list[tuple[str, ...]]:
-    """All subsets ordered by total state count, ties lexicographic on names."""
+) -> Iterator[tuple[str, ...]]:
+    """Every subset of ``pool``, each in pool order, yielded by total state
+    count, ties lexicographic on the sorted names.
 
-    def key(sub: tuple[str, ...]):
-        return (sum(net.card(v) for v in sub), tuple(sorted(sub)))
-
-    subs = [
-        combo
-        for r in range(len(pool) + 1)
-        for combo in itertools.combinations(pool, r)
-    ]
-    return sorted(subs, key=key)
+    The subsets come lazily from a heap keyed by (state count, sorted
+    names).  Each is pushed by the subset without its last name in sorted
+    order, which has a smaller state count, so it is pushed before its
+    turn and exactly once.
+    """
+    names = sorted(pool)
+    position = {v: i for i, v in enumerate(pool)}
+    # (state count, sorted names, index in ``names`` of the last name)
+    heap: list[tuple[int, tuple[str, ...], int]] = [(0, (), -1)]
+    while heap:
+        count, sub, last = heapq.heappop(heap)
+        yield tuple(sorted(sub, key=position.__getitem__))
+        for j in range(last + 1, len(names)):
+            heapq.heappush(heap, (count + net.card(names[j]), (*sub, names[j]), j))
 
 
 def _conditional_equal(
@@ -303,8 +365,16 @@ def select_sufficient_confounders(
 
     Modes: 'graphical' decides each equality by d-separation;
     'distributional' compares conditionals on the exact joint to
-    ``SELECTION_TOL``.
+    ``SELECTION_TOL``.  The network keeps the answer for the pool cap and
+    tolerance it was found under.
     """
+    key = ("select", treatment, outcome, mode, SELECTION_POOL_CAP, SELECTION_TOL)
+    return net._tables.answer(key, _select, net, treatment, outcome, mode)[1]
+
+
+def _select(
+    net: DiscreteBayesNet, treatment: str, outcome: str, mode: str
+) -> tuple[int, SelectionResult]:
     _distinct(treatment=treatment, outcome=outcome)
     if mode not in ("graphical", "distributional"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -317,11 +387,11 @@ def select_sufficient_confounders(
         )
 
     # one table over the pool and both endpoints serves every equality
-    # test; an empty pool needs none
-    full = (
-        joint(net, keep={treatment, outcome, *pool})
+    # test; an empty pool needs none, and reads no contraction
+    configurations, full = (
+        _joint(net, {}, {treatment, outcome, *pool}, {})
         if mode == "distributional" and pool
-        else None
+        else (0, None)
     )
     audit: list[AuditRecord] = []
 
@@ -353,7 +423,7 @@ def select_sufficient_confounders(
     stage1 = smallest_equal(1, outcome, (treatment,), pool)
     # stage 2: smallest X with P(treatment | X') preserved
     chosen = smallest_equal(2, treatment, (), stage1)
-    return SelectionResult(chosen, pool, stage1, tuple(audit))
+    return configurations, SelectionResult(chosen, pool, stage1, tuple(audit))
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,8 @@ def parse_model(text: str) -> DiscreteBayesNet:
         for r, row in enumerate(table):
             if not isinstance(row, list) or len(row) != width:
                 raise ParseError(f"cpts[{child!r}]: row {r} must have {width} entries")
-            if not all(isinstance(x, (int, float)) for x in row):
+            # a JSON true or false is a bool, which is an int to isinstance
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
                 raise ParseError(f"cpts[{child!r}]: row {r} has a non-numeric entry")
         parents_map[child] = tuple(parents)
         try:

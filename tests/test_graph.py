@@ -1,5 +1,6 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from causalbn.graph import (
 )
 from causalbn.bayesnet import joint
 
-from oracles import d_separated_paths, has_cycle_dfs, random_cpts
+from oracles import d_separated_paths, has_cycle_dfs, random_cpts, random_net
 
 M_STRUCTURE = Dag.from_edges(
     ("U", "W", "X", "Z", "Y"),
@@ -43,15 +44,21 @@ def random_dag(rng, n_nodes, p_edge=0.4):
 def kahn_reference(nodes, parents):
     """Plain Kahn's algorithm: always take the earliest-declared ready node.
 
-    Returns the order, or the CycleError message when there is none.
+    Returns the order, or the CycleError message when there is none: it
+    names, in declaration order, the nodes that networkx finds on a
+    directed cycle (in a strongly connected component of two or more
+    nodes, or with a loop to themselves).
     """
     indegree = {n: len(parents[n]) for n in nodes}
     order = []
     while len(order) < len(nodes):
         ready = [n for n in nodes if indegree[n] == 0 and n not in order]
         if not ready:
-            remaining = [n for n in nodes if n not in order]
-            return f"no topological order; cycle among {remaining}"
+            g = nx.DiGraph([(p, c) for c in nodes for p in parents[c]])
+            cyclic = {n for comp in nx.strongly_connected_components(g) if len(comp) > 1
+                      for n in comp} | set(nx.nodes_with_selfloops(g))
+            on_cycle = [n for n in nodes if n in cyclic]
+            return f"no topological order; cycle among {on_cycle}"
         order.append(ready[0])
         for c in nodes:
             indegree[c] -= parents[c].count(ready[0])
@@ -203,6 +210,27 @@ class TestBackdoor:
     def test_treatment_in_set_rejected(self):
         with pytest.raises(ValueError):
             backdoor_admissible(FIG1_LEFT, "Z", "Y", {"Z"})
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_d_separation_on_the_trimmed_graph(self, seed):
+        """The criterion as its definition reads: no descendant of the
+        treatment in ``s``, and ``s`` d-separates treatment and outcome once
+        the treatment's outgoing edges are removed, checked by path
+        enumeration and by networkx."""
+        rng = np.random.default_rng(seed)
+        dag = random_net(rng, int(rng.integers(2, 8))).dag
+        treatment, outcome, *others = rng.permutation(dag.nodes).tolist()
+        s = set(others[: int(rng.integers(0, len(others) + 1))])
+        trimmed = Dag.from_edges(dag.nodes, [(p, c) for p, c in dag.edges() if p != treatment])
+        g = nx.DiGraph(trimmed.edges())
+        g.add_nodes_from(dag.nodes)
+        if s & descendants(dag, treatment):
+            expected = False
+        else:
+            expected = d_separated_paths(trimmed, {treatment}, {outcome}, s)
+            assert expected == nx.is_d_separator(g, {treatment}, {outcome}, s)
+        assert backdoor_admissible(dag, treatment, outcome, s) == expected
 
 
 def test_descendants():

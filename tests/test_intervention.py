@@ -1,17 +1,25 @@
+import dataclasses
+import gc
 import itertools
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalbn import intervention, latent
+from causalbn import bayesnet, intervention, latent
 from causalbn.bayesnet import Cpt, DiscreteBayesNet, Factor, Variable, joint, query
 from causalbn.errors import PositivityViolation, SizeCapExceeded, UnknownVariable
 from causalbn.graph import Dag, backdoor_admissible
 from causalbn.intervention import (
     SELECTION_TOL,
+    _adjusted_values,
     _conditional_equal,
+    _do_values,
+    _subsets_smallest_first,
+    _unadjusted_values,
     ace,
     adjusted_estimate,
     conditioning_bias,
@@ -21,13 +29,14 @@ from causalbn.intervention import (
     unadjusted_estimate,
 )
 from causalbn.latent import scan_parameters, with_parameters
-from causalbn.modelfile import load_model
+from causalbn.modelfile import load_model, parse_model, serialize_model
 
 import oracles
 from oracles import (
     brute_do,
     brute_query,
     brute_truncated_joint,
+    chain,
     random_cpts,
     random_net,
     select_distributional,
@@ -301,6 +310,20 @@ class TestSelection:
         assert (got.chosen, got.pool, got.stage1) == (chosen, pool, stage1)
         assert [(r.stage, r.subset, r.verdict) for r in got.audit] == audit
 
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_subsets_come_in_sorted_order(self, seed):
+        """The lazy order is ``sorted`` over every subset by (state count,
+        sorted names), on pools of binary and ternary variables in any
+        order; each subset lists its names in pool order."""
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, int(rng.integers(1, 10)), max_card=3)
+        nodes = rng.permutation(net.dag.nodes).tolist()
+        pool = nodes[: int(rng.integers(0, len(nodes) + 1))]
+        every = [c for r in range(len(pool) + 1) for c in itertools.combinations(pool, r)]
+        expected = sorted(every, key=lambda sub: (sum(map(net.card, sub)), sorted(sub)))
+        assert list(_subsets_smallest_first(net, pool)) == expected
+
     def test_pool_cap(self):
         names = tuple(f"C{i}" for i in range(13)) + ("Z", "Y")
         dag = Dag(names, {n: () for n in names})
@@ -511,3 +534,187 @@ class TestArrayIntermediates:
     def test_each_error_matches_the_factor_chain(self, t, o, x, s, level1, name, error):
         kind, (_, message) = self.check_all(zero_net(), t, o, x, s, level1, None)[name]
         assert kind == "raised" and error in message
+
+
+def random_requests(rng, net, n):
+    """``n`` calls of public estimators that share most arguments: each
+    redraws one argument of a common draw, and picks its estimator, so that
+    two requests often differ in one argument only.  Names may be unknown
+    or repeated and levels unknown, so that error paths are asked too."""
+    nodes = list(net.dag.nodes)
+
+    def name():
+        return str(rng.choice([*nodes, "Q"]))
+
+    def level():
+        return None if rng.random() < 0.3 else str(rng.choice(["0", "1", "2", "7"]))
+
+    def assignment():
+        return {v: str(rng.integers(2)) for v in nodes if rng.random() < 0.3}
+
+    draws = {
+        "t": name, "o": name, "x": name, "z1": level, "z0": level,
+        "s": lambda: [v for v in nodes if rng.random() < 0.3],
+        "given": assignment, "do": assignment,
+        "mode": lambda: str(rng.choice(["graphical", "distributional"])),
+    }
+    estimators = [
+        lambda n, a: query(n, [a["o"]], a["given"]),
+        lambda n, a: interventional_distribution(n, a["o"], a["do"]),
+        lambda n, a: ace(n, a["t"], a["o"], a["z1"], a["z0"]),
+        lambda n, a: adjusted_estimate(n, a["t"], a["o"], a["s"]),
+        lambda n, a: unadjusted_estimate(n, a["t"], a["o"]),
+        lambda n, a: conditioning_bias(n, a["t"], a["o"], a["x"], a["z1"], a["z0"]),
+        lambda n, a: effect_report(n, a["t"], a["o"], a["s"]),
+        lambda n, a: select_sufficient_confounders(n, a["t"], a["o"], a["mode"]),
+    ]
+    common = {k: draw() for k, draw in draws.items()}
+    requests = []
+    for _ in range(n):
+        redrawn = str(rng.choice(list(draws)))
+        args = {**common, redrawn: draws[redrawn]()}
+        estimator = estimators[int(rng.integers(len(estimators)))]
+        requests.append(lambda net, args=args, estimator=estimator: estimator(net, args))
+    return requests
+
+
+class TestKeptAnswers:
+    """A network keeps each estimator's answer and returns it again."""
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_kept_answers_equal_fresh_answers(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, int(rng.integers(2, 7)), zero_frac=0.3)
+        text = serialize_model(net)
+        requests = random_requests(rng, net, 8)
+        # every request twice, interleaved, so a kept answer given to another
+        # request shows
+        for request in requests + requests[::-1]:
+            got = outcome_of(lambda: request(net))
+            assert_same(got, outcome_of(lambda: request(parse_model(text))))
+
+    def test_each_mode_keeps_its_own_selection(self):
+        """Y ignores its parent X, so only the distributional rule drops X;
+        asked twice, in both orders, each mode still gets its own answer."""
+        parents = {"X": (), "Z": ("X",), "Y": ("X", "Z")}
+        tables = {
+            "X": [[0.4, 0.6]],
+            "Z": [[0.7, 0.3], [0.2, 0.8]],
+            "Y": [[0.9, 0.1], [0.3, 0.7], [0.9, 0.1], [0.3, 0.7]],
+        }
+        net = DiscreteBayesNet(
+            Dag(tuple(parents), parents),
+            {n: Variable(n, ("0", "1")) for n in parents},
+            {n: Cpt(n, parents[n], tables[n]) for n in parents},
+        )
+        for modes in (("graphical", "distributional"), ("distributional", "graphical")) * 2:
+            chosen = {m: select_sufficient_confounders(net, "Z", "Y", m).chosen for m in modes}
+            assert chosen == {"graphical": ("X",), "distributional": ()}
+
+    def test_kept_answers_are_read_only(self):
+        net = parse_model(serialize_model(load_model("modelD")))
+        for _ in range(2):
+            arrays = [
+                query(net, ["Y"], {"Z": "1"}).values,
+                interventional_distribution(net, "Y", {"Z": "1"}).values,
+                _do_values(net, "Y", {"Z": "0"}),
+                *_adjusted_values(net, "Z", "Y", ["X"]),
+                *_unadjusted_values(net, "Z", "Y"),
+                *(f.values for f in adjusted_estimate(net, "Z", "Y", ["X"]).values()),
+                *(f.values for f in unadjusted_estimate(net, "Z", "Y").values()),
+            ]
+            for values in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    values[...] = 0.5
+            result = select_sufficient_confounders(net, "Z", "Y", "distributional")
+            assert isinstance(result.audit, tuple)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                result.chosen = ()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: query(n, ["Y"], {"X": "1"}),
+            lambda n: _do_values(n, "Y", {"Z": "1"}),
+            lambda n: _adjusted_values(n, "Z", "Y", ["X"]),
+            lambda n: _unadjusted_values(n, "Z", "Y"),
+            lambda n: conditioning_bias(n, "Z", "Y", "X"),
+            lambda n: select_sufficient_confounders(n, "Z", "Y", "distributional"),
+        ],
+        ids=["query", "do", "adjusted", "unadjusted", "bias", "select-dist"],
+    )
+    def test_size_cap_is_read_on_every_call(self, monkeypatch, call):
+        """A kept answer is refused, on every call, by a cap below the
+        configurations of the contraction it read, and returned again once
+        the cap admits them."""
+        net = parse_model(serialize_model(load_model("modelD")))
+        answer = call(net)
+        (configurations,) = [c for c, a in net._tables.values() if a is answer]
+        monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", configurations - 1)
+        for _ in range(2):
+            with pytest.raises(SizeCapExceeded):
+                call(net)
+        monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", configurations)
+        assert call(net) is answer
+
+    def test_an_answer_is_charged_its_data_and_key(self):
+        """The overhead, the array's data, and the key's tuple of pairs."""
+        net = chain(12)
+        do = {f"N{i}": "1" for i in range(11)}
+        values = _do_values(net, "N11", do)
+        pairs = tuple(sorted(do.items()))
+        assert list(net._tables) == [("do", "N11", pairs)]
+        held = values.nbytes + sys.getsizeof(pairs) + len(pairs) * sys.getsizeof(pairs[0])
+        assert net._tables.entries == bayesnet._TABLE_OVERHEAD + held // 8
+
+    @pytest.mark.parametrize("kind", ["query", "do", "adjusted", "unadjusted", "bias",
+                                      "select-graph", "select-dist"])
+    def test_charge_covers_the_measured_bytes(self, monkeypatch, kind):
+        """tracemalloc's bytes for a network's kept answers stay within 8
+        bytes per charged entry, over at least 24 distinct answers of one
+        kind, so the store's own first allocation is spread thin."""
+        monkeypatch.setattr(bayesnet, "JOINT_CACHE_ENTRIES", 2**30)  # keep them all
+        rng = np.random.default_rng(5)
+        net = chain(8) if kind.startswith(("query", "do")) else random_net(rng, 7)
+        nodes = net.dag.nodes
+        pairs = list(itertools.permutations(nodes, 2))
+        if kind in ("query", "do"):
+            target = ["N7"] if kind == "query" else "N7"
+            estimator = query if kind == "query" else interventional_distribution
+            calls = [
+                lambda e=dict(zip(vs, states)): estimator(net, target, e)
+                for r in (1, 2, 3)
+                for vs in itertools.combinations(nodes[:7], r)
+                for states in itertools.product("01", repeat=r)
+            ][:200]
+        elif kind == "adjusted":
+            calls = [
+                lambda t=t, o=o, x=x: _adjusted_values(net, t, o, [x])
+                for t, o, x in itertools.permutations(nodes, 3)
+            ][:200]
+        elif kind == "unadjusted":
+            calls = [lambda t=t, o=o: _unadjusted_values(net, t, o) for t, o in pairs]
+        elif kind == "bias":
+            calls = [
+                lambda t=t, o=o, x=x: conditioning_bias(net, t, o, x)
+                for t, o, x in itertools.permutations(nodes, 3)
+            ][:200]
+        else:
+            mode = "graphical" if kind == "select-graph" else "distributional"
+            calls = [lambda t=t, o=o: select_sufficient_confounders(net, t, o, mode)
+                     for t, o in pairs]
+        joint(net)  # the one table the estimators share, kept outside the count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            charged = net._tables.entries
+            for call in calls:
+                outcome_of(call)  # a request that raises keeps nothing
+            gc.collect()
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(net._tables) >= 24 + 1
+        assert used <= 8 * (net._tables.entries - charged)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalbn
-from causalbn import cli, errors, intervention, latent, modelfile
+from causalbn import bayesnet, cli, errors, intervention, latent, modelfile
 from causalbn.bayesnet import Cpt, DiscreteBayesNet, Variable, forward_sample
 from causalbn.cli import _parse_grid_value, build_parser, main
 from causalbn.errors import DomainError, ParseError, ValidationError
@@ -469,10 +469,11 @@ class TestCli:
 
 
 def _write_broken_models(tmp_path):
-    """fig1_left (X -> Z -> Y, X -> Y) with an added Y -> X edge, with Z's
-    parent listed twice, with a number for its variables or edges, with a
-    list for an edge's child or a CPT parent, and with a table entry past
-    the float range; and a file that is not UTF-8."""
+    """fig1_left (X -> Z -> Y, X -> Y) with an added Y -> X edge or X -> X
+    loop, with Z's parent listed twice, with a number for its variables or
+    edges, with a list for an edge's child or a CPT parent, with a table
+    entry past the float range, and with JSON booleans for table entries;
+    and a file that is not UTF-8."""
     doc = json.loads(bundled_model_text("fig1_left"))
 
     def write(name, edit):
@@ -484,13 +485,19 @@ def _write_broken_models(tmp_path):
         d["cpts"]["X"] = {"parents": ["Y"], "table": [[0.5, 0.5], [0.5, 0.5]]}
         d["edges"].append(["Y", "X"])
 
+    def self_loop(d):
+        d["cpts"]["X"] = {"parents": ["X"], "table": [[0.5, 0.5], [0.5, 0.5]]}
+        d["edges"].append(["X", "X"])
+
     write("cyclic", cyclic)
+    write("self-loop", self_loop)
     write("twice", lambda d: d["cpts"].update(Z={"parents": ["X", "X"], "table": [[0.5, 0.5]] * 4}))
     write("int-variables", lambda d: d.update(variables=5))
     write("int-edges", lambda d: d.update(edges=5))
     write("list-child", lambda d: d["edges"].__setitem__(0, ["X", ["Z"]]))
     write("list-parent", lambda d: d["cpts"]["Z"].update(parents=[["X"]]))
     write("huge-entry", lambda d: d["cpts"]["X"]["table"][0].__setitem__(0, 10**400))
+    write("bool-entries", lambda d: d["cpts"]["X"].update(table=[[True, False]]))
     (tmp_path / "latin1.model").write_bytes(json.dumps(doc).encode("utf-8") + b"\xe9")
 
 
@@ -544,6 +551,10 @@ def _write_broken_models(tmp_path):
          "cpts['Z']: parents must name existing variables"),
         (["query", "TMP/huge-entry.model", "--target", "Y"],
          "cpts['X']: an entry is too large for a float"),
+        (["query", "TMP/bool-entries.model", "--target", "Y"],
+         "cpts['X']: row 0 has a non-numeric entry"),
+        (["query", "TMP/self-loop.model", "--target", "Y"],
+         "no topological order; cycle among ['X']\n"),
         (["dsep", "fig1_left", "--a", "", "--b", "Y"], "--a names no variable"),
         (["dsep", "fig1_left", "--a", ",", "--b", "Y"], "--a names no variable"),
         (["dsep", "fig1_left", "--a", "Z", "--b", " , "], "--b names no variable"),
@@ -558,7 +569,8 @@ def _write_broken_models(tmp_path):
         "scan-repeated-param", "query-repeated-given", "do-repeated-do",
         "scan-axis-too-long", "scan-grid-too-large", "scan-axis-past-the-grid-bound",
         "query-int-variables", "query-int-edges", "query-list-child", "query-list-parent",
-        "query-huge-entry", "dsep-empty-a", "dsep-comma-a", "dsep-blank-b", "do-empty-do",
+        "query-huge-entry", "query-bool-entries", "query-self-loop", "dsep-empty-a",
+        "dsep-comma-a", "dsep-blank-b", "do-empty-do",
     ],
 )
 def test_invalid_input_exit_3_without_traceback(tmp_path, capsys, argv, message):
@@ -1215,3 +1227,45 @@ def test_warm_tables_give_the_pinned_bytes(capsys, monkeypatch):
     for check in pinned:
         check(capsys)
     assert not contractions
+
+
+def test_every_pinned_corpus_holds_when_warm(capsys, monkeypatch):
+    """Every pinned-digest corpus, run on fresh bundled networks and then
+    again in the same process, gives its digest both times, and the second
+    run keeps fewer new answers than the first: it reads what the first
+    kept.  The help, scan and sampling corpora keep no answer (a scan cell
+    is a new network), so they are only run twice."""
+    import test_acceptance
+    import test_bayesnet
+    import test_latent
+
+    store = []
+    put = bayesnet._Tables.put
+
+    def counting(self, *args):
+        store.append(1)
+        return put(self, *args)
+
+    monkeypatch.setattr(bayesnet._Tables, "put", counting)
+    modelfile._bundled_model.cache_clear()
+    kept = (
+        test_select_output_is_pinned,
+        test_query_and_do_output_is_pinned,
+        test_bias_and_adjust_output_is_pinned,
+    )
+    unkept = (
+        lambda: test_help_texts_are_pinned(monkeypatch, capsys),
+        test_acceptance.test_criterion_9_scan_determinism_and_report,
+        test_latent.TestBiasScan().test_repeated_scans_identical_and_pinned,
+        test_bayesnet.TestSamplingReference().test_pinned_digest,
+    )
+    puts = []
+    for _ in range(2):
+        store.clear()
+        for check in kept:
+            check(capsys)
+        puts.append(len(store))
+        for check in unkept:
+            check()
+        capsys.readouterr()  # what they print is not part of a digest
+    assert puts[1] < puts[0]
