@@ -5,10 +5,14 @@ variables a request needs, slices each CPT at the evidence and
 contracts what is left in one ``np.einsum`` call, guarded by a cap on
 the configurations that call iterates over.  A network is compiled once,
 when it is built: it keeps each node's cardinality and each CPT as a cube
-over ``(*parents, child)``, and one store (``_Tables``) of the read-only
-tables ``joint`` has contracted and of the answers estimators built on
-them.  Probabilities live in numpy arrays with one axis per variable,
-first scope variable slowest (C order).
+over ``(*parents, child)``, and one store (``_Tables``) of kept answers.
+Every answer a network keeps comes from a kept function (``_kept``): the
+tables of ``joint``, the distributions of ``query`` and of the
+do-operator (one kept function, ``_distribution``), and the estimators
+built on them.  Each is keyed by the function and its own arguments,
+names as a sorted tuple and assignments as sorted (name, state) pairs,
+and its arrays are read-only.  Probabilities live in numpy arrays with
+one axis per variable, first scope variable slowest (C order).
 """
 
 from __future__ import annotations
@@ -45,10 +49,10 @@ DEFAULT_SIZE_CAP = 2**24
 #: is not kept
 JOINT_CACHE_ENTRIES = 2**16
 #: entries charged to each kept answer for its Factor, array, tuples and
-#: store slot; ``_charge`` adds what it holds and its key's sets and
+#: store slot; ``_charge`` adds what it holds and its key's tuples and
 #: pairs.  Over 24-200 kept one-entry tables of a 12-node chain,
-#: tracemalloc read 760-910 bytes per table with 1-4 evidence pairs and
-#: 1420-1850 with 5-12, against charges of 1048-1216 and 1784-2176 bytes
+#: tracemalloc read 620-1240 bytes per table with 1-12 evidence pairs,
+#: against charges of 880-1584 bytes
 _TABLE_OVERHEAD = 96
 #: rows rendered per chunk by ``Dataset.to_csv``
 _CSV_CHUNK_ROWS = 1 << 17
@@ -266,23 +270,30 @@ def _condition(
     return tuple(v for v in scope if v not in evidence), sliced / total
 
 
-#: the one empty set that every kept key uses, so that it costs no memory
-_NO_ITEMS: frozenset = frozenset()
+def _names(names: Iterable[str]) -> tuple[str, ...]:
+    """The names, sorted, each once: a kept function's argument."""
+    return tuple(sorted(set(names)))
 
 
-def _items(assignment: Mapping[str, str]) -> frozenset:
-    return frozenset(assignment.items()) if assignment else _NO_ITEMS
-
-
-def _pairs(assignment: Mapping[str, str]) -> tuple:
-    """The assignment's (name, state) pairs, sorted: an estimator's key
-    part, which costs a quarter of a set's bytes."""
+def _pairs(assignment: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
+    """The assignment's (name, state) pairs, sorted: a kept function's
+    argument."""
     return tuple(sorted(assignment.items()))
 
 
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
+def _kept(compute):
+    """``compute`` as the function that returns the (configurations,
+    answer) ``net`` keeps for ``compute(net, *args)`` (see ``_Tables``).
+
+    ``compute`` takes a network and hashable arguments: names from
+    ``_names`` and assignments from ``_pairs``, so that equal requests
+    share one key.
+    """
+
+    def kept(net: DiscreteBayesNet, *args) -> tuple[int, object]:
+        return net._tables.answer(compute, net, *args)
+
+    return kept
 
 
 def joint(
@@ -313,41 +324,28 @@ def joint(
     Factor.  Its values are therefore read-only; copy them to modify them.
     The size cap is checked on every call, kept or not.
     """
-    return _joint(net, do or {}, keep, evidence or {})[1]
-
-
-def _joint(
-    net: DiscreteBayesNet,
-    do: Mapping[str, str],
-    keep: Iterable[str] | None,
-    evidence: Mapping[str, str],
-) -> tuple[int, Factor]:
-    """``joint``'s (configurations, table), kept by the network.
-
-    An estimator reads its table here when one table serves several of
-    its answers: the full joint, or the table over a selection pool with
-    both endpoints, whatever their roles.  The others contract theirs with
-    ``_contract``: it serves only their own answer, which the network
-    keeps instead.
-    """
-    keep = frozenset(net.dag.nodes if keep is None else keep) or _NO_ITEMS
-    key = (keep, _items(do), _items(evidence))
-    return net._tables.answer(key, _contract, net, do, keep, evidence)
+    keep = _names(net.dag.nodes if keep is None else keep)
+    return _joint(net, keep, _pairs(do or {}), _pairs(evidence or {}))[1]
 
 
 def _contract(
     net: DiscreteBayesNet,
-    do: Mapping[str, str],
-    keep: frozenset,
-    evidence: Mapping[str, str],
+    keep: tuple[str, ...],
+    do: tuple[tuple[str, str], ...],
+    evidence: tuple[tuple[str, str], ...],
 ) -> tuple[int, Factor]:
-    """``joint``'s table, contracted, with the configurations it iterated."""
+    """``joint``'s table, contracted, with the configurations it iterated.
+
+    An estimator contracts its table here when the table serves only its
+    own answer, which the network keeps instead.
+    """
     nodes = net.dag.nodes
-    point_at = {n: net.state_index(n, state) for n, state in do.items()}
-    fixed = {n: net.state_index(n, state) for n, state in evidence.items()}
-    unknown = keep - net.variables.keys()
-    if unknown:
-        raise UnknownVariable(f"unknown variable {min(unknown)!r}")
+    point_at = {n: net.state_index(n, state) for n, state in do}
+    fixed = {n: net.state_index(n, state) for n, state in evidence}
+    for n in keep:
+        if n not in net.variables:
+            raise UnknownVariable(f"unknown variable {n!r}")
+    keep_set = set(keep)
     # ancestors in the mutilated graph: an intervened node has no parents
     relevant: set[str] = set()
     stack = [*keep, *fixed]
@@ -359,7 +357,7 @@ def _contract(
                 stack.extend(net.dag.parents[n])
     # an intervened node outside ``keep`` is sliced at its assigned state;
     # where evidence names it too, the evidence state is the slice
-    fixed = {**{n: i for n, i in point_at.items() if n not in keep}, **fixed}
+    fixed = {**{n: i for n, i in point_at.items() if n not in keep_set}, **fixed}
     free = [n for n in nodes if n in relevant and n not in fixed]
     total = math.prod(net.card(n) for n in free)
     _check_size(total)
@@ -386,11 +384,15 @@ def _contract(
             cube[tuple(fixed.get(v, slice(None)) for v in scope)],
             [label[v] for v in scope if v not in fixed],
         ]
-    out = tuple(n for n in free if n in keep)
+    out = tuple(n for n in free if n in keep_set)
     values = np.einsum(*operands, [label[n] for n in out], optimize=False)
-    factor = Factor(out, tuple(net.variables[n].states for n in out), values)
-    _read_only(factor.values)
-    return total, factor
+    return total, Factor(out, tuple(net.variables[n].states for n in out), values)
+
+
+#: ``joint``'s table, kept.  An estimator reads its table here when one
+#: table serves several of its answers: the full joint, or the table over a
+#: selection pool with both endpoints, whatever their roles.
+_joint = _kept(_contract)
 
 
 def _check_size(configurations: int) -> None:
@@ -403,14 +405,17 @@ class _Tables(dict):
     """The answers one network keeps, oldest first: the tables ``joint``
     contracts and the answers of the estimators built on them.
 
-    Each key maps to (configurations, answer): the configurations of the
-    contraction the answer read (0 if it read none), and the answer.
-    Since a network never changes, a kept answer stays right; ``answer``
-    returns it again while ``DEFAULT_SIZE_CAP`` admits its configurations,
-    and a request that raises keeps nothing.  Each kept answer is charged
-    ``_charge`` in ``entries``, at most ``JOINT_CACHE_ENTRIES``: the oldest
-    go first to make room, and an answer charged more is not kept.  ``put``
-    holds a lock, so threads that store at once neither raise nor miscount.
+    ``answer(compute, net, *args)`` keys the answer of ``compute(net,
+    *args)`` on ``(compute, *args)``, and maps the key to (configurations,
+    answer): the configurations of the contraction the answer read (0 if
+    it read none), and the answer, whose array (a Factor's values, or an
+    array answer) it makes read-only.  Since a network never changes, a
+    kept answer stays right; ``answer`` returns it again while
+    ``DEFAULT_SIZE_CAP`` admits its configurations, and a request that
+    raises keeps nothing.  Each kept answer is charged ``_charge`` in
+    ``entries``, at most ``JOINT_CACHE_ENTRIES``: the oldest go first to
+    make room, and an answer charged more is not kept.  ``put`` holds a
+    lock, so threads that store at once neither raise nor miscount.
     """
 
     def __init__(self):
@@ -418,12 +423,16 @@ class _Tables(dict):
         self.entries = 0
         self._lock = threading.Lock()
 
-    def answer(self, key: tuple, compute, *args) -> tuple[int, object]:
-        """The kept (configurations, answer) of ``key``, or
-        ``compute(*args)``'s, kept."""
+    def answer(self, compute, net: DiscreteBayesNet, *args) -> tuple[int, object]:
+        """The kept (configurations, answer) of ``compute(net, *args)``, or
+        the computed one, kept."""
+        key = (compute, *args)
         kept = self.get(key)
         if kept is None:
-            kept = compute(*args)
+            kept = compute(net, *args)
+            values = getattr(kept[1], "values", kept[1])
+            if isinstance(values, np.ndarray):
+                values.flags.writeable = False
             self.put(key, *kept)
         else:
             _check_size(kept[0])
@@ -448,21 +457,16 @@ def _charge(key: tuple, answer) -> int:
     the Python objects of a Factor or an array, and, in float64 entries, the
     bytes of its array data (or what ``sys.getsizeof`` counts for any other
     answer: a float, or a result that counts its own records), of its key's
-    nonempty sets and tuples and of the (name, state) pairs they hold."""
-    if isinstance(answer, Factor):
-        held = answer.values.nbytes
-    elif isinstance(answer, np.ndarray):
-        held = answer.nbytes
-    else:
-        held = sys.getsizeof(answer)
+    nonempty tuples and of the (name, state) pairs they hold."""
+    values = getattr(answer, "values", answer)
+    held = values.nbytes if isinstance(values, np.ndarray) else sys.getsizeof(answer)
     for part in key:
-        if type(part) in (frozenset, tuple) and part:
+        if type(part) is tuple and part:
             held += sys.getsizeof(part)
             # a part holds names or (name, state) pairs, never both, and
             # every pair is a tuple of one size
-            first = next(iter(part))
-            if type(first) is tuple:
-                held += len(part) * sys.getsizeof(first)
+            if type(part[0]) is tuple:
+                held += len(part) * sys.getsizeof(part[0])
     return _TABLE_OVERHEAD + held // 8
 
 
@@ -475,22 +479,26 @@ def query(
 
     The network keeps the answer, so its values are read-only.
     """
-    evidence = evidence or {}
-    targets = frozenset(targets)
-    key = ("query", tuple(sorted(targets)), _pairs(evidence))
-    return net._tables.answer(key, _query, net, targets, evidence)[1]
+    return _distribution(net, _names(targets), (), _pairs(evidence or {}))[1]
 
 
-def _query(
-    net: DiscreteBayesNet, targets: frozenset, evidence: Mapping[str, str]
+@_kept
+def _distribution(
+    net: DiscreteBayesNet,
+    targets: tuple[str, ...],
+    do: tuple[tuple[str, str], ...],
+    evidence: tuple[tuple[str, str], ...],
 ) -> tuple[int, Factor]:
-    configurations, f = _contract(net, {}, targets, evidence)
-    total = f.values.sum()
+    """p(targets | do(do), evidence): ``query``'s answer, and with ``do``
+    the interventional distribution."""
+    configurations, f = _contract(net, targets, do, evidence)
+    values = f.values
+    total = values.sum()
     if total <= 0:
         raise ZeroProbabilityEvidence(f"evidence {dict(evidence)} has probability 0")
-    answer = Factor(f.scope, f.states, f.values / total)
-    _read_only(answer.values)
-    return configurations, answer
+    # the table is this call's own, so it is normalised where it lies
+    values /= total
+    return configurations, f
 
 
 @dataclass(frozen=True)

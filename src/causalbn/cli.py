@@ -25,12 +25,11 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import latent
-from .bayesnet import forward_sample, query
+from .bayesnet import _distribution, _names, forward_sample, query
 from .errors import CausalbnError, SizeCapExceeded, ValidationError
 from .graph import backdoor_admissible, d_separated
 from .intervention import (
-    _adjusted_values,
-    _do_values,
+    _adjusted,
     _expected,
     _outcome_values,
     ace,
@@ -126,11 +125,11 @@ def cmd_ace(args) -> int:
 
 def cmd_adjust(args) -> int:
     net = load_model(args.model)
-    s = _parse_set(args.set)
-    adj = _adjusted_values(net, args.treatment, args.outcome, s)
+    s = _names(_parse_set(args.set))
+    adj = _adjusted(net, args.treatment, args.outcome, s)[1]
     states = net.variables[args.outcome].states
     for level, row in zip(net.variables[args.treatment].states, adj):
-        truth = _do_values(net, args.outcome, {args.treatment: level})
+        truth = _distribution(net, (args.outcome,), ((args.treatment, level),), ())[1].values
         print(f"do({args.treatment}={level}):")
         for state, a, t in zip(states, map(float, row), map(float, truth)):
             print(
@@ -179,9 +178,9 @@ def cmd_bias(args) -> int:
         net, args.treatment, args.outcome, args.covariate, args.z1, args.z0
     )
     vals = _outcome_values(net, args.outcome)
-    adj = _adjusted_values(net, args.treatment, args.outcome, [args.covariate])
+    adj = _adjusted(net, args.treatment, args.outcome, (args.covariate,))[1]
     for level, row in zip(net.states(args.treatment), adj):
-        truth = _do_values(net, args.outcome, {args.treatment: level})
+        truth = _distribution(net, (args.outcome,), ((args.treatment, level),), ())[1].values
         error = _expected(vals, row) - _expected(vals, truth)
         print(f"per-level error at {args.treatment}={level}: {_fmt(error)}")
     print(f"bias: {_fmt(value)}")
@@ -234,10 +233,6 @@ def _parse_grid_range(text: str) -> tuple[float, float, int]:
 def _grid_values(a: float, step: float, n: int) -> list[float]:
     # each value from its integer index, so float steps do not accumulate drift
     return [round(a + i * step, 12) for i in range(n)]
-
-
-def _parse_grid_value(text: str) -> list[float]:
-    return _grid_values(*_parse_grid_range(text))
 
 
 def cmd_scan(args) -> int:

@@ -5,9 +5,10 @@ Interventional distributions come from the truncated factorization
 of that sit the adjustment estimator, the unadjusted conditional, the
 conditioning-bias expression, and the two-stage sufficient-confounder
 selection.  The estimators keep their intermediate tables as arrays; the
-public functions wrap their results in validated Factors.  A network keeps
-each estimator's answer in its store (``bayesnet._Tables``), so a repeated
-request is one lookup; kept arrays are read-only.
+public functions wrap their results in validated Factors.  Each estimator
+is one kept function (``bayesnet._kept``): the network keeps its answer
+under its own arguments, so a repeated request is one lookup; kept arrays
+are read-only.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from .bayesnet import (
     Factor,
     _condition,
     _contract,
+    _distribution,
     _joint,
+    _kept,
     _marginal,
+    _names,
     _pairs,
-    _read_only,
 )
 from .errors import (
     PositivityViolation,
@@ -48,25 +51,12 @@ def interventional_distribution(
 ) -> Factor:
     """p(target | do(assignments)) by truncated factorization.
 
-    The kernel rejects an unknown name or state with UnknownVariable.
+    The kernel rejects an unknown name or state with UnknownVariable.  The
+    network keeps the answer, so its values are read-only.
     """
-    values = _do_values(net, target, do)
-    return Factor((target,), (net.states(target),), values)
-
-
-def _do_values(net: DiscreteBayesNet, target: str, do: Mapping[str, str]) -> np.ndarray:
-    """``interventional_distribution``'s values, over the target's states;
-    the network keeps them."""
-    return net._tables.answer(("do", target, _pairs(do)), _intervened, net, target, do)[1]
-
-
-def _intervened(
-    net: DiscreteBayesNet, target: str, do: Mapping[str, str]
-) -> tuple[int, np.ndarray]:
     if target in do:
         raise ValueError("target cannot be intervened on")
-    configurations, f = _contract(net, do, frozenset({target}), {})
-    return configurations, _read_only(f.values / f.values.sum())
+    return _distribution(net, (target,), _pairs(do), ())[1]
 
 
 def _distinct(**roles: str) -> None:
@@ -114,9 +104,9 @@ def ace(
     _distinct(treatment=treatment, outcome=outcome)
     level1, level0 = _levels(net, treatment, level1, level0)
     vals = _outcome_values(net, outcome)
-    d1 = _do_values(net, outcome, {treatment: level1})
-    d0 = _do_values(net, outcome, {treatment: level0})
-    return _expected(vals, d1) - _expected(vals, d0)
+    d1 = _distribution(net, (outcome,), ((treatment, level1),), ())[1]
+    d0 = _distribution(net, (outcome,), ((treatment, level0),), ())[1]
+    return _expected(vals, d1.values) - _expected(vals, d0.values)
 
 
 def adjusted_estimate(
@@ -130,31 +120,23 @@ def adjusted_estimate(
     Raises PositivityViolation whenever some stratum of ``s`` with
     positive probability lacks a treatment level.
     """
-    rows = _adjusted_values(net, treatment, outcome, s)
+    rows = _adjusted(net, treatment, outcome, _names(s))[1]
     states = (net.variables[outcome].states,)
     levels = net.variables[treatment].states
     return {level: Factor((outcome,), states, row) for level, row in zip(levels, rows)}
 
 
-def _adjusted_values(
-    net: DiscreteBayesNet, treatment: str, outcome: str, s: Iterable[str]
-) -> np.ndarray:
-    """``adjusted_estimate``'s values, one row per treatment state; the
-    network keeps them."""
-    s = frozenset(s)
-    key = ("adjusted", treatment, outcome, tuple(sorted(s)))
-    return net._tables.answer(key, _adjusted, net, treatment, outcome, s)[1]
-
-
+@_kept
 def _adjusted(
-    net: DiscreteBayesNet, treatment: str, outcome: str, s_set: frozenset
+    net: DiscreteBayesNet, treatment: str, outcome: str, s_names: tuple[str, ...]
 ) -> tuple[int, np.ndarray]:
+    """``adjusted_estimate``'s values, one row per treatment state."""
     _distinct(treatment=treatment, outcome=outcome)
-    if treatment in s_set or outcome in s_set:
+    if treatment in s_names or outcome in s_names:
         raise ValueError("adjustment set must exclude treatment and outcome")
     # the kernel rejects unknown names; its scope is in declaration order
-    configurations, f = _contract(net, {}, frozenset({treatment, outcome, *s_set}), {})
-    s = [v for v in f.scope if v in s_set]
+    configurations, f = _contract(net, _names((treatment, outcome, *s_names)), (), ())
+    s = [v for v in f.scope if v in s_names]
     # cond[z, s..., y] = p(y | z, s) and p_zs[z, s...] = p(z, s)
     cond, p_zs = f.conditional([outcome], [treatment, *s])
     p_s = p_zs.sum(axis=0)  # (s...)
@@ -170,33 +152,27 @@ def _adjusted(
     sum_axes = tuple(range(1, 1 + len(s)))
     weighted = cond * p_s[None, ..., None] if s else cond
     dist = weighted.sum(axis=sum_axes) if s else weighted
-    return configurations, _read_only(dist / dist.sum(axis=1, keepdims=True))
+    return configurations, dist / dist.sum(axis=1, keepdims=True)
 
 
 def unadjusted_estimate(
     net: DiscreteBayesNet, treatment: str, outcome: str
 ) -> dict[str, Factor]:
     """Plain conditional p(outcome | z) per treatment level."""
-    rows = _unadjusted_values(net, treatment, outcome)
+    rows = _unadjusted(net, treatment, outcome)[1]
     states = (net.variables[outcome].states,)
     levels = net.variables[treatment].states
     return {level: Factor((outcome,), states, row) for level, row in zip(levels, rows)}
 
 
-def _unadjusted_values(
-    net: DiscreteBayesNet, treatment: str, outcome: str
-) -> np.ndarray:
-    """``unadjusted_estimate``'s values, one row per treatment state; the
-    network keeps them."""
-    key = ("unadjusted", treatment, outcome)
-    return net._tables.answer(key, _unadjusted, net, treatment, outcome)[1]
-
-
+@_kept
 def _unadjusted(
     net: DiscreteBayesNet, treatment: str, outcome: str
 ) -> tuple[int, np.ndarray]:
+    """``unadjusted_estimate``'s values, one row per treatment state."""
+    _distinct(treatment=treatment, outcome=outcome)
     levels = net.states(treatment)
-    configurations, full = _joint(net, {}, None, {})
+    configurations, full = _joint(net, _names(net.dag.nodes), (), ())
     rows = []
     for level in levels:
         try:
@@ -206,7 +182,7 @@ def _unadjusted(
                 f"p({treatment}={level}) = 0; conditional undefined"
             ) from None
         rows.append(_marginal(scope, values, {outcome})[1])
-    return configurations, _read_only(np.array(rows))
+    return configurations, np.array(rows)
 
 
 def conditioning_bias(
@@ -226,12 +202,10 @@ def conditioning_bias(
     the joint (as ``Factor.condition`` does) rather than reading
     ``Factor.conditional``.  The network keeps the answer.
     """
-    key = ("bias", treatment, outcome, x, level1, level0)
-    return net._tables.answer(
-        key, _bias, net, treatment, outcome, x, level1, level0
-    )[1]
+    return _bias(net, treatment, outcome, x, level1, level0)[1]
 
 
+@_kept
 def _bias(
     net: DiscreteBayesNet,
     treatment: str,
@@ -243,7 +217,7 @@ def _bias(
     _distinct(treatment=treatment, outcome=outcome, covariate=x)
     level1, level0 = _levels(net, treatment, level1, level0)
     y_vals = _outcome_values(net, outcome)
-    configurations, full = _joint(net, {}, None, {})
+    configurations, full = _joint(net, _names(net.dag.nodes), (), ())
     scope, states, values = full.scope, full.states, full.values
     _, p_x = _marginal(scope, values, {x})
     zx_scope, p_zx = _marginal(scope, values, {treatment, x})
@@ -323,6 +297,7 @@ def _conditional_equal(
     target: str,
     given_common: tuple[str, ...],
     full_set: tuple[str, ...],
+    tolerance: float = SELECTION_TOL,
 ) -> Callable[[tuple[str, ...]], bool]:
     """The numeric test of P(target | common, full) == P(target | common, sub),
     as a function of ``sub``.
@@ -332,7 +307,7 @@ def _conditional_equal(
     subsequence of ``full_set``, so the smaller table broadcasts over the
     larger one once its missing axes are 1.  Compared only on
     positive-probability configurations of the larger conditioning set;
-    max-norm against ``SELECTION_TOL``.
+    max-norm against ``tolerance``.
     """
     cond_full = (*given_common, *full_set)
     p_full, weight = f.conditional([target], cond_full)
@@ -343,7 +318,7 @@ def _conditional_equal(
         p_sub, _ = f.conditional([target], cond_sub)
         shape = [n if v in cond_sub else 1 for v, n in zip(cond_full, weight.shape)]
         gap = np.abs(p_full - p_sub.reshape(shape + [p_full.shape[-1]]))
-        return float(np.max(gap[positive], initial=0.0)) <= SELECTION_TOL
+        return float(np.max(gap[positive], initial=0.0)) <= tolerance
 
     return equal
 
@@ -365,31 +340,35 @@ def select_sufficient_confounders(
 
     Modes: 'graphical' decides each equality by d-separation;
     'distributional' compares conditionals on the exact joint to
-    ``SELECTION_TOL``.  The network keeps the answer for the pool cap and
-    tolerance it was found under.
+    ``SELECTION_TOL``; an unknown mode raises ValidationError.  The
+    network keeps the answer for the pool cap and tolerance it was found
+    under.
     """
-    key = ("select", treatment, outcome, mode, SELECTION_POOL_CAP, SELECTION_TOL)
-    return net._tables.answer(key, _select, net, treatment, outcome, mode)[1]
+    return _select(net, treatment, outcome, mode, SELECTION_POOL_CAP, SELECTION_TOL)[1]
 
 
+@_kept
 def _select(
-    net: DiscreteBayesNet, treatment: str, outcome: str, mode: str
+    net: DiscreteBayesNet,
+    treatment: str,
+    outcome: str,
+    mode: str,
+    pool_cap: int,
+    tolerance: float,
 ) -> tuple[int, SelectionResult]:
     _distinct(treatment=treatment, outcome=outcome)
     if mode not in ("graphical", "distributional"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValidationError(f"unknown mode {mode!r}")
     dag = net.dag
     excluded = {treatment, outcome} | descendants(dag, treatment)
     pool = tuple(v for v in dag.nodes if v not in excluded)
-    if len(pool) > SELECTION_POOL_CAP:
-        raise SizeCapExceeded(
-            f"candidate pool of {len(pool)} exceeds cap {SELECTION_POOL_CAP}"
-        )
+    if len(pool) > pool_cap:
+        raise SizeCapExceeded(f"candidate pool of {len(pool)} exceeds cap {pool_cap}")
 
     # one table over the pool and both endpoints serves every equality
     # test; an empty pool needs none, and reads no contraction
     configurations, full = (
-        _joint(net, {}, {treatment, outcome, *pool}, {})
+        _joint(net, _names((treatment, outcome, *pool)), (), ())
         if mode == "distributional" and pool
         else (0, None)
     )
@@ -402,7 +381,7 @@ def _select(
         conditional of ``target`` given ``common`` and the set."""
         # an empty full set has only itself to test, which needs no table
         equal = (
-            _conditional_equal(full, target, common, full_set)
+            _conditional_equal(full, target, common, full_set, tolerance)
             if mode == "distributional" and full_set
             else None
         )
@@ -449,11 +428,15 @@ def effect_report(
 ) -> EffectReport:
     """The interventional truth, the adjusted estimate (adjusting for
     ``covariates``) and the unadjusted estimate, at every treatment state."""
+    _distinct(treatment=treatment, outcome=outcome)
     levels = net.states(treatment)
     vals = _outcome_values(net, outcome)
-    truth = tuple(_expected(vals, _do_values(net, outcome, {treatment: lv})) for lv in levels)
-    unadj = _unadjusted_values(net, treatment, outcome)
-    adj = _adjusted_values(net, treatment, outcome, covariates)
+    truth = tuple(
+        _expected(vals, _distribution(net, (outcome,), ((treatment, lv),), ())[1].values)
+        for lv in levels
+    )
+    unadj = _unadjusted(net, treatment, outcome)[1]
+    adj = _adjusted(net, treatment, outcome, _names(covariates))[1]
     return EffectReport(
         levels,
         truth,

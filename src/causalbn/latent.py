@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityEvidence,
 )
-from .intervention import effect_report
+from .intervention import _distinct, effect_report
 from .modelfile import load_model
 
 BINARY = ("0", "1")
@@ -185,8 +185,8 @@ def classify_interaction(net: DiscreteBayesNet, u: str, w: str, x: str) -> str:
     label.
     """
     pars = net.dag.parents[x]
-    if u not in pars or w not in pars:
-        raise StructureError(f"{u!r} and {w!r} must both be parents of {x!r}")
+    if u == w or u not in pars or w not in pars:
+        raise StructureError(f"{u!r} and {w!r} must be two distinct parents of {x!r}")
     for name in (u, w, x):
         if net.card(name) != 2:
             raise StructureError(f"{name!r} must be binary")
@@ -204,7 +204,11 @@ def classify_interaction(net: DiscreteBayesNet, u: str, w: str, x: str) -> str:
 
 
 def dependence_strength(f: Factor, a: str, b: str) -> float:
-    """max over states b of max-norm(p(a|b) - p(a)); 0 iff independent."""
+    """max over states b of max-norm(p(a|b) - p(a)); 0 iff independent.
+
+    ``a`` and ``b`` must be distinct (ValidationError).
+    """
+    _distinct(a=a, b=b)
     cond, weight = f.conditional([a], [b])
     if np.any(weight <= 0):
         raise ZeroProbabilityEvidence(f"a state of {b!r} has probability 0")

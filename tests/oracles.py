@@ -398,6 +398,7 @@ def adjusted_estimate(net, treatment, outcome, s):
 
 
 def unadjusted_estimate(net, treatment, outcome):
+    _distinct(treatment=treatment, outcome=outcome)
     levels = net.states(treatment)
     full = joint(net)
     result = {}
@@ -438,6 +439,7 @@ def conditioning_bias(net, treatment, outcome, x, level1=None, level0=None):
 
 
 def effect_report(net, treatment, outcome, covariates):
+    _distinct(treatment=treatment, outcome=outcome)
     levels = net.states(treatment)
     vals = _outcome_values(net, outcome)
 
@@ -458,6 +460,7 @@ def effect_report(net, treatment, outcome, covariates):
 
 
 def dependence_strength(f, a, b):
+    _distinct(a=a, b=b)
     cond, weight = factor_conditional(f, [a], [b])
     if np.any(weight <= 0):
         raise ZeroProbabilityEvidence(f"a state of {b!r} has probability 0")

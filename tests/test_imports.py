@@ -1,5 +1,7 @@
-"""Every name a library module imports is used in that module, no library
-module reads argparse internals, and importing the package parses no model.
+"""Every name a library module imports is used in that module, every
+private name a library module defines is used somewhere in the library, no
+library module reads argparse internals, and importing the package parses
+no model.
 
 ``__init__.py`` is left out of the import check: its imports are the
 package's public API.
@@ -40,6 +42,55 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_name():
     source = "import io\nfrom .bayesnet import DEFAULT_SIZE_CAP, joint\njoint()\n"
     assert unused_imports(source) == ["io (line 1)", "DEFAULT_SIZE_CAP (line 2)"]
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each private name that a module's top-level
+    statement binds (a dunder name is not private) and that no statement of
+    any module reads, outside the statements that bind it."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                bound = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                bound = set()
+            defined += [
+                (module, name) for name in sorted(bound)
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+            ]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name not in bound:
+                    read.add(name)
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_every_private_name_is_used():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_checker_flags_an_unused_private_name():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "def _used(n):\n    return n < _LIMIT\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "_alias = _dead = None\n"
+            "def __getattr__(name):\n    raise AttributeError(name)\n"
+        ),
+        "b": "from . import a\nfrom .a import _used\nprint(_used(1), a._alias)\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._recursive", "a._dead"]
 
 
 #: a private name of the argparse module, or a private attribute of a parser

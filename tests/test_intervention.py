@@ -11,15 +11,19 @@ from hypothesis import strategies as st
 
 from causalbn import bayesnet, intervention, latent
 from causalbn.bayesnet import Cpt, DiscreteBayesNet, Factor, Variable, joint, query
-from causalbn.errors import PositivityViolation, SizeCapExceeded, UnknownVariable
+from causalbn.errors import (
+    PositivityViolation,
+    SizeCapExceeded,
+    UnknownVariable,
+    ValidationError,
+)
 from causalbn.graph import Dag, backdoor_admissible
 from causalbn.intervention import (
     SELECTION_TOL,
-    _adjusted_values,
+    _adjusted,
     _conditional_equal,
-    _do_values,
     _subsets_smallest_first,
-    _unadjusted_values,
+    _unadjusted,
     ace,
     adjusted_estimate,
     conditioning_bias,
@@ -335,6 +339,29 @@ class TestSelection:
         with pytest.raises(SizeCapExceeded):
             select_sufficient_confounders(net, "Z", "Y")
 
+    def test_pool_cap_and_tolerance_are_read_on_every_call(self, monkeypatch):
+        """A selection kept under one pool cap and tolerance is not returned
+        under another."""
+        net = parse_model(serialize_model(load_model("fig2_model1")))
+        kept = select_sufficient_confounders(net, "Z", "Y", "distributional")
+        assert len(kept.pool) > 1
+        monkeypatch.setattr(intervention, "SELECTION_POOL_CAP", 1)
+        with pytest.raises(SizeCapExceeded, match="exceeds cap 1"):
+            select_sufficient_confounders(net, "Z", "Y", "distributional")
+        monkeypatch.undo()
+        monkeypatch.setattr(intervention, "SELECTION_TOL", 1e-6)
+        looser = select_sufficient_confounders(net, "Z", "Y", "distributional")
+        assert looser is not kept and looser == kept
+        monkeypatch.undo()
+        assert select_sufficient_confounders(net, "Z", "Y", "distributional") is kept
+
+    @pytest.mark.parametrize("mode", ["bogus", "graph", ""])
+    def test_unknown_mode_is_a_validation_error(self, mode):
+        net = load_model("fig2_model1")
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=f"unknown mode '{mode}'"):
+                select_sufficient_confounders(net, "Z", "Y", mode)
+
 
 def conditional_equal_loop(net, f, target, given_common, full_set, sub_set, tolerance):
     """The per-configuration loop that ``_conditional_equal`` replaced."""
@@ -529,6 +556,9 @@ class TestArrayIntermediates:
             ("W", "Y", "X", [], None, "dependence_strength", "a state of 'W' has probability 0"),
             ("Z", "Y", "X", ["X"], None, "adjusted_estimate", "p(Z=1, {'X': '1'}) = 0 while"),
             ("Z", "Y", "X", [], None, "conditioning_bias", "p(Z=1, X=1) = 0 in bias expression"),
+            ("Z", "Z", "X", [], None, "unadjusted_estimate", "outcome 'Z' must be distinct"),
+            ("Z", "Z", "X", ["X"], None, "effect_report", "outcome 'Z' must be distinct"),
+            ("X", "Y", "X", [], None, "dependence_strength", "b 'X' must be distinct"),
         ],
     )
     def test_each_error_matches_the_factor_chain(self, t, o, x, s, level1, name, error):
@@ -612,15 +642,45 @@ class TestKeptAnswers:
             chosen = {m: select_sufficient_confounders(net, "Z", "Y", m).chosen for m in modes}
             assert chosen == {"graphical": ("X",), "distributional": ()}
 
+    def test_equal_requests_share_one_answer(self):
+        """Names given as a list, a tuple or a set, in any order, and one
+        assignment given in any insertion order, are one request: each
+        returns the one kept answer.  No key holds a set, a list or a dict."""
+        net = parse_model(serialize_model(load_model("modelD")))
+        names = ["X", "Z", "U"]
+        spellings = [names, names[::-1], tuple(names), set(names), [*names, "X"]]
+        orders = [dict(zip(names, "101")), dict(zip(names[::-1], "101"[::-1]))]
+        for same in (
+            [joint(net, keep=s) for s in spellings],
+            [joint(net, do=d, keep=s, evidence=e) for s in spellings[:3]
+             for d, e in zip(orders, orders[::-1])],
+            [query(net, s, {"W": "1"}) for s in spellings],
+            [query(net, ["Y"], e) for e in orders],
+            [interventional_distribution(net, "Y", d) for d in orders],
+            [adjusted_estimate(net, "Z", "Y", s)["1"].values.base
+             for s in (["X", "U"], ("U", "X"), {"X", "U"})],
+        ):
+            assert all(answer is same[0] for answer in same)
+
+        def parts(key):
+            yield key
+            if isinstance(key, tuple):
+                for part in key:
+                    yield from parts(part)
+
+        kinds = {type(part) for key in net._tables for part in parts(key)}
+        assert not kinds & {set, frozenset, list, dict}
+        assert len(net._tables) == 6
+
     def test_kept_answers_are_read_only(self):
         net = parse_model(serialize_model(load_model("modelD")))
         for _ in range(2):
             arrays = [
                 query(net, ["Y"], {"Z": "1"}).values,
                 interventional_distribution(net, "Y", {"Z": "1"}).values,
-                _do_values(net, "Y", {"Z": "0"}),
-                *_adjusted_values(net, "Z", "Y", ["X"]),
-                *_unadjusted_values(net, "Z", "Y"),
+                interventional_distribution(net, "Y", {"Z": "0"}).values,
+                *_adjusted(net, "Z", "Y", ("X",))[1],
+                *_unadjusted(net, "Z", "Y")[1],
                 *(f.values for f in adjusted_estimate(net, "Z", "Y", ["X"]).values()),
                 *(f.values for f in unadjusted_estimate(net, "Z", "Y").values()),
             ]
@@ -636,9 +696,9 @@ class TestKeptAnswers:
         "call",
         [
             lambda n: query(n, ["Y"], {"X": "1"}),
-            lambda n: _do_values(n, "Y", {"Z": "1"}),
-            lambda n: _adjusted_values(n, "Z", "Y", ["X"]),
-            lambda n: _unadjusted_values(n, "Z", "Y"),
+            lambda n: interventional_distribution(n, "Y", {"Z": "1"}),
+            lambda n: _adjusted(n, "Z", "Y", ("X",))[1],
+            lambda n: _unadjusted(n, "Z", "Y")[1],
             lambda n: conditioning_bias(n, "Z", "Y", "X"),
             lambda n: select_sufficient_confounders(n, "Z", "Y", "distributional"),
         ],
@@ -659,13 +719,16 @@ class TestKeptAnswers:
         assert call(net) is answer
 
     def test_an_answer_is_charged_its_data_and_key(self):
-        """The overhead, the array's data, and the key's tuple of pairs."""
+        """The overhead, the array's data, and the key's tuples of names
+        and of pairs."""
         net = chain(12)
         do = {f"N{i}": "1" for i in range(11)}
-        values = _do_values(net, "N11", do)
+        values = interventional_distribution(net, "N11", do).values
         pairs = tuple(sorted(do.items()))
-        assert list(net._tables) == [("do", "N11", pairs)]
+        ((_, *args),) = net._tables
+        assert args == [("N11",), pairs, ()]
         held = values.nbytes + sys.getsizeof(pairs) + len(pairs) * sys.getsizeof(pairs[0])
+        held += sys.getsizeof(("N11",))
         assert net._tables.entries == bayesnet._TABLE_OVERHEAD + held // 8
 
     @pytest.mark.parametrize("kind", ["query", "do", "adjusted", "unadjusted", "bias",
@@ -690,11 +753,11 @@ class TestKeptAnswers:
             ][:200]
         elif kind == "adjusted":
             calls = [
-                lambda t=t, o=o, x=x: _adjusted_values(net, t, o, [x])
+                lambda t=t, o=o, x=x: _adjusted(net, t, o, (x,))
                 for t, o, x in itertools.permutations(nodes, 3)
             ][:200]
         elif kind == "unadjusted":
-            calls = [lambda t=t, o=o: _unadjusted_values(net, t, o) for t, o in pairs]
+            calls = [lambda t=t, o=o: _unadjusted(net, t, o) for t, o in pairs]
         elif kind == "bias":
             calls = [
                 lambda t=t, o=o, x=x: conditioning_bias(net, t, o, x)

@@ -291,6 +291,12 @@ class TestClassifyInteraction:
         with pytest.raises(StructureError):
             classify_interaction(net, "U", "X", "W")
 
+    @pytest.mark.parametrize("u, w", [("U", "U"), ("W", "W")])
+    def test_one_parent_twice_is_a_structure_error(self, u, w):
+        net = collider_net([[0.5, 0.5]] * 4)
+        with pytest.raises(StructureError, match="two distinct parents of 'X'"):
+            classify_interaction(net, u, w, "X")
+
 
 class TestConditionalReaders:
     @settings(max_examples=40)
@@ -306,6 +312,11 @@ class TestConditionalReaders:
             for sa in net.variables[a].states
         )
         assert abs(dependence_strength(joint(net), a, b) - expected) < 1e-12
+
+    def test_dependence_on_itself_is_a_validation_error(self):
+        f = joint(collider_net([[0.5, 0.5]] * 4))
+        with pytest.raises(ValidationError, match="a 'X', b 'X' must be distinct"):
+            dependence_strength(f, "X", "X")
 
     @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import causalbn
 from causalbn import bayesnet, cli, errors, intervention, latent, modelfile
 from causalbn.bayesnet import Cpt, DiscreteBayesNet, Variable, forward_sample
-from causalbn.cli import _parse_grid_value, build_parser, main
+from causalbn.cli import _grid_values, _parse_grid_range, build_parser, main
 from causalbn.errors import DomainError, ParseError, ValidationError
 from causalbn.graph import Dag
 from causalbn.modelfile import (
@@ -379,12 +379,12 @@ class TestCli:
 
     @pytest.mark.parametrize("places", [5, 6])
     def test_grid_values_come_from_an_integer_index(self, places):
-        values = _parse_grid_value(f"0:1:{10.0 ** -places:.{places}f}")
+        values = _grid_values(*_parse_grid_range(f"0:1:{10.0 ** -places:.{places}f}"))
         assert values == [i / 10**places for i in range(10**places + 1)]
 
     def test_scan_reversed_range_exit_3(self, tmp_path, capsys):
         with pytest.raises(ValidationError, match="start exceeds end"):
-            _parse_grid_value("0.4:0.2:0.1")
+            _parse_grid_range("0.4:0.2:0.1")
         out = tmp_path / "scan.csv"
         argv = ["scan", "modelD", "--param", "u=0.4:0.2:0.1", "--out", str(out)]
         assert main(argv) == 3
@@ -605,7 +605,10 @@ def test_oversized_grid_refused_before_its_values_are_built(
     assert not out.exists()
     # the same refusal, word for word, as ``bias_scan`` gives the built grid
     monkeypatch.undo()
-    grid = {p.rsplit("=", 1)[0]: _parse_grid_value(p.rsplit("=", 1)[1]) for p in params}
+    grid = {
+        p.rsplit("=", 1)[0]: _grid_values(*_parse_grid_range(p.rsplit("=", 1)[1]))
+        for p in params
+    }
     with pytest.raises(ValidationError) as exc:
         latent.bias_scan(load_model("modelD"), grid)
     assert f"error: {exc.value}\n" == message
