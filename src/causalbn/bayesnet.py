@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityEvidence,
 )
-from .graph import Dag, topological_order
+from .graph import Dag, _reach, topological_order
 
 #: row sums of user-supplied CPTs must match 1 this closely
 ROW_SUM_TOL = 1e-9
@@ -98,8 +98,9 @@ class DiscreteBayesNet:
     ``variables`` and ``cpts`` are read-only views of private copies, so a
     built network stays valid and can be shared.  Building it also stores
     each node's cardinality, each CPT as a read-only cube over
-    ``(*parents, child)``, and an empty store of the tables and answers it
-    keeps (``_Tables``).
+    ``(*parents, child)``, an empty store of the tables and answers it
+    keeps (``_Tables``), and the ``_names`` of all its nodes, the ``keep``
+    of every full-joint request.
     """
 
     dag: Dag
@@ -118,6 +119,7 @@ class DiscreteBayesNet:
         }
         object.__setattr__(self, "_cubes", MappingProxyType(cubes))
         object.__setattr__(self, "_tables", _Tables())
+        object.__setattr__(self, "_all_names", _names(self.dag.nodes))
 
     def card(self, name: str) -> int:
         return self._card[name]
@@ -201,15 +203,14 @@ class Factor:
         """Every p(target | given) at once, with the weights p(given).
 
         ``table`` has axes ``(*given, *target)`` in the order listed;
-        ``weight`` has axes ``given``.  Entries whose weight is 0 are 0.
+        ``weight`` has axes ``given``.  Entries of weight <= 0 are 0.
         """
         given, target = tuple(given), tuple(target)
         scope, values = _marginal(self.scope, self.values, given + target)
         p = values.transpose([scope.index(v) for v in given + target])
         weight = p.sum(axis=tuple(range(len(given), p.ndim)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            table = p / weight[(...,) + (None,) * len(target)]
-        return np.where(np.isfinite(table), table, 0.0), weight
+        w = weight[(...,) + (None,) * len(target)]
+        return np.divide(p, w, out=np.zeros_like(p), where=w > 0), weight
 
     def condition(self, evidence: Mapping[str, str]) -> "Factor":
         """Slice at the evidence states and renormalize the rest."""
@@ -324,7 +325,7 @@ def joint(
     Factor.  Its values are therefore read-only; copy them to modify them.
     The size cap is checked on every call, kept or not.
     """
-    keep = _names(net.dag.nodes if keep is None else keep)
+    keep = net._all_names if keep is None else _names(keep)
     return _joint(net, keep, _pairs(do or {}), _pairs(evidence or {}))[1]
 
 
@@ -347,14 +348,8 @@ def _contract(
             raise UnknownVariable(f"unknown variable {n!r}")
     keep_set = set(keep)
     # ancestors in the mutilated graph: an intervened node has no parents
-    relevant: set[str] = set()
-    stack = [*keep, *fixed]
-    while stack:
-        n = stack.pop()
-        if n not in relevant:
-            relevant.add(n)
-            if n not in point_at:
-                stack.extend(net.dag.parents[n])
+    parents = net.dag.parents
+    relevant = _reach(lambda n: () if n in point_at else parents[n], [*keep, *fixed])
     # an intervened node outside ``keep`` is sliced at its assigned state;
     # where evidence names it too, the evidence state is the slice
     fixed = {**{n: i for n, i in point_at.items() if n not in keep_set}, **fixed}
@@ -533,7 +528,8 @@ class Dataset:
         return self.rows.shape[0]
 
     def to_csv(self) -> str:
-        """CSV text: header of variable names, one state label per cell, LF.
+        """CSV text: header of variable names, one state label per cell, LF,
+        each a ``_csv_fields`` field.
 
         Rows are rendered a chunk at a time: each row gets a mixed-radix
         code over its states, each distinct code is rendered once, and the
@@ -545,19 +541,20 @@ class Dataset:
         """
         cards = [len(s) for s in self.states]
         groups = _radix_groups(cards)
+        labels = [_csv_fields(s) for s in self.states]
 
         def render(configs, end: str) -> np.ndarray:
             return np.array([",".join(cfg) + end for cfg in configs], dtype=object)
 
         ends = [","] * (len(groups) - 1) + ["\n"]
         tables = [
-            render(itertools.product(*(self.states[j] for j in cols)), end)
+            render(itertools.product(*(labels[j] for j in cols)), end)
             if size <= _CSV_CHUNK_ROWS
             else None
             for (cols, size), end in zip(groups, ends)
         ]
 
-        parts = [",".join(self.columns) + "\n"]
+        parts = [",".join(_csv_fields(self.columns)) + "\n"]
         for start in range(0, len(self), _CSV_CHUNK_ROWS):
             block = self.rows[start : start + _CSV_CHUNK_ROWS]
             cells = None
@@ -568,7 +565,7 @@ class Dataset:
                 else:
                     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
                     configs = (
-                        [self.states[j][v] for j, v in zip(cols, row)]
+                        [labels[j][v] for j, v in zip(cols, row)]
                         for row in block[first][:, cols].tolist()
                     )
                     lines = render(configs, end)[inverse]
@@ -582,6 +579,19 @@ class Dataset:
         text = self.to_csv()
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
+    """``texts`` as CSV fields (RFC 4180): each that holds a comma, a
+    quote, CR or LF is quoted, with its quotes doubled.  One look at the
+    joined texts settles the usual case, where none is quoted."""
+
+    def special(text: str) -> bool:
+        return any(c in text for c in ',"\r\n')
+
+    if not special("".join(texts)):
+        return texts
+    return ['"' + t.replace('"', '""') + '"' if special(t) else t for t in texts]
 
 
 def _mixed_radix(rows: np.ndarray, cols: Sequence[int], cards: Sequence[int]) -> np.ndarray:

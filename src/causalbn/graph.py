@@ -2,7 +2,9 @@
 
 A :class:`Dag` stores an ordered node list and a parent set per node.
 Everything here is graph-only: topological ordering, d-separation (by a
-reachability sweep) and the back-door admissibility test.
+reachability sweep) and the back-door admissibility test.  Every other
+walk, ``bayesnet``'s pruning too, is one ``_reach`` call; the sweep keeps
+its own loop, since it stops at the first node of ``b`` it reaches.
 """
 
 from __future__ import annotations
@@ -99,52 +101,37 @@ def topological_order(dag: Dag) -> list[str]:
                 heapq.heappush(ready, i)
     if len(order) != len(dag.nodes):
         done = set(order)
-        on_cycle = [n for n in dag.nodes if n not in done and _returns(children, n)]
+        on_cycle = [n for n in dag.nodes if n not in done and n in descendants(dag, n)]
         raise CycleError(f"no topological order; cycle among {on_cycle}")
     return order
 
 
-def _returns(children: Mapping[str, tuple[str, ...]], node: str) -> bool:
-    """Whether a directed path leads from ``node`` back to it."""
+def _reach(step, start: Iterable[str]) -> set[str]:
+    """``start`` and every node reached from it by repeated ``step``, a
+    map from a node to its neighbours; depth first, to the end."""
     seen: set[str] = set()
-    stack = list(children[node])
+    stack = list(start)
     while stack:
         n = stack.pop()
-        if n == node:
-            return True
         if n not in seen:
             seen.add(n)
-            stack.extend(children[n])
-    return False
+            stack.extend(step(n))
+    return seen
 
 
 def ancestors(dag: Dag, nodes: Iterable[str]) -> set[str]:
     """All strict ancestors of ``nodes`` (the nodes themselves excluded)."""
+    nodes = tuple(nodes)
     dag._check_nodes(nodes)
-    seen: set[str] = set()
-    stack = [p for n in nodes for p in dag.parents[n]]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(dag.parents[n])
-    return seen
+    parents = dag.parents
+    return _reach(parents.__getitem__, [p for n in nodes for p in parents[n]])
 
 
 def descendants(dag: Dag, node: str) -> set[str]:
     """All strict descendants of ``node``."""
     dag._check_nodes([node])
     children = dag.children_map()
-    seen: set[str] = set()
-    stack = list(children[node])
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(children[n])
-    return seen
+    return _reach(children.__getitem__, children[node])
 
 
 def d_separated(dag: Dag, a: Iterable[str], b: Iterable[str], s: Iterable[str] = ()) -> bool:
@@ -170,7 +157,7 @@ def _sweep(dag: Dag, a: set, b: set, s: set, cut: str | None = None) -> bool:
     walk them down.
     """
     children = dag.children_map()
-    anc_s = ancestors(dag, s) | s
+    anc_s = _reach(dag.parents.__getitem__, s)
 
     # direction encodes how the node was entered: 'up' = from a child
     # (or a start node), 'down' = from a parent.

@@ -172,7 +172,7 @@ def _unadjusted(
     """``unadjusted_estimate``'s values, one row per treatment state."""
     _distinct(treatment=treatment, outcome=outcome)
     levels = net.states(treatment)
-    configurations, full = _joint(net, _names(net.dag.nodes), (), ())
+    configurations, full = _joint(net, net._all_names, (), ())
     rows = []
     for level in levels:
         try:
@@ -217,7 +217,7 @@ def _bias(
     _distinct(treatment=treatment, outcome=outcome, covariate=x)
     level1, level0 = _levels(net, treatment, level1, level0)
     y_vals = _outcome_values(net, outcome)
-    configurations, full = _joint(net, _names(net.dag.nodes), (), ())
+    configurations, full = _joint(net, net._all_names, (), ())
     scope, states, values = full.scope, full.states, full.values
     _, p_x = _marginal(scope, values, {x})
     zx_scope, p_zx = _marginal(scope, values, {treatment, x})

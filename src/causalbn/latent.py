@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bayesnet import Cpt, DiscreteBayesNet, Factor, _marginal, joint
+from .bayesnet import Cpt, DiscreteBayesNet, Factor, _csv_fields, _marginal, joint
 from .errors import (
     CausalbnError,
     DegenerateEndpoints,
@@ -328,7 +328,8 @@ def _fmt(x: float) -> str:
 
 
 def scan_to_csv(results: Sequence[ScanResult]) -> str:
-    """Render scan rows as the documented CSV (LF, UTF-8, 12 sig digits)."""
+    """Render scan rows as the documented CSV (LF, UTF-8, 12 sig digits,
+    header names as ``_csv_fields``)."""
     if not results:
         return ""
     axes = sorted(results[0].grid_point)
@@ -338,7 +339,7 @@ def scan_to_csv(results: Sequence[ScanResult]) -> str:
         "err_adj_ace", "err_unadj_ace", "winner",
     ]
     buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
+    buf.write(",".join(_csv_fields(header)) + "\n")
     for r in results:
         row = [_fmt(r.grid_point[a]) for a in axes]
         row += [_fmt(r.dep_zx), _fmt(r.dep_xy), r.interaction_class]

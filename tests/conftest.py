@@ -1,5 +1,6 @@
 """Shared test setup: every property test runs derandomized, with no deadline."""
 
+import contextlib
 import warnings
 
 from hypothesis import settings
@@ -9,7 +10,9 @@ from hypothesis import settings
 # ``filterwarnings = ["error"]`` setting would turn into an error inside
 # pytest's hook teardown, ending the session with INTERNALERROR instead of
 # the failure.  It is imported here once, with only that warning ignored.
-with warnings.catch_warnings():
+# It needs libcst, which the ``test`` extra does not install; without it
+# hypothesis skips the import too, and so does this.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
     warnings.filterwarnings(
         "ignore",
         message="mypy_extensions.TypedDict is deprecated",

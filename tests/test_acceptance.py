@@ -258,9 +258,10 @@ def test_criterion_9_scan_determinism_and_report():
     csv = scan_to_csv(results).encode()
     assert scan_to_csv(bias_scan(load_model("modelD"), grid)).encode() == csv
     # re-pinned when the interventional truth began to contract only the
-    # outcome's ancestors: two rows' err_unadj values moved by at most 5.6e-17
+    # outcome's ancestors: two rows' err_unadj values moved by at most 5.6e-17;
+    # and when the header began to quote the axis "x|u=1,w=1" (line 1 alone)
     assert hashlib.sha256(csv).hexdigest() == (
-        "b467209b53cbb1e3d6db84738ca0e2a454574c25f0d921a2f4025a18aa07b92c"
+        "a00c7b8b6e67d8ad096a6d741b3ce6d9aa70861e3d63ef6afe0504a645dd208c"
     )
     assert len(results) == 100
     assert not any(r.winner == "failed" for r in results)

@@ -1,5 +1,7 @@
+import csv
 import gc
 import hashlib
+import io
 import itertools
 import math
 import sys
@@ -824,6 +826,21 @@ class TestSamplingReference:
         rows[1::2, 2] += 1
         ds = Dataset(("P", "Q", "R", "S"), (labels,) * 4, rows)
         assert ds.to_csv() == reference_csv(ds)
+
+    @pytest.mark.parametrize("chunk", [bayesnet._CSV_CHUNK_ROWS, 2], ids=["table", "codes"])
+    def test_csv_reads_back(self, monkeypatch, chunk):
+        """Names and labels that hold a comma, a quote, CR or LF are quoted,
+        so ``csv.reader`` reads every cell back as it was; with chunks of 2
+        rows, the labels come from each chunk's distinct codes."""
+        monkeypatch.setattr(bayesnet, "_CSV_CHUNK_ROWS", chunk)
+        columns = ("X", 'say "hi"', "a,b")
+        states = (("low, cold", "high"), ("0", "two\nlines", 'cr\r"lf"\r\n'), ("plain", '"'))
+        rows = np.array([[0, 1, 1], [1, 2, 0], [0, 0, 1], [1, 1, 0], [0, 2, 1]])
+        text = Dataset(columns, states, rows).to_csv()
+        header, *cells = csv.reader(io.StringIO(text, newline=""))
+        assert header == list(columns)
+        assert cells == [[states[j][v] for j, v in enumerate(r)] for r in rows.tolist()]
+        assert text.startswith('X,"say ""hi""","a,b"\n"low, cold","two\nlines",""""\n')
 
     def test_pinned_digest(self):
         # SHA-256 of criterion 8's dataset, fixed by the sampling contract

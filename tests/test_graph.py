@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 from causalbn.errors import CycleError, UnknownNode
 from causalbn.graph import (
     Dag,
+    ancestors,
     backdoor_admissible,
     d_separated,
     descendants,
     topological_order,
 )
-from causalbn.bayesnet import joint
+from causalbn.bayesnet import _contract, _names, _pairs, joint
 
 from oracles import d_separated_paths, has_cycle_dfs, random_cpts, random_net
 
@@ -236,3 +238,63 @@ class TestBackdoor:
 def test_descendants():
     assert descendants(FIG2_MODEL1, "X") == {"Z", "Y"}
     assert descendants(FIG2_MODEL1, "Y") == set()
+
+
+def networkx_case(seed):
+    """A ``random_net`` of 2 to 7 nodes, its networkx graph and the rng."""
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, int(rng.integers(2, 8)))
+    g = nx.DiGraph(net.dag.edges())
+    g.add_nodes_from(net.dag.nodes)
+    return rng, net, g
+
+
+def some(rng, nodes):
+    """A random subset of ``nodes``, as a list."""
+    return [n for n in nodes if rng.random() < 0.4]
+
+
+class TestAgainstNetworkx:
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_ancestors_and_descendants(self, seed):
+        rng, net, g = networkx_case(seed)
+        dag = net.dag
+        for n in dag.nodes:
+            assert ancestors(dag, [n]) == nx.ancestors(g, n)
+            assert descendants(dag, n) == nx.descendants(g, n)
+        names = some(rng, dag.nodes)
+        assert ancestors(dag, iter(names)) == set().union(*(nx.ancestors(g, n) for n in names))
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_d_separated(self, seed):
+        rng, net, g = networkx_case(seed)
+        order = rng.permutation(net.dag.nodes).tolist()
+        cut = int(rng.integers(1, len(order)))
+        end = int(rng.integers(cut + 1, len(order) + 1))
+        a, b, rest = set(order[:cut]), set(order[cut:end]), order[end:]
+        s = set(some(rng, rest))
+        assert d_separated(net.dag, a, b, s) == nx.is_d_separator(g, a, b, s)
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_contraction_iterates_the_free_ancestors(self, seed):
+        """The configurations of a contraction are the product of the cards
+        of the ancestors of ``keep`` and the evidence in the graph without
+        the intervened nodes' incoming edges, less the evidence and the
+        intervened nodes outside ``keep``."""
+        rng, net, g = networkx_case(seed)
+        nodes = net.dag.nodes
+
+        def assignment():
+            return {n: str(rng.choice(net.states(n))) for n in some(rng, nodes)}
+
+        keep, do, evidence = some(rng, nodes), assignment(), assignment()
+        g.remove_edges_from([(p, c) for p, c in net.dag.edges() if c in do])
+        relevant = {*keep, *evidence}.union(*(nx.ancestors(g, n) for n in {*keep, *evidence}))
+        fixed = set(evidence) | (set(do) - set(keep))
+        free = [n for n in nodes if n in relevant and n not in fixed]
+        configurations, f = _contract(net, _names(keep), _pairs(do), _pairs(evidence))
+        assert configurations == math.prod(net.card(n) for n in free)
+        assert f.scope == tuple(n for n in free if n in keep)

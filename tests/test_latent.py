@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import itertools
 import math
 
@@ -475,6 +477,17 @@ class TestBiasScan:
         )
         assert lines[1].startswith("0.25,")
         assert text.endswith("\n")
+
+    def test_csv_reads_back(self):
+        """An axis name that holds a comma is quoted, so ``csv.reader``
+        reads the header and every row as written."""
+        grid = {"x|u=1,w=1": [0.3, 0.7], "w|u=1": [0.4]}
+        text = scan_to_csv(bias_scan(load_model("modelD"), grid))
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        assert header[:3] == ["w|u=1", "x|u=1,w=1", "dep_zx"] and len(header) == 12
+        assert [r[:2] for r in rows] == [["0.4", "0.3"], ["0.4", "0.7"]]
+        assert all(len(r) == len(header) for r in rows)
+        assert text.startswith('w|u=1,"x|u=1,w=1",dep_zx,')
 
     def test_summary_mentions_classes(self):
         results = bias_scan(load_model("modelD"), {"u": [0.2, 0.8], "w|u=1": [0.3, 0.9]})

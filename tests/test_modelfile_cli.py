@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
@@ -640,13 +641,13 @@ def test_unwritable_out_exit_3_without_traceback(tmp_path, capsys, argv, reason)
 def check_scan_csv(text, net, grid, roles):
     """Every row of a scan CSV against ``oracles.scan_row`` at its grid point."""
     names = sorted(grid)
-    header, *rows = text.splitlines()
-    columns = header.split(",")[-10:]
-    assert header == ",".join(names + columns)
+    header, *rows = csv.reader(io.StringIO(text))
+    columns = header[-10:]
+    assert header == names + columns
     cells = list(itertools.product(*[grid[a] for a in names]))
     assert len(rows) == len(cells)
-    for values, line in zip(cells, rows):
-        fields = line.split(",")
+    for values, fields in zip(cells, rows):
+        assert len(fields) == len(header)
         assert fields[: len(names)] == [f"{v:.12g}" for v in values]
         row = dict(zip(columns, fields[len(names):]))
         ref = scan_row(with_rows(net, dict(zip(names, values))), *roles)
