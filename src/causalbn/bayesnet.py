@@ -9,10 +9,12 @@ over ``(*parents, child)``, and one store (``_Tables``) of kept answers.
 Every answer a network keeps comes from a kept function (``_kept``): the
 tables of ``joint``, the distributions of ``query`` and of the
 do-operator (one kept function, ``_distribution``), and the estimators
-built on them.  Each is keyed by the function and its own arguments,
-names as a sorted tuple and assignments as sorted (name, state) pairs,
-and its arrays are read-only.  Probabilities live in numpy arrays with
-one axis per variable, first scope variable slowest (C order).
+built on them.  Each is keyed by the function, the size cap in force when
+it was computed and its own arguments, names as a sorted tuple and
+assignments as sorted (name, state) pairs, and its arrays are read-only.
+A call under another cap is computed afresh, and checked against that
+cap; errors are never kept.  Probabilities live in numpy arrays with one
+axis per variable, first scope variable slowest (C order).
 """
 
 from __future__ import annotations
@@ -283,15 +285,16 @@ def _pairs(assignment: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
 
 
 def _kept(compute):
-    """``compute`` as the function that returns the (configurations,
-    answer) ``net`` keeps for ``compute(net, *args)`` (see ``_Tables``).
+    """``compute`` as the function that returns the answer ``net`` keeps
+    for ``compute(net, *args)`` under the size cap in force (see
+    ``_Tables``).
 
     ``compute`` takes a network and hashable arguments: names from
     ``_names`` and assignments from ``_pairs``, so that equal requests
     share one key.
     """
 
-    def kept(net: DiscreteBayesNet, *args) -> tuple[int, object]:
+    def kept(net: DiscreteBayesNet, *args):
         return net._tables.answer(compute, net, *args)
 
     return kept
@@ -323,10 +326,11 @@ def joint(
     The network keeps the table of each distinct ``(keep, do, evidence)``
     request (see ``_Tables``), and a repeated request returns the kept
     Factor.  Its values are therefore read-only; copy them to modify them.
-    The size cap is checked on every call, kept or not.
+    A table is kept under the size cap it was contracted under, so a call
+    under another cap contracts afresh and is checked against that cap.
     """
     keep = net._all_names if keep is None else _names(keep)
-    return _joint(net, keep, _pairs(do or {}), _pairs(evidence or {}))[1]
+    return _joint(net, keep, _pairs(do or {}), _pairs(evidence or {}))
 
 
 def _contract(
@@ -334,8 +338,8 @@ def _contract(
     keep: tuple[str, ...],
     do: tuple[tuple[str, str], ...],
     evidence: tuple[tuple[str, str], ...],
-) -> tuple[int, Factor]:
-    """``joint``'s table, contracted, with the configurations it iterated.
+) -> Factor:
+    """``joint``'s table, contracted.
 
     An estimator contracts its table here when the table serves only its
     own answer, which the network keeps instead.
@@ -354,8 +358,8 @@ def _contract(
     # where evidence names it too, the evidence state is the slice
     fixed = {**{n: i for n, i in point_at.items() if n not in keep_set}, **fixed}
     free = [n for n in nodes if n in relevant and n not in fixed]
-    total = math.prod(net.card(n) for n in free)
-    _check_size(total)
+    if math.prod(net.card(n) for n in free) > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"joint would exceed {DEFAULT_SIZE_CAP} configurations")
     # np.einsum takes at most 52 labels and 63 operands (the output included)
     if len(free) > 52 or len(relevant) > 61:
         raise SizeCapExceeded(
@@ -381,7 +385,7 @@ def _contract(
         ]
     out = tuple(n for n in free if n in keep_set)
     values = np.einsum(*operands, [label[n] for n in out], optimize=False)
-    return total, Factor(out, tuple(net.variables[n].states for n in out), values)
+    return Factor(out, tuple(net.variables[n].states for n in out), values)
 
 
 #: ``joint``'s table, kept.  An estimator reads its table here when one
@@ -390,27 +394,20 @@ def _contract(
 _joint = _kept(_contract)
 
 
-def _check_size(configurations: int) -> None:
-    """Raise SizeCapExceeded past ``DEFAULT_SIZE_CAP``, as read now."""
-    if configurations > DEFAULT_SIZE_CAP:
-        raise SizeCapExceeded(f"joint would exceed {DEFAULT_SIZE_CAP} configurations")
-
-
 class _Tables(dict):
     """The answers one network keeps, oldest first: the tables ``joint``
     contracts and the answers of the estimators built on them.
 
     ``answer(compute, net, *args)`` keys the answer of ``compute(net,
-    *args)`` on ``(compute, *args)``, and maps the key to (configurations,
-    answer): the configurations of the contraction the answer read (0 if
-    it read none), and the answer, whose array (a Factor's values, or an
-    array answer) it makes read-only.  Since a network never changes, a
-    kept answer stays right; ``answer`` returns it again while
-    ``DEFAULT_SIZE_CAP`` admits its configurations, and a request that
-    raises keeps nothing.  Each kept answer is charged ``_charge`` in
-    ``entries``, at most ``JOINT_CACHE_ENTRIES``: the oldest go first to
-    make room, and an answer charged more is not kept.  ``put`` holds a
-    lock, so threads that store at once neither raise nor miscount.
+    *args)`` on ``(compute, DEFAULT_SIZE_CAP, *args)``, the cap read at the
+    call, and makes its array (a Factor's values, or an array answer)
+    read-only.  Since a network never changes, a kept answer stays right,
+    and it fit the cap in its key; a call under another cap misses, so the
+    kernel checks that cap, and a request that raises keeps nothing.
+    Each kept answer is charged ``_charge`` in ``entries``, at most
+    ``JOINT_CACHE_ENTRIES``: the oldest go first to make room, and an
+    answer charged more is not kept.  ``put`` holds a lock, so threads
+    that store at once neither raise nor miscount.
     """
 
     def __init__(self):
@@ -418,33 +415,31 @@ class _Tables(dict):
         self.entries = 0
         self._lock = threading.Lock()
 
-    def answer(self, compute, net: DiscreteBayesNet, *args) -> tuple[int, object]:
-        """The kept (configurations, answer) of ``compute(net, *args)``, or
-        the computed one, kept."""
-        key = (compute, *args)
+    def answer(self, compute, net: DiscreteBayesNet, *args):
+        """The kept answer of ``compute(net, *args)``, or the computed one,
+        kept."""
+        key = (compute, DEFAULT_SIZE_CAP, *args)
         kept = self.get(key)
         if kept is None:
             kept = compute(net, *args)
-            values = getattr(kept[1], "values", kept[1])
+            values = getattr(kept, "values", kept)
             if isinstance(values, np.ndarray):
                 values.flags.writeable = False
-            self.put(key, *kept)
-        else:
-            _check_size(kept[0])
+            self.put(key, kept)
         return kept
 
-    def put(self, key: tuple, configurations: int, answer) -> None:
+    def put(self, key: tuple, answer) -> None:
         size = _charge(key, answer)
         if size > JOINT_CACHE_ENTRIES:
             return
-        kept = (configurations, answer)
         with self._lock:
-            if self.setdefault(key, kept) is not kept:
+            if key in self:
                 return
+            self[key] = answer
             self.entries += size
             while self.entries > JOINT_CACHE_ENTRIES:
                 old = next(iter(self))
-                self.entries -= _charge(old, self.pop(old)[1])
+                self.entries -= _charge(old, self.pop(old))
 
 
 def _charge(key: tuple, answer) -> int:
@@ -474,7 +469,7 @@ def query(
 
     The network keeps the answer, so its values are read-only.
     """
-    return _distribution(net, _names(targets), (), _pairs(evidence or {}))[1]
+    return _distribution(net, _names(targets), (), _pairs(evidence or {}))
 
 
 @_kept
@@ -483,17 +478,17 @@ def _distribution(
     targets: tuple[str, ...],
     do: tuple[tuple[str, str], ...],
     evidence: tuple[tuple[str, str], ...],
-) -> tuple[int, Factor]:
+) -> Factor:
     """p(targets | do(do), evidence): ``query``'s answer, and with ``do``
     the interventional distribution."""
-    configurations, f = _contract(net, targets, do, evidence)
+    f = _contract(net, targets, do, evidence)
     values = f.values
     total = values.sum()
     if total <= 0:
         raise ZeroProbabilityEvidence(f"evidence {dict(evidence)} has probability 0")
     # the table is this call's own, so it is normalised where it lies
     values /= total
-    return configurations, f
+    return f
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,14 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import latent
-from .bayesnet import _distribution, _names, forward_sample, query
+from .bayesnet import forward_sample, query
 from .errors import CausalbnError, SizeCapExceeded, ValidationError
 from .graph import backdoor_admissible, d_separated
 from .intervention import (
-    _adjusted,
     _expected,
     _outcome_values,
     ace,
+    adjusted_estimate,
     conditioning_bias,
     interventional_distribution,
     select_sufficient_confounders,
@@ -125,13 +125,11 @@ def cmd_ace(args) -> int:
 
 def cmd_adjust(args) -> int:
     net = load_model(args.model)
-    s = _names(_parse_set(args.set))
-    adj = _adjusted(net, args.treatment, args.outcome, s)[1]
-    states = net.variables[args.outcome].states
-    for level, row in zip(net.variables[args.treatment].states, adj):
-        truth = _distribution(net, (args.outcome,), ((args.treatment, level),), ())[1].values
+    adj = adjusted_estimate(net, args.treatment, args.outcome, _parse_set(args.set))
+    for level, est in adj.items():
+        truth = interventional_distribution(net, args.outcome, {args.treatment: level})
         print(f"do({args.treatment}={level}):")
-        for state, a, t in zip(states, map(float, row), map(float, truth)):
+        for state, a, t in zip(est.states[0], map(float, est.values), map(float, truth.values)):
             print(
                 f"  {args.outcome}={state}: adjusted={_fmt(a)} "
                 f"true={_fmt(t)} diff={_fmt(a - t)}"
@@ -178,10 +176,10 @@ def cmd_bias(args) -> int:
         net, args.treatment, args.outcome, args.covariate, args.z1, args.z0
     )
     vals = _outcome_values(net, args.outcome)
-    adj = _adjusted(net, args.treatment, args.outcome, (args.covariate,))[1]
-    for level, row in zip(net.states(args.treatment), adj):
-        truth = _distribution(net, (args.outcome,), ((args.treatment, level),), ())[1].values
-        error = _expected(vals, row) - _expected(vals, truth)
+    adj = adjusted_estimate(net, args.treatment, args.outcome, [args.covariate])
+    for level, est in adj.items():
+        truth = interventional_distribution(net, args.outcome, {args.treatment: level})
+        error = _expected(vals, est.values) - _expected(vals, truth.values)
         print(f"per-level error at {args.treatment}={level}: {_fmt(error)}")
     print(f"bias: {_fmt(value)}")
     return 0
@@ -277,11 +275,12 @@ def cmd_decompose(args) -> int:
 
 def cmd_corr(args) -> int:
     lo, hi = third_correlation_interval(args.r1, args.r2)
+    # every domain error is raised before anything is printed
+    verdict = None if args.r3 is None else correlation_feasible(args.r3, args.r1, args.r2)
     print(f"feasible interval: [{_fmt(lo)}, {_fmt(hi)}]")
     print("0 excluded" if lo > 0 or hi < 0 else "0 included")
-    if args.r3 is None:
+    if verdict is None:
         return 0
-    verdict = correlation_feasible(args.r3, args.r1, args.r2)
     print(f"r3={_fmt(args.r3)}: {'feasible' if verdict else 'infeasible'}")
     return 0 if verdict else 1
 

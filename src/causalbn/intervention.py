@@ -7,8 +7,8 @@ conditioning-bias expression, and the two-stage sufficient-confounder
 selection.  The estimators keep their intermediate tables as arrays; the
 public functions wrap their results in validated Factors.  Each estimator
 is one kept function (``bayesnet._kept``): the network keeps its answer
-under its own arguments, so a repeated request is one lookup; kept arrays
-are read-only.
+under its own arguments and the size cap in force, so a repeated request
+is one lookup; kept arrays are read-only.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def interventional_distribution(
     """
     if target in do:
         raise ValueError("target cannot be intervened on")
-    return _distribution(net, (target,), _pairs(do), ())[1]
+    return _distribution(net, (target,), _pairs(do), ())
 
 
 def _distinct(**roles: str) -> None:
@@ -104,8 +104,8 @@ def ace(
     _distinct(treatment=treatment, outcome=outcome)
     level1, level0 = _levels(net, treatment, level1, level0)
     vals = _outcome_values(net, outcome)
-    d1 = _distribution(net, (outcome,), ((treatment, level1),), ())[1]
-    d0 = _distribution(net, (outcome,), ((treatment, level0),), ())[1]
+    d1 = _distribution(net, (outcome,), ((treatment, level1),), ())
+    d0 = _distribution(net, (outcome,), ((treatment, level0),), ())
     return _expected(vals, d1.values) - _expected(vals, d0.values)
 
 
@@ -120,7 +120,7 @@ def adjusted_estimate(
     Raises PositivityViolation whenever some stratum of ``s`` with
     positive probability lacks a treatment level.
     """
-    rows = _adjusted(net, treatment, outcome, _names(s))[1]
+    rows = _adjusted(net, treatment, outcome, _names(s))
     states = (net.variables[outcome].states,)
     levels = net.variables[treatment].states
     return {level: Factor((outcome,), states, row) for level, row in zip(levels, rows)}
@@ -129,13 +129,13 @@ def adjusted_estimate(
 @_kept
 def _adjusted(
     net: DiscreteBayesNet, treatment: str, outcome: str, s_names: tuple[str, ...]
-) -> tuple[int, np.ndarray]:
+) -> np.ndarray:
     """``adjusted_estimate``'s values, one row per treatment state."""
     _distinct(treatment=treatment, outcome=outcome)
     if treatment in s_names or outcome in s_names:
         raise ValueError("adjustment set must exclude treatment and outcome")
     # the kernel rejects unknown names; its scope is in declaration order
-    configurations, f = _contract(net, _names((treatment, outcome, *s_names)), (), ())
+    f = _contract(net, _names((treatment, outcome, *s_names)), (), ())
     s = [v for v in f.scope if v in s_names]
     # cond[z, s..., y] = p(y | z, s) and p_zs[z, s...] = p(z, s)
     cond, p_zs = f.conditional([outcome], [treatment, *s])
@@ -152,14 +152,14 @@ def _adjusted(
     sum_axes = tuple(range(1, 1 + len(s)))
     weighted = cond * p_s[None, ..., None] if s else cond
     dist = weighted.sum(axis=sum_axes) if s else weighted
-    return configurations, dist / dist.sum(axis=1, keepdims=True)
+    return dist / dist.sum(axis=1, keepdims=True)
 
 
 def unadjusted_estimate(
     net: DiscreteBayesNet, treatment: str, outcome: str
 ) -> dict[str, Factor]:
     """Plain conditional p(outcome | z) per treatment level."""
-    rows = _unadjusted(net, treatment, outcome)[1]
+    rows = _unadjusted(net, treatment, outcome)
     states = (net.variables[outcome].states,)
     levels = net.variables[treatment].states
     return {level: Factor((outcome,), states, row) for level, row in zip(levels, rows)}
@@ -168,11 +168,11 @@ def unadjusted_estimate(
 @_kept
 def _unadjusted(
     net: DiscreteBayesNet, treatment: str, outcome: str
-) -> tuple[int, np.ndarray]:
+) -> np.ndarray:
     """``unadjusted_estimate``'s values, one row per treatment state."""
     _distinct(treatment=treatment, outcome=outcome)
     levels = net.states(treatment)
-    configurations, full = _joint(net, net._all_names, (), ())
+    full = _joint(net, net._all_names, (), ())
     rows = []
     for level in levels:
         try:
@@ -182,7 +182,7 @@ def _unadjusted(
                 f"p({treatment}={level}) = 0; conditional undefined"
             ) from None
         rows.append(_marginal(scope, values, {outcome})[1])
-    return configurations, np.array(rows)
+    return np.array(rows)
 
 
 def conditioning_bias(
@@ -202,7 +202,7 @@ def conditioning_bias(
     the joint (as ``Factor.condition`` does) rather than reading
     ``Factor.conditional``.  The network keeps the answer.
     """
-    return _bias(net, treatment, outcome, x, level1, level0)[1]
+    return _bias(net, treatment, outcome, x, level1, level0)
 
 
 @_kept
@@ -213,11 +213,11 @@ def _bias(
     x: str,
     level1: str | None,
     level0: str | None,
-) -> tuple[int, float]:
+) -> float:
     _distinct(treatment=treatment, outcome=outcome, covariate=x)
     level1, level0 = _levels(net, treatment, level1, level0)
     y_vals = _outcome_values(net, outcome)
-    configurations, full = _joint(net, net._all_names, (), ())
+    full = _joint(net, net._all_names, (), ())
     scope, states, values = full.scope, full.states, full.values
     _, p_x = _marginal(scope, values, {x})
     zx_scope, p_zx = _marginal(scope, values, {treatment, x})
@@ -245,7 +245,7 @@ def _bias(
             term += float(np.dot(y_vals, p_y)) * geom_weight
         return term
 
-    return configurations, level_term(level1) - level_term(level0)
+    return level_term(level1) - level_term(level0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,7 +344,7 @@ def select_sufficient_confounders(
     network keeps the answer for the pool cap and tolerance it was found
     under.
     """
-    return _select(net, treatment, outcome, mode, SELECTION_POOL_CAP, SELECTION_TOL)[1]
+    return _select(net, treatment, outcome, mode, SELECTION_POOL_CAP, SELECTION_TOL)
 
 
 @_kept
@@ -355,7 +355,7 @@ def _select(
     mode: str,
     pool_cap: int,
     tolerance: float,
-) -> tuple[int, SelectionResult]:
+) -> SelectionResult:
     _distinct(treatment=treatment, outcome=outcome)
     if mode not in ("graphical", "distributional"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -366,11 +366,11 @@ def _select(
         raise SizeCapExceeded(f"candidate pool of {len(pool)} exceeds cap {pool_cap}")
 
     # one table over the pool and both endpoints serves every equality
-    # test; an empty pool needs none, and reads no contraction
-    configurations, full = (
+    # test; an empty pool needs none
+    full = (
         _joint(net, _names((treatment, outcome, *pool)), (), ())
         if mode == "distributional" and pool
-        else (0, None)
+        else None
     )
     audit: list[AuditRecord] = []
 
@@ -402,7 +402,7 @@ def _select(
     stage1 = smallest_equal(1, outcome, (treatment,), pool)
     # stage 2: smallest X with P(treatment | X') preserved
     chosen = smallest_equal(2, treatment, (), stage1)
-    return configurations, SelectionResult(chosen, pool, stage1, tuple(audit))
+    return SelectionResult(chosen, pool, stage1, tuple(audit))
 
 
 @dataclass(frozen=True)
@@ -432,11 +432,11 @@ def effect_report(
     levels = net.states(treatment)
     vals = _outcome_values(net, outcome)
     truth = tuple(
-        _expected(vals, _distribution(net, (outcome,), ((treatment, lv),), ())[1].values)
+        _expected(vals, _distribution(net, (outcome,), ((treatment, lv),), ()).values)
         for lv in levels
     )
-    unadj = _unadjusted(net, treatment, outcome)[1]
-    adj = _adjusted(net, treatment, outcome, _names(covariates))[1]
+    unadj = _unadjusted(net, treatment, outcome)
+    adj = _adjusted(net, treatment, outcome, _names(covariates))
     return EffectReport(
         levels,
         truth,

@@ -352,6 +352,7 @@ class TestJointCache:
 
     def test_size_cap_is_read_on_every_call(self, monkeypatch):
         net = chain(5)
+        default = bayesnet.DEFAULT_SIZE_CAP
         full = joint(net)
         # N2's table has 2 entries, but its contraction runs over N0..N2
         part = joint(net, keep={"N2"})
@@ -360,8 +361,15 @@ class TestJointCache:
             for _ in range(2):
                 with pytest.raises(SizeCapExceeded):
                     joint(net, **request)
-        # the refusals were not kept; the kept tables answer again
+        # a cap that admits both contracts them afresh, to the same values
         monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", 32)
+        for request, kept in (({}, full), ({"keep": {"N2"}}, part)):
+            fresh = joint(net, **request)
+            assert fresh is not kept and np.array_equal(fresh.values, kept.values)
+            assert joint(net, **request) is fresh
+        # the refusals were not kept; under their own cap the kept tables
+        # answer again
+        monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", default)
         assert joint(net) is full and joint(net, keep={"N2"}) is part
 
     def test_unknown_names_and_states_raise_on_every_call(self):
@@ -385,7 +393,7 @@ class TestJointCache:
         # a small charge that grows with the key, so that the small bound
         # still keeps a few tables
         def charge(key, g):
-            return g.values.size + 3 + sum(len(part) for part in key[1:])
+            return g.values.size + 3 + sum(len(part) for part in key[2:])
 
         monkeypatch.setattr(bayesnet, "_charge", charge)
         rng = np.random.default_rng(11)
@@ -397,14 +405,15 @@ class TestJointCache:
             before = dict(net._tables)
             f = joint(net, do, keep=keep, evidence=ev)
             kept = net._tables
-            assert kept.entries == sum(charge(k, g) for k, (_, g) in kept.items()) <= 24
+            assert kept.entries == sum(charge(k, g) for k, g in kept.items()) <= 24
             key = (
                 bayesnet._contract,
+                bayesnet.DEFAULT_SIZE_CAP,
                 tuple(sorted(set(net.dag.nodes if keep is None else keep))),
                 tuple(sorted(do.items())),
                 tuple(sorted(ev.items())),
             )
-            if any(f is g for _, g in before.values()):
+            if any(f is g for g in before.values()):
                 seen["hit"] += 1
                 assert list(kept) == list(before)
             elif charge(key, f) > 24:
@@ -414,7 +423,7 @@ class TestJointCache:
                 # the new table is kept last, and what made room for it is
                 # the oldest
                 *rest, last = kept
-                assert kept[last][1] is f
+                assert last == key and kept[last] is f
                 old = list(before)
                 assert rest == old[len(old) - len(rest) :]
                 seen["evicted"] += len(rest) < len(old)
@@ -436,7 +445,7 @@ class TestJointCache:
                 start.wait()
                 for _ in range(150):
                     for key in keys:
-                        net._tables.put(key, 2, coin)
+                        net._tables.put(key, coin)
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -452,7 +461,7 @@ class TestJointCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
         kept = net._tables
-        assert kept.entries == sum(g.values.size + 3 for _, g in kept.values()) <= 24
+        assert kept.entries == sum(g.values.size + 3 for g in kept.values()) <= 24
 
     def test_tiny_tables_are_charged_their_overhead(self):
         net = chain(12)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalbn.errors import CycleError, UnknownNode
+from causalbn import bayesnet
+from causalbn.errors import CycleError, SizeCapExceeded, UnknownNode
 from causalbn.graph import (
     Dag,
     ancestors,
@@ -295,6 +296,13 @@ class TestAgainstNetworkx:
         relevant = {*keep, *evidence}.union(*(nx.ancestors(g, n) for n in {*keep, *evidence}))
         fixed = set(evidence) | (set(do) - set(keep))
         free = [n for n in nodes if n in relevant and n not in fixed]
-        configurations, f = _contract(net, _names(keep), _pairs(do), _pairs(evidence))
-        assert configurations == math.prod(net.card(n) for n in free)
+        configurations = math.prod(net.card(n) for n in free)
+        request = (net, _names(keep), _pairs(do), _pairs(evidence))
+        # the cap admits exactly the configurations the contraction iterates
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bayesnet, "DEFAULT_SIZE_CAP", configurations - 1)
+            with pytest.raises(SizeCapExceeded, match=f"exceed {configurations - 1} conf"):
+                _contract(*request)
+            patch.setattr(bayesnet, "DEFAULT_SIZE_CAP", configurations)
+            f = _contract(*request)
         assert f.scope == tuple(n for n in free if n in keep)

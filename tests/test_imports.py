@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 private name a library module defines is used somewhere in the library, no
-library module reads argparse internals, and importing the package parses
-no model.
+library module reads argparse internals, only ``bayesnet`` reads the size
+cap or the store of kept answers, and importing the package parses no
+model.
 
 ``__init__.py`` is left out of the import check: its imports are the
 package's public API.
@@ -122,6 +123,47 @@ def test_checker_flags_argparse_internals():
     )
     assert argparse_internals(source) == [
         "line 1: argparse._", "line 2: ._actions", "line 2: ._defaults",
+    ]
+
+
+#: the size cap and the store of kept answers: the store keys each answer on
+#: the cap, so the rule that ties them lives in ``bayesnet`` alone
+CAP_RULE_NAMES = {"DEFAULT_SIZE_CAP", "_tables"}
+
+
+def cap_rule_reads(source: str) -> list[str]:
+    """``line n: name`` of each name, attribute or import of a
+    ``CAP_RULE_NAMES`` name in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found |= {(node.lineno, n) for n in names if n in CAP_RULE_NAMES}
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "bayesnet.py"],
+    ids=lambda p: p.name,
+)
+def test_only_bayesnet_reads_the_cap_rule(path):
+    assert cap_rule_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_a_cap_rule_read():
+    source = (
+        "from .bayesnet import DEFAULT_SIZE_CAP as cap, joint\n"
+        "if bayesnet.DEFAULT_SIZE_CAP > cap: net._tables.clear()\n"
+        "_template_tables(), tables, net.tables\n"
+    )
+    assert cap_rule_reads(source) == [
+        "line 1: DEFAULT_SIZE_CAP", "line 2: DEFAULT_SIZE_CAP", "line 2: _tables",
     ]
 
 

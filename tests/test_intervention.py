@@ -479,6 +479,8 @@ def assert_same(got, want):
     elif isinstance(want, Factor):
         assert (got.scope, got.states) == (want.scope, want.states)
         assert np.array_equal(got.values, want.values)
+    elif isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
     else:
         assert got == want
 
@@ -679,8 +681,8 @@ class TestKeptAnswers:
                 query(net, ["Y"], {"Z": "1"}).values,
                 interventional_distribution(net, "Y", {"Z": "1"}).values,
                 interventional_distribution(net, "Y", {"Z": "0"}).values,
-                *_adjusted(net, "Z", "Y", ("X",))[1],
-                *_unadjusted(net, "Z", "Y")[1],
+                *_adjusted(net, "Z", "Y", ("X",)),
+                *_unadjusted(net, "Z", "Y"),
                 *(f.values for f in adjusted_estimate(net, "Z", "Y", ["X"]).values()),
                 *(f.values for f in unadjusted_estimate(net, "Z", "Y").values()),
             ]
@@ -693,30 +695,59 @@ class TestKeptAnswers:
                 result.chosen = ()
 
     @pytest.mark.parametrize(
-        "call",
+        "call, configurations",
         [
-            lambda n: query(n, ["Y"], {"X": "1"}),
-            lambda n: interventional_distribution(n, "Y", {"Z": "1"}),
-            lambda n: _adjusted(n, "Z", "Y", ("X",))[1],
-            lambda n: _unadjusted(n, "Z", "Y")[1],
-            lambda n: conditioning_bias(n, "Z", "Y", "X"),
-            lambda n: select_sufficient_confounders(n, "Z", "Y", "distributional"),
+            # Y's ancestors Z, U, W with the evidence X
+            (lambda n: query(n, ["Y"], {"X": "1"}), 16),
+            # Y's ancestors once Z is cut off from U: U, W, Y
+            (lambda n: interventional_distribution(n, "Y", {"Z": "1"}), 8),
+            # the rest read every node of modelD
+            (lambda n: _adjusted(n, "Z", "Y", ("X",)), 32),
+            (lambda n: _unadjusted(n, "Z", "Y"), 32),
+            (lambda n: conditioning_bias(n, "Z", "Y", "X"), 32),
+            (lambda n: select_sufficient_confounders(n, "Z", "Y", "distributional"), 32),
         ],
         ids=["query", "do", "adjusted", "unadjusted", "bias", "select-dist"],
     )
-    def test_size_cap_is_read_on_every_call(self, monkeypatch, call):
-        """A kept answer is refused, on every call, by a cap below the
-        configurations of the contraction it read, and returned again once
-        the cap admits them."""
+    def test_size_cap_is_read_on_every_call(self, monkeypatch, call, configurations):
+        """A cap below the configurations of the contraction an answer
+        reads refuses the request on every call; a cap that admits them
+        computes an equal answer afresh, and the kept answer is returned
+        again once the cap it was kept under is restored."""
         net = parse_model(serialize_model(load_model("modelD")))
+        default = bayesnet.DEFAULT_SIZE_CAP
         answer = call(net)
-        (configurations,) = [c for c, a in net._tables.values() if a is answer]
         monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", configurations - 1)
         for _ in range(2):
             with pytest.raises(SizeCapExceeded):
                 call(net)
         monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", configurations)
+        fresh = call(net)
+        assert fresh is not answer
+        assert_same(("returned", fresh), ("returned", answer))
+        monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", default)
         assert call(net) is answer
+
+    def test_the_store_keeps_the_returned_answers(self):
+        """Every value the store keeps is the object a public call returned
+        (the rows behind an estimate's Factors), and never a tuple."""
+        net = parse_model(serialize_model(load_model("modelD")))
+        returned = [
+            joint(net),
+            joint(net, keep={"Y"}, evidence={"X": "1"}),
+            query(net, ["Y"], {"X": "1"}),
+            interventional_distribution(net, "Y", {"Z": "1"}),
+            adjusted_estimate(net, "Z", "Y", ["X"])["1"].values.base,
+            unadjusted_estimate(net, "Z", "Y")["1"].values.base,
+            conditioning_bias(net, "Z", "Y", "X"),
+            select_sufficient_confounders(net, "Z", "Y", "graphical"),
+            # its table over the pool and both endpoints is the full joint
+            select_sufficient_confounders(net, "Z", "Y", "distributional"),
+        ]
+        kept = list(net._tables.values())
+        assert not any(isinstance(answer, tuple) for answer in kept)
+        assert len(kept) == len(returned)
+        assert all(any(answer is r for r in returned) for answer in kept)
 
     def test_an_answer_is_charged_its_data_and_key(self):
         """The overhead, the array's data, and the key's tuples of names
@@ -725,8 +756,8 @@ class TestKeptAnswers:
         do = {f"N{i}": "1" for i in range(11)}
         values = interventional_distribution(net, "N11", do).values
         pairs = tuple(sorted(do.items()))
-        ((_, *args),) = net._tables
-        assert args == [("N11",), pairs, ()]
+        ((_, cap, *args),) = net._tables
+        assert cap == bayesnet.DEFAULT_SIZE_CAP and args == [("N11",), pairs, ()]
         held = values.nbytes + sys.getsizeof(pairs) + len(pairs) * sys.getsizeof(pairs[0])
         held += sys.getsizeof(("N11",))
         assert net._tables.entries == bayesnet._TABLE_OVERHEAD + held // 8

@@ -186,6 +186,12 @@ class TestCli:
         assert "infeasible" in capsys.readouterr().out
         assert main(["corr", "--r1", "0.8", "--r2", "0.7", "--r3", "0.56"]) == 0
 
+    @pytest.mark.parametrize("r3", ["2", "nan"])
+    def test_corr_domain_error_prints_nothing(self, capsys, r3):
+        assert main(["corr", "--r1", "0.5", "--r2", "0.5", "--r3", r3]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_do(self, capsys):
         assert main(["do", "fig1_left", "--target", "Y", "--do", "Z=1"]) == 0
         assert "Y=1: 0.75" in capsys.readouterr().out
