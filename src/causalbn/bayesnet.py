@@ -37,6 +37,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityEvidence,
 )
+from .fileio import write_file
 from .graph import Dag, _reach, topological_order
 
 #: row sums of user-supplied CPTs must match 1 this closely
@@ -569,11 +570,17 @@ class Dataset:
         return "".join(parts)
 
     def write_csv(self, path) -> None:
-        """Write ``to_csv()`` to ``path``; the text is rendered before the
-        file is opened, so a failed render leaves an existing file as it was."""
-        text = self.to_csv()
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        """Write ``to_csv()`` to ``path`` (a path, not a file descriptor)
+        through ``fileio.write_file``.
+
+        The text is rendered before the file is opened, so a failed render
+        leaves an existing file byte-identical.  A write that fails
+        part-way, or a process killed mid-write, leaves an empty file or a
+        prefix of the new text, never old bytes behind new ones.  Nothing is
+        synced: a power loss soon after the write can leave the file empty
+        or short (see ``write_file``).
+        """
+        write_file(path, self.to_csv().encode("utf-8"))
 
 
 def _csv_fields(texts: Sequence[str]) -> Sequence[str]:

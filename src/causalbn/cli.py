@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple
 from . import latent
 from .bayesnet import forward_sample, query
 from .errors import CausalbnError, SizeCapExceeded, ValidationError
+from .fileio import write_file
 from .graph import backdoor_admissible, d_separated
 from .intervention import (
     _expected,
@@ -250,7 +251,7 @@ def cmd_scan(args) -> int:
     grid = {name: _grid_values(*r) for name, r in ranges.items()}
     results = bias_scan(net, grid, args.treatment, args.outcome, args.covariate)
     with _writing(args.out):
-        Path(args.out).write_text(scan_to_csv(results), encoding="utf-8", newline="")
+        write_file(args.out, scan_to_csv(results).encode("utf-8"))
     print(scan_summary(results))
     return 0
 

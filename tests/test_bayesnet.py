@@ -4,6 +4,8 @@ import hashlib
 import io
 import itertools
 import math
+import os
+import stat
 import sys
 import threading
 import tracemalloc
@@ -652,11 +654,19 @@ class TestSampling:
         assert csv == "X\n1\n1\n1\n"
 
 
+def reference_field(text):
+    """One CSV field per RFC 4180: quoted, with its quotes doubled, when it
+    holds a comma, a quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def reference_csv(ds):
     """Per-row renderer: header, then one joined line per row, LF."""
-    lines = [",".join(ds.columns)]
+    lines = [",".join(reference_field(c) for c in ds.columns)]
     for row in ds.rows.tolist():
-        lines.append(",".join(ds.states[j][v] for j, v in enumerate(row)))
+        lines.append(",".join(reference_field(ds.states[j][v]) for j, v in enumerate(row)))
     return "\n".join(lines) + "\n"
 
 
@@ -845,7 +855,9 @@ class TestSamplingReference:
         columns = ("X", 'say "hi"', "a,b")
         states = (("low, cold", "high"), ("0", "two\nlines", 'cr\r"lf"\r\n'), ("plain", '"'))
         rows = np.array([[0, 1, 1], [1, 2, 0], [0, 0, 1], [1, 1, 0], [0, 2, 1]])
-        text = Dataset(columns, states, rows).to_csv()
+        ds = Dataset(columns, states, rows)
+        text = ds.to_csv()
+        assert text == reference_csv(ds)
         header, *cells = csv.reader(io.StringIO(text, newline=""))
         assert header == list(columns)
         assert cells == [[states[j][v] for j, v in enumerate(r)] for r in rows.tolist()]
@@ -873,6 +885,86 @@ class TestSamplingReference:
         Dataset(("X", "Y"), mixed, np.array([[1, 2]]))
         with pytest.raises(ValidationError):
             Dataset(("X", "Y"), mixed, np.array([[2, 0]]))
+
+
+class TestWriteCsv:
+    """``write_csv`` cuts an existing file to zero through a descriptor it
+    closes at once, then writes through one opened without ``O_TRUNC``."""
+
+    @pytest.fixture
+    def ds(self):
+        return forward_sample(labelled_net(), 300, seed=2)
+
+    @pytest.mark.parametrize(
+        "old", [None, b"", b"old\n", b"old\n" * 20_000], ids=["new", "empty", "shorter", "longer"]
+    )
+    def test_file_holds_exactly_the_csv(self, tmp_path, ds, old):
+        path = tmp_path / "out.csv"
+        if old is not None:
+            path.write_bytes(old)
+        ds.write_csv(path)
+        assert path.read_bytes() == ds.to_csv().encode("utf-8")
+
+    def test_file_keeps_its_inode_and_mode(self, tmp_path, ds):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n" * 20_000)
+        path.chmod(0o640)
+        before = path.stat()
+        ds.write_csv(path)
+        after = path.stat()
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == 0o640
+        assert path.read_bytes() == ds.to_csv().encode("utf-8")
+
+    def test_symlink_is_written_through(self, tmp_path, ds):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"old\n" * 20_000)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        ds.write_csv(link)
+        assert link.is_symlink()
+        assert target.read_bytes() == ds.to_csv().encode("utf-8")
+
+    def test_truncating_descriptor_is_closed_before_the_first_write(
+        self, tmp_path, ds, monkeypatch
+    ):
+        events, real_open, real_close, real_write = [], os.open, os.close, os.write
+
+        def logged_open(path, flags, *mode):
+            fd = real_open(path, flags, *mode)
+            events.append(("open", fd, bool(flags & os.O_TRUNC)))
+            return fd
+
+        def logged_close(fd):
+            events.append(("close", fd, None))
+            real_close(fd)
+
+        def logged_write(fd, data):
+            events.append(("write", fd, None))
+            return real_write(fd, data)
+
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n" * 20_000)
+        monkeypatch.setattr(os, "open", logged_open)
+        monkeypatch.setattr(os, "close", logged_close)
+        monkeypatch.setattr(os, "write", logged_write)
+        ds.write_csv(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == ds.to_csv().encode("utf-8")
+        (_, cut, cuts), (_, closed, _), (_, fd, truncates), (_, writes_to, _) = events[:4]
+        assert [e[0] for e in events[:4]] == ["open", "close", "open", "write"]
+        assert cuts and closed == cut and not truncates and writes_to == fd
+
+    def test_failed_render_leaves_the_file_byte_identical(self, tmp_path, ds, monkeypatch):
+        def render_fails(self):
+            raise RuntimeError("render failed")
+
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n" * 20_000)
+        monkeypatch.setattr(Dataset, "to_csv", render_fails)
+        with pytest.raises(RuntimeError, match="render failed"):
+            ds.write_csv(path)
+        assert path.read_bytes() == b"old\n" * 20_000
 
 
 class TestEmpiricalJoint:

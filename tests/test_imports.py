@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, every
 private name a library module defines is used somewhere in the library, no
 library module reads argparse internals, only ``bayesnet`` reads the size
-cap or the store of kept answers, and importing the package parses no
-model.
+cap or the store of kept answers, only ``fileio.write_file`` writes a
+file and it never truncates the descriptor it writes through, and
+importing the package parses no model.
 
 ``__init__.py`` is left out of the import check: its imports are the
 package's public API.
@@ -164,6 +165,102 @@ def test_checker_flags_a_cap_rule_read():
     )
     assert cap_rule_reads(source) == [
         "line 1: DEFAULT_SIZE_CAP", "line 2: DEFAULT_SIZE_CAP", "line 2: _tables",
+    ]
+
+
+#: ``os.open`` flags that open a file for writing
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT"}
+#: a ``mode`` string of ``open`` that writes
+WRITE_MODE = re.compile(r"[rbt]*[wax+][rwabtx+]*")
+
+
+def _called(node: ast.AST) -> str | None:
+    """The name a call calls: ``f`` of ``f(...)`` and of ``m.f(...)``."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def file_writes(source: str, writer: str | None = None) -> list[str]:
+    """``line n: what`` of each call in ``source`` that writes a file, and
+    of each ``O_TRUNC``: a ``write_text`` or ``write_bytes`` call, or an
+    ``open`` call given a write mode or a write flag.
+
+    Inside the function named ``writer`` a file may be written, but the
+    descriptor that writes is never truncated: ``O_TRUNC`` may appear only
+    in an ``open`` whose descriptor is closed at once, ``close(open(...))``,
+    and an ``open`` given a ``w`` mode is reported."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == writer
+        for node in ast.walk(stmt)
+    }
+    closed_at_once = {
+        id(n)
+        for node in ast.walk(tree)
+        if _called(node) == "close" and node.args and _called(node.args[0]) == "open"
+        for n in ast.walk(node.args[0])
+    }
+    found = []
+    for node in ast.walk(tree):
+        names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            names = [node.id if isinstance(node, ast.Name) else node.attr]
+        if "O_TRUNC" in names and not (id(node) in inside and id(node) in closed_at_once):
+            found.append((node.lineno, "O_TRUNC"))
+        name = _called(node)
+        if name is None:
+            continue
+        args = node.args + [k.value for k in node.keywords if k.arg in ("mode", "flags")]
+        modes = [a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+        modes = [m for m in modes if WRITE_MODE.fullmatch(m)]
+        flags = {
+            n.attr if isinstance(n, ast.Attribute) else n.id
+            for a in args for n in ast.walk(a) if isinstance(n, (ast.Name, ast.Attribute))
+        }
+        if id(node) in inside:
+            writes = name == "open" and any("w" in m for m in modes)
+        else:
+            writes = name in ("write_text", "write_bytes") or (
+                name == "open" and bool(modes or flags & WRITE_FLAGS)
+            )
+        if writes:
+            found.append((node.lineno, f"{name}()"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_write_file_writes_files(path):
+    writer = "write_file" if path.name == "fileio.py" else None
+    assert file_writes(path.read_text(encoding="utf-8"), writer) == []
+
+
+def test_checker_flags_a_file_write():
+    source = (
+        "Path(p).write_text(text, encoding='utf-8')\n"
+        "p.write_bytes(data); open(p, encoding='utf-8', mode='a')\n"
+        "with open(p, 'w', newline='') as fh, io.open(p, 'rb+'): p.open('x')\n"
+        "fd = os.open(p, os.O_RDWR)\n"
+        "from os import O_TRUNC\n"
+        "open(p), open(p, 'rb'), open('w.csv', encoding='utf-8'), os.open(p, os.O_RDONLY)\n"
+        "os.close(os.open(p, os.O_WRONLY | os.O_TRUNC))\n"
+        "def write_file(p):\n"
+        "    os.close(os.open(p, os.O_WRONLY | os.O_TRUNC))\n"
+        "    fd = os.open(p, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)\n"
+        "    fd = os.open(p, os.O_WRONLY | os.O_CREAT); open(p, 'r+b'); open(p, mode='wb')\n"
+    )
+    assert file_writes(source, "write_file") == [
+        "line 1: write_text()", "line 2: open()", "line 2: write_bytes()",
+        "line 3: open()", "line 3: open()", "line 3: open()", "line 4: open()",
+        "line 5: O_TRUNC", "line 7: O_TRUNC", "line 7: open()", "line 10: O_TRUNC",
+        "line 11: open()",
+    ]
+    assert file_writes(source)[-7:] == [
+        "line 9: O_TRUNC", "line 9: open()", "line 10: O_TRUNC", "line 10: open()",
+        "line 11: open()", "line 11: open()", "line 11: open()",
     ]
 
 

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -821,6 +822,87 @@ def test_sample_out_of_memory_exit_4(tmp_path, capsys, monkeypatch, fails):
     assert captured.out == ""
     assert captured.err == f"error: {n} rows do not fit in memory\n"
     assert out.read_text(encoding="utf-8") == "kept"
+
+
+def test_sample_to_dev_null(capsys):
+    argv = ["sample", "fig1_left", "-n", "500", "--seed", "9", "--out", os.devnull]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"wrote 500 rows to {os.devnull}\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_sample_to_a_fifo(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+    try:
+        argv = ["sample", "fig1_left", "-n", "500", "--seed", "9", "--out", str(fifo)]
+        assert main(argv) == 0
+        received, _ = reader.communicate(timeout=60)
+    finally:
+        reader.kill()
+        reader.wait(timeout=60)
+    assert reader.returncode == 0
+    expected = forward_sample(load_model("fig1_left"), 500, 9).to_csv()
+    assert received == expected.encode("utf-8")
+
+
+def test_scan_over_a_longer_file_leaves_exactly_the_scan_csv(tmp_path):
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    reused.write_bytes(b"old\n" * 20_000)
+    for out in (fresh, reused):
+        assert main(["scan", "modelD", "--param", "u=0.2:0.8:0.3", "--out", str(out)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert fresh.read_bytes().startswith(b"u,dep_zx,")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit")
+def test_write_cut_short_leaves_no_old_byte(tmp_path):
+    """A write stopped by the file size limit leaves the new bytes up to the
+    limit, and none of the longer old file after them."""
+    limit = 4096
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"old\n" * 5000)
+    program = (
+        "import resource, signal, sys\n"
+        "from causalbn.cli import main\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard))\n"
+        f"sys.exit(main(['sample', 'modelD', '-n', '5000', '--seed', '3', '--out', {str(out)!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(causalbn.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 3, child.stderr
+    assert child.stderr == f"error: cannot write {out}: File too large\n"
+    expected = forward_sample(load_model("modelD"), 5000, 3).to_csv().encode("utf-8")
+    assert len(expected) > 20_000
+    assert out.read_bytes() == expected[:limit]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="no SIGKILL")
+def test_write_killed_mid_way_leaves_no_old_byte(tmp_path):
+    """A process killed after its first write over a longer file leaves
+    that write's bytes and none of the old file after them."""
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"old\n" * 5000)
+    program = (
+        "import os, signal, sys\n"
+        "from causalbn.cli import main\n"
+        "write = os.write\n"
+        "def write_then_die(fd, data):\n"
+        "    write(fd, bytes(data[:1000]))\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        "os.write = write_then_die\n"
+        f"sys.exit(main(['sample', 'modelD', '-n', '5000', '--seed', '3', '--out', {str(out)!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(causalbn.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", program], env=env, timeout=120)
+    assert child.returncode == -signal.SIGKILL
+    expected = forward_sample(load_model("modelD"), 5000, 3).to_csv().encode("utf-8")
+    assert out.read_bytes() == expected[:1000]
 
 
 def test_library_calls_print_nothing(capfd):
