@@ -527,24 +527,33 @@ class Dataset:
         """CSV text: header of variable names, one state label per cell, LF,
         each a ``_csv_fields`` field.
 
-        Rows are rendered a chunk at a time: each row gets a mixed-radix
-        code over its states, each distinct code is rendered once, and the
-        chunk is the join of those lines in row order.  When every
-        configuration fits in a chunk, the lines come from one table of
-        all configurations; otherwise from the chunk's distinct codes.
-        Columns whose joint code would overflow int64 are split into
-        consecutive groups rendered the same way and joined with ``,``.
+        Raises ``ValidationError`` if a name or state label cannot be
+        encoded as UTF-8 (a lone surrogate), whether or not a row uses it.
+
+        Rows are rendered a chunk at a time from byte tables
+        (``_line_table``): one UTF-8 line per configuration, padded with
+        NUL to the widest.  Each row gets a mixed-radix code over its
+        states and the chunk gathers its rows' lines from the table by
+        code.  When every configuration fits in a chunk, the table holds
+        all configurations; otherwise the chunk's distinct codes.  Columns
+        whose joint code would overflow int64 are split into consecutive
+        groups, each gathered the same way and placed side by side.  When
+        some group's lines differ in width, the padding is dropped by each
+        line's byte length, not by value, so a label may hold NUL.  A
+        chunk holds whole lines and is decoded on its own, so the bytes of
+        only one chunk are held at a time.
         """
+        for j, (name, labels) in enumerate(zip(self.columns, self.states)):
+            if not _encodable((name, *labels)):
+                raise ValidationError(
+                    f"column {j}: a name or state label cannot be encoded as UTF-8"
+                )
         cards = [len(s) for s in self.states]
         groups = _radix_groups(cards)
         labels = [_csv_fields(s) for s in self.states]
-
-        def render(configs, end: str) -> np.ndarray:
-            return np.array([",".join(cfg) + end for cfg in configs], dtype=object)
-
         ends = [","] * (len(groups) - 1) + ["\n"]
         tables = [
-            render(itertools.product(*(labels[j] for j in cols)), end)
+            _line_table(itertools.product(*(labels[j] for j in cols)), end)
             if size <= _CSV_CHUNK_ROWS
             else None
             for (cols, size), end in zip(groups, ends)
@@ -553,20 +562,30 @@ class Dataset:
         parts = [",".join(_csv_fields(self.columns)) + "\n"]
         for start in range(0, len(self), _CSV_CHUNK_ROWS):
             block = self.rows[start : start + _CSV_CHUNK_ROWS]
-            cells = None
+            gathered, ragged = [], False
             for (cols, _), end, table in zip(groups, ends, tables):
                 codes = _mixed_radix(block, cols, cards)
-                if table is not None:
-                    lines = table[codes]
-                else:
-                    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-                    configs = (
-                        [labels[j][v] for j, v in zip(cols, row)]
-                        for row in block[first][:, cols].tolist()
+                if table is None:
+                    _, first, codes = np.unique(codes, return_index=True, return_inverse=True)
+                    table = _line_table(
+                        (
+                            [labels[j][v] for j, v in zip(cols, row)]
+                            for row in block[first][:, cols].tolist()
+                        ),
+                        end,
                     )
-                    lines = render(configs, end)[inverse]
-                cells = lines if cells is None else cells + lines
-            parts.append("".join(cells))
+                lines, widths = table
+                gathered.append((lines.take(codes, axis=0), widths, codes))
+                ragged = ragged or widths.min() < lines.shape[1]
+            chunk = np.hstack([cells for cells, _, _ in gathered])
+            if ragged:
+                chunk = chunk[
+                    np.hstack([
+                        np.arange(cells.shape[1]) < widths.take(codes)[:, None]
+                        for cells, widths, codes in gathered
+                    ])
+                ]
+            parts.append(chunk.tobytes().decode("utf-8"))
         return "".join(parts)
 
     def write_csv(self, path) -> None:
@@ -594,6 +613,26 @@ def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
     if not special("".join(texts)):
         return texts
     return ['"' + t.replace('"', '""') + '"' if special(t) else t for t in texts]
+
+
+def _encodable(texts: Iterable[str]) -> bool:
+    """Whether UTF-8 encodes every text: Python strings, and JSON, may
+    hold a lone surrogate, which UTF-8 cannot."""
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _line_table(configs: Iterable[Sequence[str]], end: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each configuration's fields joined with ``,`` and ended with ``end``,
+    as a ``uint8`` matrix of UTF-8 lines padded with NUL to the widest,
+    and each line's byte length."""
+    encoded = [(",".join(cfg) + end).encode("utf-8") for cfg in configs]
+    lines = np.array(encoded, dtype=bytes)
+    widths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    return lines.view(np.uint8).reshape(len(encoded), lines.itemsize), widths
 
 
 def _mixed_radix(rows: np.ndarray, cols: Sequence[int], cards: Sequence[int]) -> np.ndarray:

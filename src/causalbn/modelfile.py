@@ -23,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .bayesnet import Cpt, DiscreteBayesNet, Variable
+from .bayesnet import Cpt, DiscreteBayesNet, Variable, _encodable
 from .errors import ParseError
 from .graph import Dag
 
@@ -68,6 +68,8 @@ def parse_model(text: str) -> DiscreteBayesNet:
         name = spec["name"]
         if not isinstance(name, str):
             raise ParseError(f"variables[{i}]: name must be a string")
+        if not _encodable([name]):
+            raise ParseError(f"variables[{i}]: name cannot be encoded as UTF-8")
         if name in variables:
             raise ParseError(f"variables[{i}]: duplicate variable {name!r}")
         states = spec["states"]
@@ -79,6 +81,10 @@ def parse_model(text: str) -> DiscreteBayesNet:
             raise ParseError(f"variables[{i}] ({name!r}): states must be >=2 strings")
         if len(set(states)) != len(states):
             raise ParseError(f"variables[{i}] ({name!r}): duplicate state labels")
+        if not _encodable(states):
+            raise ParseError(
+                f"variables[{i}] ({name!r}): a state label cannot be encoded as UTF-8"
+            )
         variables[name] = Variable(name, tuple(states))
         order.append(name)
 

@@ -887,6 +887,71 @@ class TestSamplingReference:
             Dataset(("X", "Y"), mixed, np.array([[2, 0]]))
 
 
+class TestLineTables:
+    """``to_csv`` against ``reference_csv`` where the byte tables must carry
+    each label as it is: on the table of all configurations and, with
+    chunks of 2 rows, on each chunk's distinct codes."""
+
+    @pytest.fixture(autouse=True, params=[bayesnet._CSV_CHUNK_ROWS, 2], ids=["table", "codes"])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(bayesnet, "_CSV_CHUNK_ROWS", request.param)
+
+    @pytest.mark.parametrize(
+        "states",
+        [("é", "中", "😀"), ("\0", "a\0b", "a\0"), ("", "x", "yy")],
+        ids=["multi-byte", "nul", "empty"],
+    )
+    def test_labels(self, states):
+        # every pair of states side by side, so each label ends a field and a line
+        rows = np.array(list(itertools.product(range(3), repeat=2)) * 3)
+        ds = Dataset(("é", "Y"), (states, states), rows)
+        assert ds.to_csv() == reference_csv(ds)
+
+    @pytest.mark.parametrize("ragged_first", [False, True], ids=["fixed-ragged", "ragged-fixed"])
+    def test_groups_of_fixed_and_ragged_width(self, ragged_first):
+        # 70 binary columns: a group of the first 63, then one of the last 7
+        fixed, ragged = ("off", "onn"), ("a", "bbbb")
+        states = (ragged,) * 63 + (fixed,) * 7 if ragged_first else (fixed,) * 63 + (ragged,) * 7
+        rows = np.random.default_rng(70).integers(0, 2, size=(300, 70))
+        ds = Dataset(tuple(f"V{j}" for j in range(70)), states, rows)
+        assert len(bayesnet._radix_groups([2] * 70)) == 2
+        assert ds.to_csv() == reference_csv(ds)
+
+    @pytest.mark.parametrize(
+        "columns, states, n, expected",
+        [(("X",), (("0", "1"),), 0, "X\n"), ((), (), 3, "\n\n\n\n"), (("X",), ((),), 0, "X\n")],
+        ids=["no-rows", "no-columns", "no-states"],
+    )
+    def test_edge_shapes(self, columns, states, n, expected):
+        ds = Dataset(columns, states, np.zeros((n, len(columns)), dtype=int))
+        assert ds.to_csv() == reference_csv(ds) == expected
+
+    @pytest.mark.parametrize(
+        "columns, states",
+        [(("\ud800",), (("0", "1"),)), (("X",), (("0", "\udfff"),))],
+        ids=["name", "unused-label"],
+    )
+    def test_lone_surrogate_is_validation_error(self, columns, states):
+        ds = Dataset(columns, states, np.zeros((3, 1), dtype=int))
+        with pytest.raises(ValidationError, match="column 0: .* cannot be encoded as UTF-8"):
+            ds.to_csv()
+
+
+def test_render_peak_memory_stays_near_the_csv():
+    """The renderer holds the chunks' text and the joined result, and about
+    one chunk's bytes besides: a renderer that joined every chunk's bytes
+    before one decode would hold one more copy of the CSV."""
+    ds = forward_sample(load_model("modelD"), 10**6, seed=5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        csv = ds.to_csv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(csv)
+
+
 class TestWriteCsv:
     """``write_csv`` cuts an existing file to zero through a descriptor it
     closes at once, then writes through one opened without ``O_TRUNC``."""

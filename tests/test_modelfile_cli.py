@@ -824,6 +824,43 @@ def test_sample_out_of_memory_exit_4(tmp_path, capsys, monkeypatch, fails):
     assert out.read_text(encoding="utf-8") == "kept"
 
 
+def lone_surrogate_model(where):
+    """fig1_left as JSON text with X renamed, or X's state "1" relabelled,
+    to a lone surrogate: JSON allows ``\\ud800``, UTF-8 cannot encode it."""
+    text = bundled_model_text("fig1_left")
+    if where == "name":
+        return text.replace('"X"', '"\\ud800"')
+    doc = json.loads(text)
+    doc["variables"][0]["states"] = ["0", "\udfff"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("where", ["name", "label"])
+def test_lone_surrogate_is_a_parse_error(where):
+    assert "\\ud" in lone_surrogate_model(where)
+    with pytest.raises(ParseError, match=r"variables\[0\].* cannot be encoded as UTF-8"):
+        parse_model(lone_surrogate_model(where))
+
+
+@pytest.mark.parametrize("command", ["sample", "query"])
+@pytest.mark.parametrize("where", ["name", "label"])
+def test_lone_surrogate_exit_3_without_traceback(tmp_path, capsys, where, command):
+    model = tmp_path / "m.model"
+    model.write_text(lone_surrogate_model(where), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"kept\n")
+    if command == "sample":
+        argv = ["sample", str(model), "-n", "5", "--seed", "1", "--out", str(out)]
+    else:
+        argv = ["query", str(model), "--target", "Y"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: variables[0]")
+    assert "UTF-8" in captured.err and "Traceback" not in captured.err
+    assert out.read_bytes() == b"kept\n"
+
+
 def test_sample_to_dev_null(capsys):
     argv = ["sample", "fig1_left", "-n", "500", "--seed", "9", "--out", os.devnull]
     assert main(argv) == 0
