@@ -945,11 +945,11 @@ def test_render_peak_memory_stays_near_the_csv():
     gc.collect()
     tracemalloc.start()
     try:
-        csv = ds.to_csv()
+        text = ds.to_csv()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * len(csv)
+    assert peak <= 2.5 * len(text)
 
 
 class TestWriteCsv:
