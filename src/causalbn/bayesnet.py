@@ -19,8 +19,10 @@ axis per variable, first scope variable slowest (C order).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import sys
 import threading
 from dataclasses import dataclass
@@ -530,62 +532,53 @@ class Dataset:
         Raises ``ValidationError`` if a name or state label cannot be
         encoded as UTF-8 (a lone surrogate), whether or not a row uses it.
 
-        Rows are rendered a chunk at a time from byte tables
-        (``_line_table``): one UTF-8 line per configuration, padded with
-        NUL to the widest.  Each row gets a mixed-radix code over its
-        states and the chunk gathers its rows' lines from the table by
-        code.  When every configuration fits in a chunk, the table holds
-        all configurations; otherwise the chunk's distinct codes.  Columns
-        whose joint code would overflow int64 are split into consecutive
-        groups, each gathered the same way and placed side by side.  When
-        some group's lines differ in width, the padding is dropped by each
-        line's byte length, not by value, so a label may hold NUL.  A
-        chunk holds whole lines and is decoded on its own, so the bytes of
-        only one chunk are held at a time.
+        Rows are rendered a chunk at a time: each row gets a mixed-radix
+        code over its states, and the chunk takes its rows' lines from a
+        table of lines by code.  When every configuration fits in a
+        chunk, the table holds all configurations; otherwise the chunk's
+        distinct codes.  Columns whose joint code would overflow int64 are
+        split into consecutive groups, each rendered the same way and
+        placed side by side.  When each column's labels all encode to one
+        UTF-8 width, every line of a table has one width, so the table is
+        a ``uint8`` matrix with a line per row (``_byte_lines``) and a
+        chunk is its rows' bytes, decoded on its own.  Otherwise the table
+        holds strings (``_str_lines``) and a chunk is their join.
         """
-        for j, (name, labels) in enumerate(zip(self.columns, self.states)):
-            if not _encodable((name, *labels)):
-                raise ValidationError(
-                    f"column {j}: a name or state label cannot be encoded as UTF-8"
-                )
+        names = _csv_fields(self.columns)
+        labels = [_csv_fields(s) for s in self.states]
+        try:
+            _, *encoded = [[f.encode("utf-8") for f in col] for col in (names, *labels)]
+        except UnicodeEncodeError as e:
+            raise ValidationError(f"{e.object!r} cannot be encoded as UTF-8") from None
         cards = [len(s) for s in self.states]
         groups = _radix_groups(cards)
-        labels = [_csv_fields(s) for s in self.states]
-        ends = [","] * (len(groups) - 1) + ["\n"]
+        if all(len({len(f) for f in col}) <= 1 for col in encoded):
+            labels, sep, eol, render, join = encoded, b",", b"\n", _byte_lines, _bytes_text
+        else:
+            sep, eol, render, join = ",", "\n", _str_lines, _strs_text
+        ends = [sep] * (len(groups) - 1) + [eol]
         tables = [
-            _line_table(itertools.product(*(labels[j] for j in cols)), end)
+            render(itertools.product(*(labels[j] for j in cols)), end)
             if size <= _CSV_CHUNK_ROWS
             else None
             for (cols, size), end in zip(groups, ends)
         ]
 
-        parts = [",".join(_csv_fields(self.columns)) + "\n"]
+        parts = [",".join(names) + "\n"]
         for start in range(0, len(self), _CSV_CHUNK_ROWS):
             block = self.rows[start : start + _CSV_CHUNK_ROWS]
-            gathered, ragged = [], False
+            lines = []
             for (cols, _), end, table in zip(groups, ends, tables):
                 codes = _mixed_radix(block, cols, cards)
                 if table is None:
                     _, first, codes = np.unique(codes, return_index=True, return_inverse=True)
-                    table = _line_table(
-                        (
-                            [labels[j][v] for j, v in zip(cols, row)]
-                            for row in block[first][:, cols].tolist()
-                        ),
-                        end,
+                    configs = (
+                        [labels[j][v] for j, v in zip(cols, row)]
+                        for row in block[first][:, cols].tolist()
                     )
-                lines, widths = table
-                gathered.append((lines.take(codes, axis=0), widths, codes))
-                ragged = ragged or widths.min() < lines.shape[1]
-            chunk = np.hstack([cells for cells, _, _ in gathered])
-            if ragged:
-                chunk = chunk[
-                    np.hstack([
-                        np.arange(cells.shape[1]) < widths.take(codes)[:, None]
-                        for cells, widths, codes in gathered
-                    ])
-                ]
-            parts.append(chunk.tobytes().decode("utf-8"))
+                    table = render(configs, end)
+                lines.append(table.take(codes, axis=0))
+            parts.append(join(lines))
         return "".join(parts)
 
     def write_csv(self, path) -> None:
@@ -615,24 +608,29 @@ def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
     return ['"' + t.replace('"', '""') + '"' if special(t) else t for t in texts]
 
 
-def _encodable(texts: Iterable[str]) -> bool:
-    """Whether UTF-8 encodes every text: Python strings, and JSON, may
-    hold a lone surrogate, which UTF-8 cannot."""
-    try:
-        "".join(texts).encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
+def _str_lines(configs: Iterable[Sequence[str]], end: str) -> np.ndarray:
+    """Each configuration's fields joined with ``,`` and ended with
+    ``end``: an object array of lines."""
+    return np.array([",".join(cfg) + end for cfg in configs], dtype=object)
 
 
-def _line_table(configs: Iterable[Sequence[str]], end: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each configuration's fields joined with ``,`` and ended with ``end``,
-    as a ``uint8`` matrix of UTF-8 lines padded with NUL to the widest,
-    and each line's byte length."""
-    encoded = [(",".join(cfg) + end).encode("utf-8") for cfg in configs]
-    lines = np.array(encoded, dtype=bytes)
-    widths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
-    return lines.view(np.uint8).reshape(len(encoded), lines.itemsize), widths
+def _strs_text(lines: Sequence[np.ndarray]) -> str:
+    """One chunk's text from each group's lines for its rows."""
+    return "".join(functools.reduce(operator.add, lines))
+
+
+def _byte_lines(configs: Iterable[Sequence[bytes]], end: bytes) -> np.ndarray:
+    """Each configuration's encoded fields joined with ``,`` and ended with
+    ``end``: a ``uint8`` matrix with one line per row.  The lines must all
+    have one width, since ``np.array`` pads shorter ones with NUL."""
+    lines = np.array([b",".join(cfg) + end for cfg in configs], dtype=bytes)
+    return lines.view(np.uint8).reshape(len(lines), lines.itemsize)
+
+
+def _bytes_text(lines: Sequence[np.ndarray]) -> str:
+    """One chunk's text from each group's ``uint8`` lines for its rows.  A
+    chunk holds whole lines, so it decodes on its own."""
+    return np.hstack(lines).tobytes().decode("utf-8")
 
 
 def _mixed_radix(rows: np.ndarray, cols: Sequence[int], cards: Sequence[int]) -> np.ndarray:

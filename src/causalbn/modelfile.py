@@ -23,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .bayesnet import Cpt, DiscreteBayesNet, Variable, _encodable
+from .bayesnet import Cpt, DiscreteBayesNet, Variable
 from .errors import ParseError
 from .graph import Dag
 
@@ -68,8 +68,6 @@ def parse_model(text: str) -> DiscreteBayesNet:
         name = spec["name"]
         if not isinstance(name, str):
             raise ParseError(f"variables[{i}]: name must be a string")
-        if not _encodable([name]):
-            raise ParseError(f"variables[{i}]: name cannot be encoded as UTF-8")
         if name in variables:
             raise ParseError(f"variables[{i}]: duplicate variable {name!r}")
         states = spec["states"]
@@ -81,10 +79,11 @@ def parse_model(text: str) -> DiscreteBayesNet:
             raise ParseError(f"variables[{i}] ({name!r}): states must be >=2 strings")
         if len(set(states)) != len(states):
             raise ParseError(f"variables[{i}] ({name!r}): duplicate state labels")
-        if not _encodable(states):
-            raise ParseError(
-                f"variables[{i}] ({name!r}): a state label cannot be encoded as UTF-8"
-            )
+        for label in (name, *states):
+            try:
+                label.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(f"variables[{i}]: {label!r} cannot be encoded as UTF-8") from None
         variables[name] = Variable(name, tuple(states))
         order.append(name)
 

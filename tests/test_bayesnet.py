@@ -888,7 +888,7 @@ class TestSamplingReference:
 
 
 class TestLineTables:
-    """``to_csv`` against ``reference_csv`` where the byte tables must carry
+    """``to_csv`` against ``reference_csv`` where the line tables must carry
     each label as it is: on the table of all configurations and, with
     chunks of 2 rows, on each chunk's distinct codes."""
 
@@ -898,8 +898,15 @@ class TestLineTables:
 
     @pytest.mark.parametrize(
         "states",
-        [("é", "中", "😀"), ("\0", "a\0b", "a\0"), ("", "x", "yy")],
-        ids=["multi-byte", "nul", "empty"],
+        [
+            ("é", "中", "😀"),
+            ("é", "ab", '"'),
+            ("\0", "a\0b", "a\0"),
+            ("\0", "a", "b"),
+            ("a\0", "\0b", "\0\0"),
+            ("", "x", "yy"),
+        ],
+        ids=["multi-byte", "multi-byte-fixed", "nul", "nul-fixed", "nul-ends-fixed", "empty"],
     )
     def test_labels(self, states):
         # every pair of states side by side, so each label ends a field and a line
@@ -907,14 +914,34 @@ class TestLineTables:
         ds = Dataset(("é", "Y"), (states, states), rows)
         assert ds.to_csv() == reference_csv(ds)
 
-    @pytest.mark.parametrize("ragged_first", [False, True], ids=["fixed-ragged", "ragged-fixed"])
-    def test_groups_of_fixed_and_ragged_width(self, ragged_first):
+    @pytest.mark.parametrize(
+        "fixed, ragged",
+        [(("off", "onn"), ("a", "bbbb")), (("off", "onn"), ("é", "ab"))],
+        ids=["ragged", "fixed"],
+    )
+    @pytest.mark.parametrize("fixed_first", [True, False], ids=["fixed-first", "fixed-last"])
+    def test_two_groups(self, fixed, ragged, fixed_first):
         # 70 binary columns: a group of the first 63, then one of the last 7
-        fixed, ragged = ("off", "onn"), ("a", "bbbb")
-        states = (ragged,) * 63 + (fixed,) * 7 if ragged_first else (fixed,) * 63 + (ragged,) * 7
+        states = (fixed,) * 63 + (ragged,) * 7 if fixed_first else (ragged,) * 63 + (fixed,) * 7
         rows = np.random.default_rng(70).integers(0, 2, size=(300, 70))
         ds = Dataset(tuple(f"V{j}" for j in range(70)), states, rows)
         assert len(bayesnet._radix_groups([2] * 70)) == 2
+        assert ds.to_csv() == reference_csv(ds)
+
+    @pytest.mark.parametrize(
+        "states, path",
+        [((("0", "1"), ("é", "ab")), "_byte_lines"), ((("0", "1"), ("a", "bb")), "_str_lines")],
+        ids=["fixed-width", "mixed-width"],
+    )
+    def test_label_widths_choose_the_renderer(self, monkeypatch, states, path):
+        # each column's labels of one UTF-8 width give byte tables; else strings
+        other = {"_byte_lines": "_str_lines", "_str_lines": "_byte_lines"}[path]
+
+        def refused(configs, end):
+            raise AssertionError(f"{other} used")
+
+        monkeypatch.setattr(bayesnet, other, refused)
+        ds = Dataset(("X", "Y"), states, np.array([[0, 1], [1, 0], [1, 1]]))
         assert ds.to_csv() == reference_csv(ds)
 
     @pytest.mark.parametrize(
@@ -928,20 +955,36 @@ class TestLineTables:
 
     @pytest.mark.parametrize(
         "columns, states",
-        [(("\ud800",), (("0", "1"),)), (("X",), (("0", "\udfff"),))],
-        ids=["name", "unused-label"],
+        [(("\ud800",), (("0", "1"),)), (("X",), (("0", "\udfff"),)), (("X",), (("0", "a\udfff"),))],
+        ids=["name", "unused-label", "unused-wider-label"],
     )
     def test_lone_surrogate_is_validation_error(self, columns, states):
         ds = Dataset(columns, states, np.zeros((3, 1), dtype=int))
-        with pytest.raises(ValidationError, match="column 0: .* cannot be encoded as UTF-8"):
+        with pytest.raises(ValidationError, match="cannot be encoded as UTF-8"):
             ds.to_csv()
 
 
-def test_render_peak_memory_stays_near_the_csv():
+def skewed_dataset(n):
+    """Three binary columns whose first has a 4 KB label that about 1% of
+    rows use: a table padded to its widest line would hold about 20 times
+    the CSV."""
+    rng = np.random.default_rng(4096)
+    rows = rng.integers(0, 2, size=(n, 3))
+    rows[:, 0] = rng.random(n) < 0.01
+    return Dataset(("X", "Y", "Z"), (("0", "L" * 4096), ("0", "1"), ("0", "1")), rows)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: forward_sample(load_model("modelD"), 10**6, seed=5), lambda: skewed_dataset(10**6)],
+    ids=["modelD", "wide-rare-label"],
+)
+def test_render_peak_memory_stays_near_the_csv(make):
     """The renderer holds the chunks' text and the joined result, and about
     one chunk's bytes besides: a renderer that joined every chunk's bytes
-    before one decode would hold one more copy of the CSV."""
-    ds = forward_sample(load_model("modelD"), 10**6, seed=5)
+    before one decode would hold one more copy of the CSV, and one that
+    padded every line to the widest would hold many."""
+    ds = make()
     gc.collect()
     tracemalloc.start()
     try:
