@@ -955,7 +955,11 @@ class TestLineTables:
 
     @pytest.mark.parametrize(
         "columns, states",
-        [(("\ud800",), (("0", "1"),)), (("X",), (("0", "\udfff"),)), (("X",), (("0", "a\udfff"),))],
+        [
+            (("\ud800",), (("0", "1"),)),
+            (("X",), (("0", "\udfff"),)),
+            (("X",), (("0", "a\udfff"),)),
+        ],
         ids=["name", "unused-label", "unused-wider-label"],
     )
     def test_lone_surrogate_is_validation_error(self, columns, states):
