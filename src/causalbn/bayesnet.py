@@ -61,6 +61,10 @@ JOINT_CACHE_ENTRIES = 2**16
 _TABLE_OVERHEAD = 96
 #: rows rendered per chunk by ``Dataset.to_csv``
 _CSV_CHUNK_ROWS = 1 << 17
+#: rows drawn per block by ``forward_sample``: a block's temporaries (its
+#: float64 uniforms, its gathered thresholds and the ``intp`` index that
+#: ``take`` widens the parent code to, 512 KB each) fit a 2 MB L2 cache
+_SAMPLE_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -637,21 +641,29 @@ def _mixed_radix(rows: np.ndarray, cols: Sequence[int], cards: Sequence[int]) ->
     """Mixed-radix code of each row over ``cols``, first column slowest.
 
     ``cards[j]`` is the radix of column ``j``.  The code accumulates in
-    place in an ``intp`` array that starts at zero, so a narrow or
-    unsigned state column neither wraps nor widens it; the caller keeps
-    the product of the radices within int64.
+    place in the narrowest unsigned dtype that holds the product of the
+    radices (``uint8``, ``uint16`` or ``uint32``; ``intp`` above 2**32),
+    so a state column of any integer dtype neither wraps nor widens it;
+    the caller keeps that product within int64 (``_radix_groups``).
     """
-    codes = np.zeros(rows.shape[0], dtype=np.intp)
+    size = math.prod(cards[j] for j in cols)
+    dtype = np.min_scalar_type(size - 1) if size <= 2**32 else np.intp
+    codes = np.zeros(rows.shape[0], dtype=dtype)
+    # every partial code fits the dtype, so arithmetic modulo its range is
+    # exact; a radix equal to that range, met only while every code is 0,
+    # multiplies as 0 where the Python int itself would not convert
+    wrap = 1 << (8 * codes.itemsize)
     for j in cols:
-        codes *= cards[j]
-        np.add(codes, rows[:, j], out=codes, dtype=np.intp, casting="unsafe")
+        codes *= cards[j] % wrap
+        np.add(codes, rows[:, j], out=codes, dtype=dtype, casting="unsafe")
     return codes
 
 
 def _radix_groups(cards: list[int]) -> list[tuple[list[int], int]]:
     """Consecutive column groups, each with its configuration count.
 
-    Every group's mixed-radix codes fit in int64.  There is always at
+    Every group's mixed-radix codes fit in int64, the widest dtype
+    ``_mixed_radix`` accumulates in.  There is always at
     least one group, so a dataset without columns still renders one
     (empty) line per row.
     """
@@ -673,36 +685,52 @@ def forward_sample(net: DiscreteBayesNet, n: int, seed: int) -> Dataset:
 
     The generator is numpy's PCG64 seeded with ``seed``.  Nodes are
     visited in topological order (ties broken by declaration order);
-    each node consumes one uniform draw ``u`` per row, and the row's
-    state is the number of entries of its CPT row's cumulative sum that
-    lie strictly below ``u``, clamped to the last state.  Identical
-    (net, n, seed) therefore reproduces the dataset bit for bit.
+    node ``k`` in that order takes the stream's outputs ``k*n`` to
+    ``(k+1)*n - 1``, one 64-bit output per uniform ``u`` and one ``u``
+    per row, and the row's state is the number of entries of its CPT
+    row's cumulative sum that lie strictly below ``u``, clamped to the
+    last state.  Identical (net, n, seed) therefore reproduces the
+    dataset bit for bit.
 
     The rows are stored column-major (one contiguous column per node) in
-    the narrowest unsigned dtype that holds every state index.
+    the narrowest unsigned dtype that holds every state index.  They are
+    drawn ``_SAMPLE_BLOCK_ROWS`` at a time, every node in turn, each node
+    from its own generator advanced to its place in the stream, so that
+    a block's uniforms, parent codes and thresholds stay in cache.
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    rng = np.random.Generator(np.random.PCG64(seed))
     nodes = net.dag.nodes
     col_of = {name: i for i, name in enumerate(nodes)}
     cards = [net.card(m) for m in nodes]
     rows = np.zeros((n, len(nodes)), dtype=np.min_scalar_type(max(cards) - 1), order="F")
-    for name in topological_order(net.dag):
-        cpt = net.cpts[name]
-        u = rng.random(n)
-        # cumsum of a CPT row does the same float additions as per-row cumsum
-        cdf = np.cumsum(cpt.table, axis=1)
-        # row index into the CPT, first parent slowest
-        idx = _mixed_radix(rows, [col_of[p] for p in cpt.parents], cards)
-        state = rows[:, col_of[name]]
+    plan = []
+    for k, name in enumerate(topological_order(net.dag)):
+        parents = [col_of[p] for p in net.cpts[name].parents]
+        # cumsum of a CPT row does the same float additions as per-row cumsum;
         # CDF rows never decrease (validate rejects negative entries), so
         # leaving out the last column is the clamp to the last state
-        for j in range(net.card(name) - 1):
-            column = cdf[:, j]
-            state += u > (column[idx] if cpt.parents else column[0])
+        cdf = np.cumsum(net.cpts[name].table, axis=1)[:, :-1]
+        thresholds = list(cdf.T) if parents else cdf[0].tolist()
+        rng = np.random.Generator(np.random.PCG64(seed).advance(k * n))
+        plan.append((rng, col_of[name], parents, thresholds))
+    u = np.empty(min(n, _SAMPLE_BLOCK_ROWS))
+    for start in range(0, n, _SAMPLE_BLOCK_ROWS):
+        block = rows[start : start + _SAMPLE_BLOCK_ROWS]
+        draws = u[: len(block)]
+        for rng, col, parents, thresholds in plan:
+            rng.random(out=draws)
+            state = block[:, col]
+            if parents:
+                # row index into the CPT, first parent slowest
+                idx = _mixed_radix(block, parents, cards)
+                for column in thresholds:
+                    state += draws > column.take(idx)
+            else:
+                for threshold in thresholds:
+                    state += draws > threshold
     return Dataset(nodes, tuple(net.variables[m].states for m in nodes), rows)
 
 

@@ -721,6 +721,34 @@ def labelled_net():
     return DiscreteBayesNet(dag, variables, cpts)
 
 
+def small_random_networks():
+    """15 networks of 1 to 5 nodes with 2 or 3 states each, declared in a
+    shuffled order so ties and parent order vary."""
+    rng = np.random.default_rng(29)
+    nets = []
+    for _ in range(15):
+        n = int(rng.integers(1, 6))
+        names = [f"N{i}" for i in range(n)]
+        edges = [
+            (names[i], names[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.5
+        ]
+        dag = Dag.from_edges([names[i] for i in rng.permutation(n)], edges)
+        cards = {m: int(rng.integers(2, 4)) for m in names}
+        nets.append(random_cpts(dag, rng, cards=cards))
+    return nets
+
+
+def int64_counts(ds):
+    """Rows per configuration, from mixed-radix codes built in int64."""
+    codes = np.zeros(len(ds), dtype=np.int64)
+    for j, states in enumerate(ds.states):
+        codes = codes * len(states) + ds.rows[:, j].astype(np.int64)
+    return np.bincount(codes, minlength=math.prod(len(s) for s in ds.states))
+
+
 class TestSamplingReference:
     """The library against the per-row references above."""
 
@@ -744,21 +772,18 @@ class TestSamplingReference:
         self.check(single_node(0.3), 500, seed=4)
 
     def test_random_networks(self):
-        rng = np.random.default_rng(29)
-        for trial in range(15):
-            n = int(rng.integers(1, 6))
-            names = [f"N{i}" for i in range(n)]
-            edges = [
-                (names[i], names[j])
-                for i in range(n)
-                for j in range(i + 1, n)
-                if rng.random() < 0.5
-            ]
-            # declare in a shuffled order so ties and parent order vary
-            decl = [names[i] for i in rng.permutation(n)]
-            dag = Dag.from_edges(decl, edges)
-            cards = {m: int(rng.integers(2, 4)) for m in names}
-            self.check(random_cpts(dag, rng, cards=cards), 400, seed=trial)
+        for trial, net in enumerate(small_random_networks()):
+            self.check(net, 400, seed=trial)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_block_boundaries(self, monkeypatch, block):
+        # rows drawn a block at a time match the per-row reference at, just
+        # before and just after each block boundary
+        monkeypatch.setattr(bayesnet, "_SAMPLE_BLOCK_ROWS", block)
+        sizes = [n for n in (1, block - 1, block, block + 1, 3 * block + 2) if n >= 1]
+        for seed, net in enumerate([labelled_net(), *small_random_networks()]):
+            for n in sizes:
+                assert forward_sample(net, n, seed).rows.tolist() == reference_sample(net, n, seed)
 
     def test_rows_span_several_chunks(self):
         net = load_model("fig1_left")
@@ -870,6 +895,13 @@ class TestSamplingReference:
             "0dea14cd1aa817bf4ee09c1d5dc948f0f31df517d9734235e7915b0b487d46b3"
         )
 
+    def test_pinned_digest_modelD(self):
+        # two of modelD's five nodes have two parents each
+        csv = forward_sample(load_model("modelD"), 10**6, seed=7).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "86206549a381a85f14445d765f3fe33f8462df57602c657f590b11701ba09d9d"
+        )
+
     def test_empty_sample_is_domain_error(self):
         with pytest.raises(DomainError):
             forward_sample(single_node(), 0, seed=1)
@@ -885,6 +917,44 @@ class TestSamplingReference:
         Dataset(("X", "Y"), mixed, np.array([[1, 2]]))
         with pytest.raises(ValidationError):
             Dataset(("X", "Y"), mixed, np.array([[2, 0]]))
+
+
+class TestRadixAtTheDtypeRange:
+    """Columns whose states fill a code dtype exactly (256 or 65 536), or
+    one state short or over, first or after other columns: the codes that
+    index line tables, count cells and pick CPT rows stay exact."""
+
+    @pytest.fixture(autouse=True, params=[bayesnet._CSV_CHUNK_ROWS, 2], ids=["table", "codes"])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(bayesnet, "_CSV_CHUNK_ROWS", request.param)
+
+    @pytest.mark.parametrize("card", [255, 256, 257, 65536])
+    @pytest.mark.parametrize(
+        "before, after", [((), ()), ((1,), ()), ((2,), ()), ((), (2,))],
+        ids=["alone", "after-one-state", "after-binary", "before-binary"],
+    )
+    def test_dataset(self, card, before, after):
+        cards = (*before, card, *after)
+        rng = np.random.default_rng(card)
+        rows = np.stack([rng.integers(0, c, size=300) for c in cards], axis=1)
+        rows[0], rows[1] = np.array(cards) - 1, 0
+        ds = Dataset(
+            tuple(f"V{j}" for j in range(len(cards))),
+            tuple(tuple(str(i) for i in range(c)) for c in cards),
+            rows.astype(np.min_scalar_type(card - 1)),
+        )
+        assert ds.to_csv() == reference_csv(ds)
+        assert np.array_equal(empirical_joint(ds).values.ravel(), int64_counts(ds) / len(ds))
+
+    @pytest.mark.parametrize("card", [255, 256, 257, 65536])
+    def test_sampled_parent(self, card):
+        # A is B's only parent and C's second, after the binary B
+        dag = Dag.from_edges(("A", "B", "C"), [("A", "B"), ("B", "C"), ("A", "C")])
+        net = random_cpts(dag, np.random.default_rng(card), cards={"A": card, "B": 2, "C": 3})
+        ds = forward_sample(net, 30, seed=card)
+        assert ds.rows.tolist() == reference_sample(net, 30, seed=card)
+        assert ds.to_csv() == reference_csv(ds)
+        assert np.array_equal(empirical_joint(ds).values.ravel(), int64_counts(ds) / len(ds))
 
 
 class TestLineTables:
@@ -997,6 +1067,20 @@ def test_render_peak_memory_stays_near_the_csv(make):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * len(text)
+
+
+def test_sample_peak_memory_stays_near_the_rows():
+    """``forward_sample`` holds its rows and about one block's temporaries:
+    one that drew and indexed all rows at once would hold several 8 MB
+    columns besides."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ds = forward_sample(load_model("modelD"), 10**6, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ds.rows.nbytes + 4 * 2**20
 
 
 class TestWriteCsv:
