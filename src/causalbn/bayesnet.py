@@ -23,6 +23,7 @@ import functools
 import itertools
 import math
 import operator
+import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -63,7 +64,8 @@ _TABLE_OVERHEAD = 96
 _CSV_CHUNK_ROWS = 1 << 17
 #: rows drawn per block by ``forward_sample``: a block's temporaries (its
 #: float64 uniforms, its gathered thresholds and the ``intp`` index that
-#: ``take`` widens the parent code to, 512 KB each) fit a 2 MB L2 cache
+#: ``take`` widens the parent code to, 512 KB each) fit a 2 MB L2 cache.
+#: A sample of at most one block is drawn in the calling thread alone
 _SAMPLE_BLOCK_ROWS = 1 << 16
 
 
@@ -680,6 +682,48 @@ def _radix_groups(cards: list[int]) -> list[tuple[list[int], int]]:
     return groups
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else every CPU of the machine."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _draw_range(
+    rows: np.ndarray, lo: int, hi: int, plan: list, cards: list[int], seed: int
+) -> None:
+    """Fill rows ``lo`` to ``hi - 1`` of ``forward_sample``'s ``rows``.
+
+    Node ``k`` of ``plan`` (topological order) draws from its own PCG64
+    advanced to output ``k*n + lo``, so a range reads the same uniforms
+    whichever ranges the rows were cut into.  The rows are drawn
+    ``_SAMPLE_BLOCK_ROWS`` at a time, every node in turn, so that a
+    block's uniforms, parent codes and thresholds stay in cache.
+    """
+    n = len(rows)
+    part = rows[lo:hi]
+    rngs = [
+        np.random.Generator(np.random.PCG64(seed).advance(k * n + lo)) for k in range(len(plan))
+    ]
+    u = np.empty(min(hi - lo, _SAMPLE_BLOCK_ROWS))
+    for start in range(0, hi - lo, _SAMPLE_BLOCK_ROWS):
+        block = part[start : start + _SAMPLE_BLOCK_ROWS]
+        draws = u[: len(block)]
+        for rng, (col, parents, thresholds) in zip(rngs, plan):
+            rng.random(out=draws)
+            state = block[:, col]
+            if parents:
+                # row index into the CPT, first parent slowest
+                idx = _mixed_radix(block, parents, cards)
+                for column in thresholds:
+                    state += draws > column.take(idx)
+            else:
+                for threshold in thresholds:
+                    state += draws > threshold
+
+
 def forward_sample(net: DiscreteBayesNet, n: int, seed: int) -> Dataset:
     """Ancestral sampling with a fixed, documented RNG scheme.
 
@@ -694,9 +738,13 @@ def forward_sample(net: DiscreteBayesNet, n: int, seed: int) -> Dataset:
 
     The rows are stored column-major (one contiguous column per node) in
     the narrowest unsigned dtype that holds every state index.  They are
-    drawn ``_SAMPLE_BLOCK_ROWS`` at a time, every node in turn, each node
-    from its own generator advanced to its place in the stream, so that
-    a block's uniforms, parent codes and thresholds stay in cache.
+    cut into one contiguous range per usable CPU, at most one per
+    ``_SAMPLE_BLOCK_ROWS`` rows, and each range is drawn in its own
+    thread (the caller draws the first) from generators advanced to its
+    place in the stream; the draws, comparisons and gathers are numpy
+    calls that release the GIL.  The rows are the same for any CPU
+    count.  An exception raised in any range is raised here, after
+    every range has ended.
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
@@ -707,30 +755,36 @@ def forward_sample(net: DiscreteBayesNet, n: int, seed: int) -> Dataset:
     cards = [net.card(m) for m in nodes]
     rows = np.zeros((n, len(nodes)), dtype=np.min_scalar_type(max(cards) - 1), order="F")
     plan = []
-    for k, name in enumerate(topological_order(net.dag)):
+    for name in topological_order(net.dag):
         parents = [col_of[p] for p in net.cpts[name].parents]
         # cumsum of a CPT row does the same float additions as per-row cumsum;
         # CDF rows never decrease (validate rejects negative entries), so
         # leaving out the last column is the clamp to the last state
         cdf = np.cumsum(net.cpts[name].table, axis=1)[:, :-1]
         thresholds = list(cdf.T) if parents else cdf[0].tolist()
-        rng = np.random.Generator(np.random.PCG64(seed).advance(k * n))
-        plan.append((rng, col_of[name], parents, thresholds))
-    u = np.empty(min(n, _SAMPLE_BLOCK_ROWS))
-    for start in range(0, n, _SAMPLE_BLOCK_ROWS):
-        block = rows[start : start + _SAMPLE_BLOCK_ROWS]
-        draws = u[: len(block)]
-        for rng, col, parents, thresholds in plan:
-            rng.random(out=draws)
-            state = block[:, col]
-            if parents:
-                # row index into the CPT, first parent slowest
-                idx = _mixed_radix(block, parents, cards)
-                for column in thresholds:
-                    state += draws > column.take(idx)
-            else:
-                for threshold in thresholds:
-                    state += draws > threshold
+        plan.append((col_of[name], parents, thresholds))
+    parts = min(_usable_cpus(), -(-n // _SAMPLE_BLOCK_ROWS))
+    errors: list[BaseException | None] = [None] * parts
+
+    def draw(i: int) -> None:
+        try:
+            _draw_range(rows, n * i // parts, n * (i + 1) // parts, plan, cards, seed)
+        except BaseException as exc:  # raised below, once every range has ended
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, parts):
+            thread = threading.Thread(target=draw, args=(i,))
+            thread.start()
+            threads.append(thread)
+        draw(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
     return Dataset(nodes, tuple(net.variables[m].states for m in nodes), rows)
 
 

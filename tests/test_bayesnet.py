@@ -777,13 +777,20 @@ class TestSamplingReference:
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_block_boundaries(self, monkeypatch, block):
-        # rows drawn a block at a time match the per-row reference at, just
-        # before and just after each block boundary
+        # rows drawn a block at a time, in one range per CPU, match the
+        # per-row reference at, just before and just after each block
+        # boundary and with fewer, as many or more rows than ranges
         monkeypatch.setattr(bayesnet, "_SAMPLE_BLOCK_ROWS", block)
-        sizes = [n for n in (1, block - 1, block, block + 1, 3 * block + 2) if n >= 1]
-        for seed, net in enumerate([labelled_net(), *small_random_networks()]):
-            for n in sizes:
-                assert forward_sample(net, n, seed).rows.tolist() == reference_sample(net, n, seed)
+        nets = [labelled_net(), *small_random_networks()]
+        for cpus in (1, 2, 3, 7):
+            monkeypatch.setattr(bayesnet, "_usable_cpus", lambda: cpus)
+            sizes = {1, block - 1, block, block + 1, cpus - 1, cpus, cpus + 1}
+            sizes |= {3 * block + 2, 7 * block + 5}
+            for seed, net in enumerate(nets):
+                for n in sorted(sizes - {0}):
+                    rows = forward_sample(net, n, seed).rows
+                    assert rows.tolist() == reference_sample(net, n, seed), (cpus, n)
+                    assert rows.flags.f_contiguous and rows.dtype == np.uint8
 
     def test_rows_span_several_chunks(self):
         net = load_model("fig1_left")
@@ -902,6 +909,13 @@ class TestSamplingReference:
             "86206549a381a85f14445d765f3fe33f8462df57602c657f590b11701ba09d9d"
         )
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pinned_digests_for_any_cpu_count(self, monkeypatch, cpus):
+        # the rows are the same whichever ranges they were drawn in
+        monkeypatch.setattr(bayesnet, "_usable_cpus", lambda: cpus)
+        self.test_pinned_digest()
+        self.test_pinned_digest_modelD()
+
     def test_empty_sample_is_domain_error(self):
         with pytest.raises(DomainError):
             forward_sample(single_node(), 0, seed=1)
@@ -917,6 +931,73 @@ class TestSamplingReference:
         Dataset(("X", "Y"), mixed, np.array([[1, 2]]))
         with pytest.raises(ValidationError):
             Dataset(("X", "Y"), mixed, np.array([[2, 0]]))
+
+
+class TestSampleThreads:
+    """``forward_sample`` draws one range of rows per usable CPU, at most
+    one per block, each but the first in a thread of its own, and ends
+    every thread before it returns or raises."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(bayesnet, "_SAMPLE_BLOCK_ROWS", 4)
+
+    def test_usable_cpus_is_the_affinity_set(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("the platform reports no affinity set")
+        assert bayesnet._usable_cpus() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize(
+        "cpus, n, threads",
+        [(7, 1, 0), (7, 4, 0), (7, 5, 1), (7, 9, 2), (7, 100, 6), (1, 100, 0), (3, 100, 2)],
+    )
+    def test_threads_started(self, monkeypatch, cpus, n, threads):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(bayesnet, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(threading, "Thread", Counted)
+        net = labelled_net()
+        assert forward_sample(net, n, 5).rows.tolist() == reference_sample(net, n, 5)
+        assert len(started) == threads
+
+    def test_ranges_under_fast_switching(self, monkeypatch):
+        # more ranges than cores, switching threads every microsecond: a
+        # range that wrote outside its rows would lose another's states
+        monkeypatch.setattr(bayesnet, "_usable_cpus", lambda: 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = forward_sample(labelled_net(), 1000, 8).rows
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows.tolist() == reference_sample(labelled_net(), 1000, 8)
+
+    @pytest.mark.parametrize("where", ["first", "other"])
+    def test_threads_end_on_return_and_on_raise(self, monkeypatch, where):
+        monkeypatch.setattr(bayesnet, "_usable_cpus", lambda: 3)
+        before = threading.active_count()
+        forward_sample(labelled_net(), 100, 5)
+        assert threading.active_count() == before
+        mixed_radix = bayesnet._mixed_radix
+        raised = []
+
+        def fails(rows, cols, cards):
+            main = threading.current_thread() is threading.main_thread()
+            if main == (where == "first"):
+                raised.append(threading.current_thread().name)
+                raise MemoryError
+            return mixed_radix(rows, cols, cards)
+
+        monkeypatch.setattr(bayesnet, "_mixed_radix", fails)
+        with pytest.raises(MemoryError):
+            forward_sample(labelled_net(), 100, 5)
+        assert raised
+        assert threading.active_count() == before
 
 
 class TestRadixAtTheDtypeRange:

@@ -3,7 +3,8 @@ private name a library module defines is used somewhere in the library, no
 library module reads argparse internals, only ``bayesnet`` reads the size
 cap or the store of kept answers, only ``fileio.write_file`` writes a
 file and it never truncates the descriptor it writes through, and
-importing the package parses no model.
+importing the package parses no model and loads no process or thread
+pool module.
 
 ``__init__.py`` is left out of the import check: its imports are the
 package's public API.
@@ -278,3 +279,17 @@ def test_import_parses_no_model():
         [sys.executable, "-c", program], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "0 0 0\n"
+
+
+def test_import_loads_no_pool_module():
+    # ``concurrent.futures`` alone adds about 4 ms to every CLI call;
+    # ``forward_sample`` starts plain threads instead
+    program = (
+        "import sys, causalbn\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"

@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -797,14 +798,21 @@ def test_failed_sample_leaves_an_existing_out_untouched(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == "kept"
 
 
-@pytest.mark.parametrize("fails", ["allocation", "rendering"])
+@pytest.mark.parametrize("fails", ["allocation", "drawing", "rendering"])
 def test_sample_out_of_memory_exit_4(tmp_path, capsys, monkeypatch, fails):
     zeros = np.zeros
+    mixed_radix = causalbn.bayesnet._mixed_radix
 
     def no_room(shape, *args, **kwargs):
         if np.prod(shape) > 10**9:  # never allocated for real
             raise MemoryError
         return zeros(shape, *args, **kwargs)
+
+    def worker_fails(rows, cols, cards):
+        # only the ranges after the first are drawn off the main thread
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError
+        return mixed_radix(rows, cols, cards)
 
     def render_fails(self):
         raise MemoryError
@@ -812,6 +820,11 @@ def test_sample_out_of_memory_exit_4(tmp_path, capsys, monkeypatch, fails):
     if fails == "allocation":
         monkeypatch.setattr(np, "zeros", no_room)
         n = "10000000000000"
+    elif fails == "drawing":
+        monkeypatch.setattr(causalbn.bayesnet, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(causalbn.bayesnet, "_SAMPLE_BLOCK_ROWS", 4)
+        monkeypatch.setattr(causalbn.bayesnet, "_mixed_radix", worker_fails)
+        n = "50"
     else:
         monkeypatch.setattr(causalbn.bayesnet.Dataset, "to_csv", render_fails)
         n = "50"
