@@ -67,6 +67,12 @@ _CSV_CHUNK_ROWS = 1 << 17
 #: ``take`` widens the parent code to, 512 KB each) fit a 2 MB L2 cache.
 #: A sample of at most one block is drawn in the calling thread alone
 _SAMPLE_BLOCK_ROWS = 1 << 16
+#: most row ranges ``forward_sample`` draws at once, one thread each.  Each
+#: range holds its own block's temporaries (about 1.65 MB on ``modelD``), so
+#: a third would lift the sampler's peak past its rows plus 4 MiB; and 2 is
+#: the CPU count the gain was measured on, while under a CPU quota the
+#: affinity set can list more CPUs than the process gets
+_SAMPLE_MAX_RANGES = 2
 
 
 @dataclass(frozen=True)
@@ -739,7 +745,9 @@ def forward_sample(net: DiscreteBayesNet, n: int, seed: int) -> Dataset:
     The rows are stored column-major (one contiguous column per node) in
     the narrowest unsigned dtype that holds every state index.  They are
     cut into one contiguous range per usable CPU, at most one per
-    ``_SAMPLE_BLOCK_ROWS`` rows, and each range is drawn in its own
+    ``_SAMPLE_BLOCK_ROWS`` rows and at most ``_SAMPLE_MAX_RANGES`` in
+    all, so that the ranges' block temporaries stay within a bound, and
+    each range is drawn in its own
     thread (the caller draws the first) from generators advanced to its
     place in the stream; the draws, comparisons and gathers are numpy
     calls that release the GIL.  The rows are the same for any CPU
@@ -763,7 +771,7 @@ def forward_sample(net: DiscreteBayesNet, n: int, seed: int) -> Dataset:
         cdf = np.cumsum(net.cpts[name].table, axis=1)[:, :-1]
         thresholds = list(cdf.T) if parents else cdf[0].tolist()
         plan.append((col_of[name], parents, thresholds))
-    parts = min(_usable_cpus(), -(-n // _SAMPLE_BLOCK_ROWS))
+    parts = min(_usable_cpus(), _SAMPLE_MAX_RANGES, -(-n // _SAMPLE_BLOCK_ROWS))
     errors: list[BaseException | None] = [None] * parts
 
     def draw(i: int) -> None:

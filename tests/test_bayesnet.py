@@ -781,6 +781,7 @@ class TestSamplingReference:
         # per-row reference at, just before and just after each block
         # boundary and with fewer, as many or more rows than ranges
         monkeypatch.setattr(bayesnet, "_SAMPLE_BLOCK_ROWS", block)
+        monkeypatch.setattr(bayesnet, "_SAMPLE_MAX_RANGES", 7)
         nets = [labelled_net(), *small_random_networks()]
         for cpus in (1, 2, 3, 7):
             monkeypatch.setattr(bayesnet, "_usable_cpus", lambda: cpus)
@@ -935,12 +936,15 @@ class TestSamplingReference:
 
 class TestSampleThreads:
     """``forward_sample`` draws one range of rows per usable CPU, at most
-    one per block, each but the first in a thread of its own, and ends
-    every thread before it returns or raises."""
+    one per block and ``_SAMPLE_MAX_RANGES`` in all, each but the first
+    in a thread of its own, and ends every thread before it returns or
+    raises.  Blocks of 4 rows and a cap of 7 ranges let small samples
+    take many ranges."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(bayesnet, "_SAMPLE_BLOCK_ROWS", 4)
+        monkeypatch.setattr(bayesnet, "_SAMPLE_MAX_RANGES", 7)
 
     def test_usable_cpus_is_the_affinity_set(self):
         if not hasattr(os, "sched_getaffinity"):
@@ -963,6 +967,23 @@ class TestSampleThreads:
         monkeypatch.setattr(threading, "Thread", Counted)
         net = labelled_net()
         assert forward_sample(net, n, 5).rows.tolist() == reference_sample(net, n, 5)
+        assert len(started) == threads
+
+    @pytest.mark.parametrize("cap, threads", [(1, 0), (2, 1), (3, 2)])
+    def test_threads_capped(self, monkeypatch, cap, threads):
+        # however many CPUs are usable, a call starts at most cap - 1 threads
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(bayesnet, "_usable_cpus", lambda: 16)
+        monkeypatch.setattr(bayesnet, "_SAMPLE_MAX_RANGES", cap)
+        monkeypatch.setattr(threading, "Thread", Counted)
+        net = labelled_net()
+        assert forward_sample(net, 100, 5).rows.tolist() == reference_sample(net, 100, 5)
         assert len(started) == threads
 
     def test_ranges_under_fast_switching(self, monkeypatch):
@@ -1150,10 +1171,13 @@ def test_render_peak_memory_stays_near_the_csv(make):
     assert peak <= 2.5 * len(text)
 
 
-def test_sample_peak_memory_stays_near_the_rows():
-    """``forward_sample`` holds its rows and about one block's temporaries:
-    one that drew and indexed all rows at once would hold several 8 MB
-    columns besides."""
+@pytest.mark.parametrize("cpus", [1, 2, 4, 16])
+def test_sample_peak_memory_stays_near_the_rows(monkeypatch, cpus):
+    """``forward_sample`` holds its rows and a few blocks' temporaries,
+    however many CPUs are usable: one that drew and indexed all rows at
+    once would hold several 8 MB columns besides, and one that drew a
+    range per CPU without a cap about 1.65 MB more for each range."""
+    monkeypatch.setattr(bayesnet, "_usable_cpus", lambda: cpus)
     gc.collect()
     tracemalloc.start()
     try:
