@@ -6,6 +6,8 @@ contracts what is left in one ``np.einsum`` call, guarded by a cap on
 the configurations that call iterates over.  A network is compiled once,
 when it is built: it keeps each node's cardinality and each CPT as a cube
 over ``(*parents, child)``, and one store (``_Tables``) of kept answers.
+A network derived from another (``_derive``) shares what its CPT changes
+leave alone, and one memo of contraction plans (``_plan``) with it.
 Every answer a network keeps comes from a kept function (``_kept``): the
 tables of ``joint``, the distributions of ``query`` and of the
 do-operator (one kept function, ``_distribution``), and the estimators
@@ -28,7 +30,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,7 +119,8 @@ class DiscreteBayesNet:
     each node's cardinality, each CPT as a read-only cube over
     ``(*parents, child)``, an empty store of the tables and answers it
     keeps (``_Tables``), and the ``_names`` of all its nodes, the ``keep``
-    of every full-joint request.
+    of every full-joint request.  A built network keeps no contraction
+    plans (``_plans`` is None); only derived networks share them.
     """
 
     dag: Dag
@@ -137,6 +140,7 @@ class DiscreteBayesNet:
         object.__setattr__(self, "_cubes", MappingProxyType(cubes))
         object.__setattr__(self, "_tables", _Tables())
         object.__setattr__(self, "_all_names", _names(self.dag.nodes))
+        object.__setattr__(self, "_plans", None)
 
     def card(self, name: str) -> int:
         return self._card[name]
@@ -162,29 +166,72 @@ def validate(net: DiscreteBayesNet) -> None:
     for node in dag.nodes:
         if node not in net.cpts:
             raise ValidationError(f"missing CPT for {node!r}")
-        cpt = net.cpts[node]
-        if cpt.child != node:
-            raise ValidationError(f"CPT child mismatch for {node!r}")
-        if cpt.parents != dag.parents[node]:
-            raise ValidationError(
-                f"parent mismatch for {node!r}: CPT {cpt.parents} vs dag {dag.parents[node]}"
-            )
-        n_rows = 1
-        for p in cpt.parents:
-            n_rows *= net.card(p)
-        if cpt.table.shape != (n_rows, net.card(node)):
-            raise ValidationError(
-                f"CPT shape for {node!r} is {cpt.table.shape}, expected {(n_rows, net.card(node))}"
-            )
-        # written so that NaN fails the check too
-        if not np.all((cpt.table >= 0) & (cpt.table <= 1)):
-            raise ValidationError(f"CPT entry outside [0,1] for {node!r}")
-        sums = cpt.table.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
-        if bad.size:
-            raise ValidationError(
-                f"row sum {sums[bad[0]]:.12g} != 1 in CPT for {node!r} (row {bad[0]})"
-            )
+        _check_cpt(net, node, net.cpts[node])
+
+
+def _check_cpt(net: DiscreteBayesNet, node: str, cpt: Cpt) -> None:
+    """Raise ValidationError naming the first invariant that ``cpt``, the
+    CPT of ``node``, violates in ``net``: ``validate``'s check of one CPT."""
+    if cpt.child != node:
+        raise ValidationError(f"CPT child mismatch for {node!r}")
+    if cpt.parents != net.dag.parents[node]:
+        raise ValidationError(
+            f"parent mismatch for {node!r}: CPT {cpt.parents} vs dag {net.dag.parents[node]}"
+        )
+    n_rows = 1
+    for p in cpt.parents:
+        n_rows *= net.card(p)
+    if cpt.table.shape != (n_rows, net.card(node)):
+        raise ValidationError(
+            f"CPT shape for {node!r} is {cpt.table.shape}, expected {(n_rows, net.card(node))}"
+        )
+    # written so that NaN fails the check too
+    if not np.all((cpt.table >= 0) & (cpt.table <= 1)):
+        raise ValidationError(f"CPT entry outside [0,1] for {node!r}")
+    sums = cpt.table.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    if bad.size:
+        raise ValidationError(
+            f"row sum {sums[bad[0]]:.12g} != 1 in CPT for {node!r} (row {bad[0]})"
+        )
+
+
+def _derive(net: DiscreteBayesNet, tables: Mapping[str, np.ndarray]) -> DiscreteBayesNet:
+    """``net`` with the CPT table of each node in ``tables`` replaced.
+
+    Each table is a float array of its node's CPT shape that the caller
+    holds nowhere else: the derived network takes it as its own and makes
+    it read-only, without a copy.  Only these CPTs are checked, by
+    ``_check_cpt`` in declaration order, so the first bad one raises
+    ``validate``'s error; every other CPT is ``net``'s, checked already.
+    The derived network shares ``net``'s DAG, variables, cardinalities,
+    names and unchanged cubes, and starts with an empty store of kept
+    answers.  It shares one memo of contraction plans with ``net``, made
+    here if ``net`` keeps none, so the networks derived from one base plan
+    each request shape once.
+    """
+    cpts, cubes = dict(net.cpts), dict(net._cubes)
+    for node in [n for n in net.dag.nodes if n in tables]:
+        table = tables[node]
+        table.flags.writeable = False
+        cpt = object.__new__(Cpt)
+        # the table is the caller's own copy, so it is frozen, not copied again
+        vars(cpt).update(child=node, parents=net.cpts[node].parents, table=table)
+        _check_cpt(net, node, cpt)
+        cpts[node] = cpt
+        cubes[node] = table.reshape([net.card(v) for v in (*cpt.parents, node)])
+    derived = object.__new__(DiscreteBayesNet)
+    vars(derived).update(
+        dag=net.dag,
+        variables=net.variables,
+        cpts=MappingProxyType(cpts),
+        _card=net._card,
+        _cubes=MappingProxyType(cubes),
+        _tables=_Tables(),
+        _all_names=net._all_names,
+        _plans={} if net._plans is None else net._plans,
+    )
+    return derived
 
 
 @dataclass(frozen=True)
@@ -357,50 +404,96 @@ def _contract(
     """``joint``'s table, contracted.
 
     An estimator contracts its table here when the table serves only its
-    own answer, which the network keeps instead.
+    own answer, which the network keeps instead.  The request's plan
+    (``_plan``) comes from the network's memo when it keeps one, keyed on
+    the request's names; the states, and the size cap in force, are read
+    on every call.
     """
-    nodes = net.dag.nodes
     point_at = {n: net.state_index(n, state) for n, state in do}
     fixed = {n: net.state_index(n, state) for n, state in evidence}
+    key = (keep, tuple(point_at), tuple(fixed))
+    plans = net._plans
+    plan = None if plans is None else plans.get(key)
+    if plan is None:
+        plan = _plan(net, *key)
+        if plans is not None:
+            plans[key] = plan
+    if plan.count > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"joint would exceed {DEFAULT_SIZE_CAP} configurations")
+    # np.einsum takes at most 52 labels and 63 operands (the output included)
+    if plan.width > 52 or len(plan.operands) > 61:
+        raise SizeCapExceeded(
+            f"joint over {len(plan.operands)} factors and {plan.width} free variables "
+            "exceeds np.einsum's limits"
+        )
+    # where evidence names an intervened node too, the evidence state is the slice
+    fixed = {**point_at, **fixed}
+    # the product starts from 1, so even a single factor yields a new array
+    operands: list[object] = [np.ones(()), []]
+    for n, card, index, labels in plan.operands:
+        if card:
+            cube = np.zeros(card)
+            cube[point_at[n]] = 1.0
+        else:
+            cube = net._cubes[n]
+        operands += [cube[tuple(slice(None) if v is None else fixed[v] for v in index)], labels]
+    values = np.einsum(*operands, plan.out_labels, optimize=False)
+    return Factor(plan.out, tuple(net.variables[n].states for n in plan.out), values)
+
+
+class _Plan(NamedTuple):
+    """What ``_contract`` derives from a request's names alone.
+
+    ``count`` is the number of configurations of the free variables and
+    ``width`` the number of those variables.  ``operands`` holds one
+    ``(node, card, index, labels)`` per factor, in declaration order:
+    ``card`` is the cardinality of an intervened node's point mass, or 0
+    for the node's CPT cube; ``index`` gives, for each axis of the factor,
+    the variable whose state slices it, or None where the axis stays
+    whole; ``labels`` are the einsum labels of the axes left.  ``out`` is
+    the table's scope and ``out_labels`` its labels.
+    """
+
+    count: int
+    width: int
+    operands: tuple[tuple[str, int, tuple[str | None, ...], list[int]], ...]
+    out: tuple[str, ...]
+    out_labels: list[int]
+
+
+def _plan(
+    net: DiscreteBayesNet,
+    keep: tuple[str, ...],
+    intervened: tuple[str, ...],
+    observed: tuple[str, ...],
+) -> _Plan:
+    """The plan of a contraction over ``keep`` with ``intervened`` and
+    ``observed`` set, names the caller has checked.  An unknown name in
+    ``keep`` raises UnknownVariable."""
     for n in keep:
         if n not in net.variables:
             raise UnknownVariable(f"unknown variable {n!r}")
-    keep_set = set(keep)
+    keep_set, intervened = set(keep), set(intervened)
     # ancestors in the mutilated graph: an intervened node has no parents
     parents = net.dag.parents
-    relevant = _reach(lambda n: () if n in point_at else parents[n], [*keep, *fixed])
-    # an intervened node outside ``keep`` is sliced at its assigned state;
-    # where evidence names it too, the evidence state is the slice
-    fixed = {**{n: i for n, i in point_at.items() if n not in keep_set}, **fixed}
-    free = [n for n in nodes if n in relevant and n not in fixed]
-    if math.prod(net.card(n) for n in free) > DEFAULT_SIZE_CAP:
-        raise SizeCapExceeded(f"joint would exceed {DEFAULT_SIZE_CAP} configurations")
-    # np.einsum takes at most 52 labels and 63 operands (the output included)
-    if len(free) > 52 or len(relevant) > 61:
-        raise SizeCapExceeded(
-            f"joint over {len(relevant)} factors and {len(free)} free variables "
-            "exceeds np.einsum's limits"
-        )
+    relevant = _reach(lambda n: () if n in intervened else parents[n], [*keep, *observed])
+    # an intervened node outside ``keep`` is sliced at its assigned state
+    fixed = {n for n in intervened if n not in keep_set}.union(observed)
+    free = [n for n in net.dag.nodes if n in relevant and n not in fixed]
     label = {n: i for i, n in enumerate(free)}
-    # the product starts from 1, so even a single factor yields a new array
-    operands: list[object] = [np.ones(()), []]
-    for n in nodes:
+    operands = []
+    for n in net.dag.nodes:
         if n not in relevant:
             continue
-        if n in point_at:
-            scope: tuple[str, ...] = (n,)
-            cube = np.zeros(net.card(n))
-            cube[point_at[n]] = 1.0
-        else:
-            scope = (*net.cpts[n].parents, n)
-            cube = net._cubes[n]
-        operands += [
-            cube[tuple(fixed.get(v, slice(None)) for v in scope)],
-            [label[v] for v in scope if v not in fixed],
-        ]
+        card = net.card(n) if n in intervened else 0
+        scope = (n,) if card else (*net.cpts[n].parents, n)
+        index = tuple(v if v in fixed else None for v in scope)
+        operands.append((n, card, index, [label[v] for v in scope if v not in fixed]))
     out = tuple(n for n in free if n in keep_set)
-    values = np.einsum(*operands, [label[n] for n in out], optimize=False)
-    return Factor(out, tuple(net.variables[n].states for n in out), values)
+    return _Plan(
+        math.prod(net.card(n) for n in free), len(free), tuple(operands), out,
+        [label[n] for n in out],
+    )
 
 
 #: ``joint``'s table, kept.  An estimator reads its table here when one

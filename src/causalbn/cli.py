@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success (or boolean true), 1 boolean false, 2 usage
-errors; a ``CausalbnError`` prints ``error: ...`` on stderr and exits
-with its type's ``exit_code`` (see ``errors``).  All numbers
-print with 12 significant digits so identical invocations produce
-byte-identical output.
+errors, 141 when the reader of stdout has closed it; a ``CausalbnError``
+prints ``error: ...`` on stderr and exits with its type's ``exit_code``
+(see ``errors``).  All numbers print with 12 significant digits so
+identical invocations produce byte-identical output.
 
 ``_COMMANDS`` is the one description of the CLI.  ``build_parser`` builds
 from it the argparse tree that writes every help text and usage error, and
@@ -470,10 +470,21 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that has closed stdout is met here, not at exit
+        sys.stdout.flush()
+        return code
     except CausalbnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # no one reads stdout any more, and with sys.stdout None the
+        # interpreter does not flush it at exit, so nothing raises again
+        # (fd 1 is not pointed at os.devnull: only fileio.write_file opens a
+        # file to write).  141 is 128 + SIGPIPE, the code a shell gives a
+        # process that SIGPIPE ends
+        sys.stdout = None
+        return 141
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bayesnet import Cpt, DiscreteBayesNet, Factor, _csv_fields, _marginal, joint
+from .bayesnet import DiscreteBayesNet, Factor, _csv_fields, _derive, _marginal, joint
 from .errors import (
     CausalbnError,
     DegenerateEndpoints,
@@ -64,11 +64,13 @@ def scan_parameters(net: DiscreteBayesNet) -> dict[str, tuple[str, int]]:
 
 
 def with_parameters(net: DiscreteBayesNet, values: Mapping[str, float]) -> DiscreteBayesNet:
-    """A new network (validated when built) in which each named row is [1 - p, p].
+    """A new network, derived from ``net``, in which each named row is [1 - p, p].
 
     ``values`` maps ``scan_parameters`` names to p, the probability of the
     node's second state.  An unknown name, a node that is not binary or a
-    p outside [0, 1] raises ValidationError.
+    p outside [0, 1] raises ValidationError.  Only the changed CPTs are
+    checked; the new network shares everything else with ``net``,
+    including a memo of contraction plans (see ``bayesnet._derive``).
     """
     return _with_parameters(net, scan_parameters(net), values)
 
@@ -77,7 +79,7 @@ def _with_parameters(
     net: DiscreteBayesNet, axes: Mapping[str, tuple[str, int]], values: Mapping[str, float]
 ) -> DiscreteBayesNet:
     """``with_parameters`` given ``axes``, the ``scan_parameters`` of ``net``."""
-    cpts = dict(net.cpts)
+    tables: dict[str, np.ndarray] = {}
     for name, value in values.items():
         if name not in axes:
             raise ValidationError(f"unknown scan parameter {name!r}")
@@ -87,10 +89,11 @@ def _with_parameters(
         node, row = axes[name]
         if net.card(node) != 2:
             raise ValidationError(f"parameter {name!r} needs a binary node, not {node!r}")
-        table = cpts[node].table.copy()
-        table[row] = (1.0 - p, p)
-        cpts[node] = Cpt(node, cpts[node].parents, table)
-    return DiscreteBayesNet(net.dag, net.variables, cpts)
+        # one copy per changed node, whatever the number of its rows set
+        if node not in tables:
+            tables[node] = net.cpts[node].table.copy()
+        tables[node][row] = (1.0 - p, p)
+    return _derive(net, tables)
 
 
 @dataclass(frozen=True)

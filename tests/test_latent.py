@@ -3,19 +3,23 @@ import hashlib
 import io
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalbn import latent
-from causalbn.bayesnet import Cpt, DiscreteBayesNet, Variable, joint
+from causalbn import bayesnet, latent
+from causalbn.bayesnet import Cpt, DiscreteBayesNet, Variable, _derive, joint
 from causalbn.errors import (
     DegenerateEndpoints,
     DomainError,
     InfeasibleEndpoints,
+    SizeCapExceeded,
     StructureError,
+    UnknownVariable,
     ValidationError,
     ZeroProbabilityEvidence,
 )
@@ -33,7 +37,7 @@ from causalbn.latent import (
     third_correlation_interval,
     with_parameters,
 )
-from causalbn.modelfile import load_model
+from causalbn.modelfile import BUNDLED_MODELS, load_model
 
 from oracles import brute_query, random_net, unscannable_net
 
@@ -530,3 +534,213 @@ class TestBiasScan:
         with pytest.raises(ValidationError, match=message):
             bias_scan(unscannable_net(change), {"z|u=1": [0.4]})
 
+
+
+def _built_in_full(net, values):
+    """``with_parameters(net, values)`` built and validated in full."""
+    axes = scan_parameters(net)
+    tables = {n: net.cpts[n].table.copy() for n in net.dag.nodes}
+    for name, p in values.items():
+        node, row = axes[name]
+        tables[node][row] = (1.0 - p, p)
+    cpts = {n: Cpt(n, net.dag.parents[n], t) for n, t in tables.items()}
+    return DiscreteBayesNet(net.dag, net.variables, cpts)
+
+
+def _derivable_nets():
+    for name in BUNDLED_MODELS:
+        yield name, load_model(name)
+    for seed in range(6):
+        yield f"random-{seed}", random_net(np.random.default_rng(seed), 7, max_card=2)
+
+
+class TestDerivedNetwork:
+    """``with_parameters`` derives its network from ``net``: it checks the
+    changed CPTs only and shares everything else, plans included."""
+
+    @pytest.mark.parametrize("name, net", list(_derivable_nets()), ids=lambda v: str(v))
+    def test_same_tables_and_joints_as_a_full_build(self, name, net):
+        rng = np.random.default_rng(len(name))
+        binary = [a for a, (node, _) in scan_parameters(net).items() if net.card(node) == 2]
+        picks = rng.choice(len(binary), size=min(3, len(binary)), replace=False)
+        values = {binary[i]: float(rng.uniform()) for i in picks}
+        derived, full = with_parameters(net, values), _built_in_full(net, values)
+        for n in net.dag.nodes:
+            assert np.array_equal(derived.cpts[n].table, full.cpts[n].table)
+            assert derived.cpts[n].parents == full.cpts[n].parents
+            assert np.array_equal(derived._cubes[n], full._cubes[n])
+            assert derived._cubes[n].shape == full._cubes[n].shape
+            assert not derived.cpts[n].table.flags.writeable
+            assert not derived._cubes[n].flags.writeable
+        assert np.array_equal(joint(derived).values, joint(full).values)
+        # a contraction with do and evidence, twice: planned, then from the memo
+        first, *middle, last = net.dag.nodes
+        do, evidence = {first: net.states(first)[1]}, {middle[0]: net.states(middle[0])[0]}
+        for _ in range(2):
+            got = joint(with_parameters(net, values), do, keep=[last], evidence=evidence)
+            assert np.array_equal(got.values, joint(full, do, keep=[last], evidence=evidence).values)
+
+    def test_shares_the_parts_it_leaves_alone(self):
+        base = load_model("modelD")
+        derived = with_parameters(base, {"x|u=1,w=0": 0.3})
+        assert derived.dag is base.dag
+        assert derived.variables is base.variables
+        assert derived._card is base._card
+        assert derived._all_names is base._all_names
+        for n in base.dag.nodes:
+            if n != "X":
+                assert derived.cpts[n] is base.cpts[n]
+                assert derived._cubes[n] is base._cubes[n]
+        assert derived._cubes["X"] is not base._cubes["X"]
+        assert len(derived._tables) == 0
+
+    @pytest.mark.parametrize(
+        "row", [[math.nan, 0.5], [0.5, 0.6], [-0.25, 1.25]], ids=["nan", "row-sum", "negative"]
+    )
+    def test_a_bad_table_raises_the_full_builds_error(self, row):
+        base = load_model("modelD")
+        bad = {}
+        for node in ("Y", "X"):  # X is declared first, so its error wins
+            table = base.cpts[node].table.copy()
+            table[1] = row
+            bad[node] = table
+        with pytest.raises(ValidationError) as full:
+            cpts = {**base.cpts, **{n: Cpt(n, base.dag.parents[n], t) for n, t in bad.items()}}
+            DiscreteBayesNet(base.dag, base.variables, cpts)
+        with pytest.raises(ValidationError) as derived:
+            _derive(base, {n: t.copy() for n, t in bad.items()})
+        assert str(derived.value) == str(full.value)
+        assert "'X'" in str(derived.value)
+
+    def test_two_axes_on_one_node_copy_its_table_once(self):
+        class CountingTable(np.ndarray):
+            copies = 0
+
+            def copy(self, *args, **kwargs):
+                CountingTable.copies += 1
+                return super().copy(*args, **kwargs)
+
+        base = load_model("modelD")
+        # a derived network keeps the table it is given, so X's is a CountingTable
+        counted = _derive(base, {"X": base.cpts["X"].table.copy().view(CountingTable)})
+        derived = with_parameters(counted, {"x|u=1,w=0": 0.3, "x|u=1,w=1": 0.6, "u": 0.2})
+        assert CountingTable.copies == 1
+        assert derived.cpts["X"].table[2:].tolist() == [[0.7, 0.3], [0.4, 0.6]]
+
+
+def _plan_leaves(plan):
+    for part in plan:
+        if isinstance(part, (tuple, list)):
+            yield from _plan_leaves(part)
+        else:
+            yield part
+
+
+class TestSharedPlans:
+    """Derived networks share one memo of contraction plans; built ones keep none."""
+
+    def _scan(self, monkeypatch):
+        derived, planned = [], []
+        derive, plan = latent._derive, bayesnet._plan
+
+        def recording_derive(net, tables):
+            derived.append(derive(net, tables))
+            return derived[-1]
+
+        def counting_plan(*args):
+            planned.append(args[1:])
+            return plan(*args)
+
+        monkeypatch.setattr(latent, "_derive", recording_derive)
+        monkeypatch.setattr(bayesnet, "_plan", counting_plan)
+        grid = {"w|u=1": [0.2, 0.5, 0.8], "x|u=1,w=1": [0.1, 0.6, 0.9]}
+        results = bias_scan(load_model("modelD"), grid)
+        return results, derived, planned
+
+    def test_a_scan_plans_each_request_shape_once(self, monkeypatch):
+        results, derived, planned = self._scan(monkeypatch)
+        base, cells = derived[0], derived[1:]
+        assert len(cells) == len(results) == 9
+        memo = base._plans
+        assert memo and all(cell._plans is memo for cell in cells)
+        # every cell contracted through the plans the first cell made
+        assert len(planned) == len(set(planned)) == len(memo)
+        assert set(planned) == set(memo)
+
+    def test_plans_hold_names_labels_and_counts_only(self, monkeypatch):
+        _, derived, _ = self._scan(monkeypatch)
+        net = derived[0]
+        for key, plan in net._plans.items():
+            for leaf in [*_plan_leaves(key), *_plan_leaves(plan)]:
+                assert leaf is None or type(leaf) is int or leaf in net.variables, leaf
+                assert not isinstance(leaf, (float, np.ndarray))
+
+    def test_a_loaded_or_built_network_keeps_no_plans(self):
+        for net in (load_model("modelD"), _built_in_full(load_model("modelD"), {"u": 0.4})):
+            joint(net, {"Z": "1"}, keep=["Y"], evidence={"X": "0"})
+            bias_scan(net, {"u": [0.3]})
+            assert net._plans is None
+
+    def test_states_and_the_size_cap_are_read_after_a_plan_is_kept(self, monkeypatch):
+        net = with_parameters(load_model("modelD"), {"u": 0.3})
+        do, evidence = {"Z": "1"}, {"X": "0"}
+        joint(net, do, keep=["Y"], evidence=evidence)
+        key = (("Y",), ("Z",), ("X",))
+        plan = net._plans[key]
+        for bad_do, bad_evidence in [({"Z": "2"}, evidence), (do, {"X": "2"})]:
+            for _ in range(2):
+                with pytest.raises(UnknownVariable):
+                    joint(net, bad_do, keep=["Y"], evidence=bad_evidence)
+        monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", plan.count - 1)
+        for _ in range(2):
+            with pytest.raises(SizeCapExceeded):
+                joint(net, do, keep=["Y"], evidence=evidence)
+        assert net._plans[key] is plan
+
+    def test_a_plan_that_raises_is_not_kept(self):
+        net = with_parameters(load_model("modelD"), {"u": 0.3})
+        for _ in range(2):
+            with pytest.raises(UnknownVariable):
+                joint(net, keep=["Q"])
+        assert (("Q",), (), ()) not in net._plans
+
+    def test_threads_planning_at_once_give_the_serial_answers(self):
+        base = with_parameters(load_model("modelD"), {})
+        shapes = [
+            ({}, ["Y"], {}),
+            ({"Z": "1"}, ["Y"], {}),
+            ({"Z": "0"}, ["Y", "X"], {"U": "1"}),
+            ({}, ["Z"], {"X": "1", "W": "0"}),
+        ]
+        points = [0.1 * i for i in range(1, 10)]
+        expected = {
+            (p, i): joint(_built_in_full(base, {"u": p}), do, keep=keep, evidence=ev).values
+            for p in points
+            for i, (do, keep, ev) in enumerate(shapes)
+        }
+        start = threading.Barrier(8)
+        errors = []
+
+        def work():
+            try:
+                start.wait()
+                for p in points:
+                    cell = with_parameters(base, {"u": p})
+                    for i, (do, keep, ev) in enumerate(shapes):
+                        got = joint(cell, do, keep=keep, evidence=ev).values
+                        assert np.array_equal(got, expected[p, i]), (p, i)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(base._plans) == len(shapes)

@@ -906,6 +906,27 @@ def test_scan_over_a_longer_file_leaves_exactly_the_scan_csv(tmp_path):
     assert fresh.read_bytes().startswith(b"u,dep_zx,")
 
 
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    """A reader that closed stdout before the scan's summary ends the CLI
+    with the shell's SIGPIPE code, not a BrokenPipeError traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the pipe has no reader from the start
+    out = tmp_path / "s.csv"
+    argv = ["scan", "modelD", "--param", "w|u=1=0.1:0.9:0.1", "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(causalbn.__file__).parents[1])}
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "causalbn.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 141, child.stderr
+    assert "Traceback" not in child.stderr
+    assert child.stderr == ""
+    assert out.read_bytes().startswith(b"w|u=1,dep_zx,")
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit")
 def test_write_cut_short_leaves_no_old_byte(tmp_path):
     """A write stopped by the file size limit leaves the new bytes up to the
