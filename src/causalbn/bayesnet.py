@@ -7,7 +7,11 @@ the configurations that call iterates over.  A network is compiled once,
 when it is built: it keeps each node's cardinality and each CPT as a cube
 over ``(*parents, child)``, and one store (``_Tables``) of kept answers.
 A network derived from another (``_derive``) shares what its CPT changes
-leave alone, and one memo of contraction plans (``_plan``) with it.
+leave alone, and one memo of contraction plans (``_plan``) with it.  A
+contraction is a request resolved on a network (``_resolve``: its states
+and its plan) and then executed (``_execute``: the size cap, the slices
+and the einsum), so a scan resolves its requests once and executes them
+on every cell.
 Every answer a network keeps comes from a kept function (``_kept``): the
 tables of ``joint``, the distributions of ``query`` and of the
 do-operator (one kept function, ``_distribution``), and the estimators
@@ -30,7 +34,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -269,12 +273,7 @@ class Factor:
         ``table`` has axes ``(*given, *target)`` in the order listed;
         ``weight`` has axes ``given``.  Entries of weight <= 0 are 0.
         """
-        given, target = tuple(given), tuple(target)
-        scope, values = _marginal(self.scope, self.values, given + target)
-        p = values.transpose([scope.index(v) for v in given + target])
-        weight = p.sum(axis=tuple(range(len(given), p.ndim)))
-        w = weight[(...,) + (None,) * len(target)]
-        return np.divide(p, w, out=np.zeros_like(p), where=w > 0), weight
+        return _conditional(self.scope, self.values, target, given)
 
     def condition(self, evidence: Mapping[str, str]) -> "Factor":
         """Slice at the evidence states and renormalize the rest."""
@@ -310,6 +309,18 @@ def _marginal(
         _axis(scope, name)
     drop_axes = tuple(i for i, v in enumerate(scope) if v not in keep)
     return tuple(v for v in scope if v in keep), values.sum(axis=drop_axes)
+
+
+def _conditional(
+    scope: tuple[str, ...], values: np.ndarray, target: Sequence[str], given: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``Factor.conditional`` of the table (scope, values)."""
+    given, target = tuple(given), tuple(target)
+    scope, values = _marginal(scope, values, given + target)
+    p = values.transpose([scope.index(v) for v in given + target])
+    weight = p.sum(axis=tuple(range(len(given), p.ndim)))
+    w = weight[(...,) + (None,) * len(target)]
+    return np.divide(p, w, out=np.zeros_like(p), where=w > 0), weight
 
 
 def _condition(
@@ -401,13 +412,45 @@ def _contract(
     do: tuple[tuple[str, str], ...],
     evidence: tuple[tuple[str, str], ...],
 ) -> Factor:
-    """``joint``'s table, contracted.
+    """``joint``'s table, contracted: the request resolved (``_resolve``)
+    and executed (``_execute``) on ``net``.
 
     An estimator contracts its table here when the table serves only its
-    own answer, which the network keeps instead.  The request's plan
-    (``_plan``) comes from the network's memo when it keeps one, keyed on
-    the request's names; the states, and the size cap in force, are read
-    on every call.
+    own answer, which the network keeps instead.
+    """
+    request = _resolve(net, keep, do, evidence)
+    out = request.plan.out
+    return Factor(out, tuple(net.variables[n].states for n in out), _execute(net, request))
+
+
+class _Request(NamedTuple):
+    """A request resolved on a network (``_resolve``): its ``plan`` and,
+    for each of the plan's operands in order, the ``index`` that slices the
+    factor at the request's states and the sliced array it ``held`` at
+    resolution, or None where ``_execute`` slices the executing network's
+    cube."""
+
+    plan: _Plan
+    index: tuple[tuple[int | slice, ...], ...]
+    held: tuple[np.ndarray | None, ...]
+
+
+def _resolve(
+    net: DiscreteBayesNet,
+    keep: tuple[str, ...],
+    do: tuple[tuple[str, str], ...],
+    evidence: tuple[tuple[str, str], ...],
+    hold: Container[str] = (),
+) -> _Request:
+    """The request for ``joint``'s table over ``keep`` under ``do`` and
+    ``evidence`` (see ``_contract``), resolved on ``net``.
+
+    An unknown name or state raises UnknownVariable.  The plan (``_plan``)
+    comes from the network's memo when it keeps one, keyed on the request's
+    names, and is added to it when missing.  An intervened node's point
+    mass is held, and so is the sliced cube of each node in ``hold``: a
+    request executed on the networks derived from ``net`` that leave those
+    nodes' CPTs alone slices only the other cubes.
     """
     point_at = {n: net.state_index(n, state) for n, state in do}
     fixed = {n: net.state_index(n, state) for n, state in evidence}
@@ -418,6 +461,28 @@ def _contract(
         plan = _plan(net, *key)
         if plans is not None:
             plans[key] = plan
+    # where evidence names an intervened node too, the evidence state is the slice
+    fixed = {**point_at, **fixed}
+    indices, held = [], []
+    for n, card, names, _ in plan.operands:
+        index = tuple(slice(None) if v is None else fixed[v] for v in names)
+        if card:
+            cube = np.zeros(card)
+            cube[point_at[n]] = 1.0
+            cube.flags.writeable = False
+            held.append(cube[index])
+        else:
+            held.append(net._cubes[n][index] if n in hold else None)
+        indices.append(index)
+    return _Request(plan, tuple(indices), tuple(held))
+
+
+def _execute(net: DiscreteBayesNet, request: _Request) -> np.ndarray:
+    """The values of ``request``'s table in ``net``: one ``np.einsum`` call
+    over its operands in declaration order, each held one as it was
+    resolved and each other one ``net``'s cube, sliced.  The size cap in
+    force and ``np.einsum``'s limits are checked on every call."""
+    plan = request.plan
     if plan.count > DEFAULT_SIZE_CAP:
         raise SizeCapExceeded(f"joint would exceed {DEFAULT_SIZE_CAP} configurations")
     # np.einsum takes at most 52 labels and 63 operands (the output included)
@@ -426,23 +491,16 @@ def _contract(
             f"joint over {len(plan.operands)} factors and {plan.width} free variables "
             "exceeds np.einsum's limits"
         )
-    # where evidence names an intervened node too, the evidence state is the slice
-    fixed = {**point_at, **fixed}
+    cubes = net._cubes
     # the product starts from 1, so even a single factor yields a new array
     operands: list[object] = [np.ones(()), []]
-    for n, card, index, labels in plan.operands:
-        if card:
-            cube = np.zeros(card)
-            cube[point_at[n]] = 1.0
-        else:
-            cube = net._cubes[n]
-        operands += [cube[tuple(slice(None) if v is None else fixed[v] for v in index)], labels]
-    values = np.einsum(*operands, plan.out_labels, optimize=False)
-    return Factor(plan.out, tuple(net.variables[n].states for n in plan.out), values)
+    for (n, _, _, labels), index, held in zip(plan.operands, request.index, request.held):
+        operands += [cubes[n][index] if held is None else held, labels]
+    return np.einsum(*operands, plan.out_labels, optimize=False)
 
 
 class _Plan(NamedTuple):
-    """What ``_contract`` derives from a request's names alone.
+    """What a request's names alone determine (see ``_resolve``).
 
     ``count`` is the number of configurations of the free variables and
     ``width`` the number of those variables.  ``operands`` holds one
@@ -590,13 +648,19 @@ def _distribution(
     """p(targets | do(do), evidence): ``query``'s answer, and with ``do``
     the interventional distribution."""
     f = _contract(net, targets, do, evidence)
-    values = f.values
+    _normalise(f.values, evidence)
+    return f
+
+
+def _normalise(values: np.ndarray, evidence: tuple[tuple[str, str], ...]) -> np.ndarray:
+    """``values``, a contraction's own table, divided where it lies by its
+    total: ``_distribution``'s arithmetic.  A total of 0 raises
+    ZeroProbabilityEvidence naming ``evidence``."""
     total = values.sum()
     if total <= 0:
         raise ZeroProbabilityEvidence(f"evidence {dict(evidence)} has probability 0")
-    # the table is this call's own, so it is normalised where it lies
     values /= total
-    return f
+    return values
 
 
 @dataclass(frozen=True)

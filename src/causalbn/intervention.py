@@ -24,6 +24,7 @@ from .bayesnet import (
     DiscreteBayesNet,
     Factor,
     _condition,
+    _conditional,
     _contract,
     _distribution,
     _joint,
@@ -136,9 +137,23 @@ def _adjusted(
         raise ValueError("adjustment set must exclude treatment and outcome")
     # the kernel rejects unknown names; its scope is in declaration order
     f = _contract(net, _names((treatment, outcome, *s_names)), (), ())
-    s = [v for v in f.scope if v in s_names]
+    return _adjusted_rows(net, f.scope, f.values, treatment, outcome, s_names)
+
+
+def _adjusted_rows(
+    net: DiscreteBayesNet,
+    scope: tuple[str, ...],
+    values: np.ndarray,
+    treatment: str,
+    outcome: str,
+    s_names: tuple[str, ...],
+) -> np.ndarray:
+    """``_adjusted``'s rows from the table (scope, values) over the
+    treatment, the outcome and ``s_names``; ``net`` names the states of a
+    positivity violation."""
+    s = [v for v in scope if v in s_names]
     # cond[z, s..., y] = p(y | z, s) and p_zs[z, s...] = p(z, s)
-    cond, p_zs = f.conditional([outcome], [treatment, *s])
+    cond, p_zs = _conditional(scope, values, [outcome], [treatment, *s])
     p_s = p_zs.sum(axis=0)  # (s...)
     bad = (p_s > 0) & np.any(p_zs <= 0, axis=0)
     if np.any(bad):
@@ -173,15 +188,28 @@ def _unadjusted(
     _distinct(treatment=treatment, outcome=outcome)
     levels = net.states(treatment)
     full = _joint(net, net._all_names, (), ())
+    return _unadjusted_rows(full.scope, full.states, full.values, treatment, outcome, levels)
+
+
+def _unadjusted_rows(
+    scope: tuple[str, ...],
+    states: tuple[tuple[str, ...], ...],
+    values: np.ndarray,
+    treatment: str,
+    outcome: str,
+    levels: Sequence[str],
+) -> np.ndarray:
+    """``_unadjusted``'s rows, p(outcome | treatment = level) for each of
+    ``levels``, from the table (scope, values) with ``states``."""
     rows = []
     for level in levels:
         try:
-            scope, values = _condition(full.scope, full.states, full.values, {treatment: level})
+            sub_scope, sub = _condition(scope, states, values, {treatment: level})
         except ZeroProbabilityEvidence:
             raise ZeroProbabilityEvidence(
                 f"p({treatment}={level}) = 0; conditional undefined"
             ) from None
-        rows.append(_marginal(scope, values, {outcome})[1])
+        rows.append(_marginal(sub_scope, sub, {outcome})[1])
     return np.array(rows)
 
 

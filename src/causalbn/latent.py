@@ -18,7 +18,20 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bayesnet import DiscreteBayesNet, Factor, _csv_fields, _derive, _marginal, joint
+from .bayesnet import (
+    DiscreteBayesNet,
+    Factor,
+    _conditional,
+    _csv_fields,
+    _derive,
+    _execute,
+    _marginal,
+    _names,
+    _normalise,
+    _Request,
+    _resolve,
+    joint,
+)
 from .errors import (
     CausalbnError,
     DegenerateEndpoints,
@@ -28,7 +41,13 @@ from .errors import (
     ValidationError,
     ZeroProbabilityEvidence,
 )
-from .intervention import _distinct, effect_report
+from .intervention import (
+    _adjusted_rows,
+    _distinct,
+    _expected,
+    _outcome_values,
+    _unadjusted_rows,
+)
 from .modelfile import load_model
 
 BINARY = ("0", "1")
@@ -83,7 +102,10 @@ def _with_parameters(
     for name, value in values.items():
         if name not in axes:
             raise ValidationError(f"unknown scan parameter {name!r}")
-        p = float(value)
+        try:
+            p = float(value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"parameter {name!r} needs a number, not {value!r}") from None
         if not 0.0 <= p <= 1.0:
             raise ValidationError(f"parameter {name}={value} outside [0,1]")
         node, row = axes[name]
@@ -193,10 +215,24 @@ def classify_interaction(net: DiscreteBayesNet, u: str, w: str, x: str) -> str:
     for name in (u, w, x):
         if net.card(name) != 2:
             raise StructureError(f"{name!r} must be binary")
+    f = joint(net)
+    return _interaction(f.scope, f.states, f.values, u, w, x)
+
+
+def _interaction(
+    scope: tuple[str, ...],
+    states: tuple[tuple[str, ...], ...],
+    values: np.ndarray,
+    u: str,
+    w: str,
+    x: str,
+) -> str:
+    """``classify_interaction``'s class from the table (scope, values) with
+    ``states``, over u, w and x, each binary."""
     # post[x, u, w] = p(w | x, u); the states are indices 0 and 1
-    post, weight = joint(net).conditional([w], [x, u])
+    post, weight = _conditional(scope, values, [w], [x, u])
     if weight[1, 0] <= 0 or weight[1, 1] <= 0:
-        x1 = net.variables[x].states[1]
+        x1 = states[scope.index(x)][1]
         raise ZeroProbabilityEvidence(f"a state of {u!r} has probability 0 given {x}={x1}")
     delta = post[1, 1, 1] - post[1, 0, 1]
     if delta < -TIE_TOL:
@@ -212,10 +248,15 @@ def dependence_strength(f: Factor, a: str, b: str) -> float:
     ``a`` and ``b`` must be distinct (ValidationError).
     """
     _distinct(a=a, b=b)
-    cond, weight = f.conditional([a], [b])
+    return _dependence(f.scope, f.values, a, b)
+
+
+def _dependence(scope: tuple[str, ...], values: np.ndarray, a: str, b: str) -> float:
+    """``dependence_strength`` of the table (scope, values)."""
+    cond, weight = _conditional(scope, values, [a], [b])
     if np.any(weight <= 0):
         raise ZeroProbabilityEvidence(f"a state of {b!r} has probability 0")
-    return float(np.max(np.abs(cond - _marginal(f.scope, f.values, {a})[1])))
+    return float(np.max(np.abs(cond - _marginal(scope, values, {a})[1])))
 
 
 @dataclass(frozen=True)
@@ -234,27 +275,53 @@ class ScanResult:
     error: str | None = None
 
 
+class _ScanRequests(NamedTuple):
+    """What a scan resolves once, on its base (``bayesnet._resolve``): the
+    requests its cells execute, each holding the sliced cubes of every CPT
+    the grid leaves alone, and the outcome's values.  ``truth`` has the
+    outcome's table under do(treatment = level) for each level, and
+    ``adjusted`` the table over the treatment, the outcome and the
+    covariate."""
+
+    truth: tuple[_Request, ...]
+    adjusted: _Request
+    outcome_values: np.ndarray
+
+
 def _scan_cell(
     base: DiscreteBayesNet,
     axes: Mapping[str, tuple[str, int]],
+    requests: _ScanRequests,
     grid_point: dict[str, float],
     treatment: str,
     outcome: str,
     covariate: str,
 ) -> ScanResult:
+    """One cell: ``effect_report``, ``dependence_strength`` and
+    ``classify_interaction`` of the cell's network, in that order, from the
+    scan's resolved requests and the network's one full joint."""
     try:
         net = _with_parameters(base, axes, grid_point)
-        rep = effect_report(net, treatment, outcome, (covariate,))
+        vals = requests.outcome_values
+        truth = tuple(_expected(vals, _normalise(_execute(net, r), ())) for r in requests.truth)
         f = joint(net)
-        dep_zx = dependence_strength(f, covariate, treatment)
-        dep_xy = dependence_strength(f, covariate, outcome)
+        unadj_rows = _unadjusted_rows(f.scope, f.states, f.values, treatment, outcome, BINARY)
+        table = requests.adjusted
+        adj_rows = _adjusted_rows(
+            net, table.plan.out, _execute(net, table), treatment, outcome, (covariate,)
+        )
+        dep_zx = _dependence(f.scope, f.values, covariate, treatment)
+        dep_xy = _dependence(f.scope, f.values, covariate, outcome)
         x_pars = net.dag.parents[covariate]
         interaction = (
-            classify_interaction(net, *x_pars, covariate) if len(x_pars) == 2 else "none"
+            _interaction(f.scope, f.states, f.values, *x_pars, covariate)
+            if len(x_pars) == 2
+            else "none"
         )
-        levels, truth, adj, unadj = rep.levels, rep.truth, rep.adjusted, rep.unadjusted
-        err_adj = {lv: abs(e - t) for lv, e, t in zip(levels, adj, truth)}
-        err_unadj = {lv: abs(e - t) for lv, e, t in zip(levels, unadj, truth)}
+        adj = tuple(_expected(vals, row) for row in adj_rows)
+        unadj = tuple(_expected(vals, row) for row in unadj_rows)
+        err_adj = {lv: abs(e - t) for lv, e, t in zip(BINARY, adj, truth)}
+        err_unadj = {lv: abs(e - t) for lv, e, t in zip(BINARY, unadj, truth)}
         err_adj_ace = abs((adj[-1] - adj[0]) - (truth[-1] - truth[0]))
         err_unadj_ace = abs((unadj[-1] - unadj[0]) - (truth[-1] - truth[0]))
         gap = err_adj_ace - err_unadj_ace
@@ -292,11 +359,13 @@ def bias_scan(
     """Exact bias comparison on every cell of a grid of ``scan_parameters``.
 
     Each cell is ``with_parameters`` at its grid point of ``net`` with
-    ``base_params`` set; axes iterate row-major, sorted.  Before any cell,
-    ValidationError is raised unless every node's states are "0", "1", the
-    three roles are distinct nodes, every axis is a scan axis with values,
-    all in [0, 1], the grid has at most ``MAX_SCAN_CELLS`` cells and
-    ``base_params`` is valid.
+    ``base_params`` set; axes iterate row-major, sorted.  The contractions
+    every cell needs are resolved once, on that base (``_ScanRequests``),
+    and each cell executes them.  Before any cell, ValidationError is
+    raised unless every node's states are "0", "1", the three roles are
+    distinct nodes, every axis is a scan axis whose values are a non-empty
+    sequence of numbers, all in [0, 1], the grid has at most
+    ``MAX_SCAN_CELLS`` cells and ``base_params`` is valid.
     """
     nodes = net.dag.nodes
     for node, var in net.variables.items():
@@ -308,21 +377,39 @@ def bias_scan(
             f"are not three distinct nodes of {nodes}"
         )
     axes = scan_parameters(net)
+    grid = {}
     for name, values in grid_spec.items():
         if name not in axes:
             raise ValidationError(f"grid parameter {name!r} is not a scan axis of the network")
-        if len(values) == 0 or not all(0.0 <= float(v) <= 1.0 for v in values):
-            raise ValidationError(f"grid parameter {name!r} needs values, all in [0, 1]")
-    _check_grid_cells(len(values) for values in grid_spec.values())
+        grid[name] = _grid_values(name, values)
+    _check_grid_cells(len(values) for values in grid.values())
     # the cells share the network's axes, so they are named once per scan
     base = _with_parameters(net, axes, base_params or {})
-    names = sorted(grid_spec)
+    names = sorted(grid)
+    # and the requests every cell executes are resolved once, on the base
+    changed = {axes[name][0] for name in names}
+    hold = {n for n in nodes if n not in changed}
+    requests = _ScanRequests(
+        tuple(_resolve(base, (outcome,), ((treatment, lv),), (), hold) for lv in BINARY),
+        _resolve(base, _names((treatment, outcome, covariate)), (), (), hold),
+        _outcome_values(base, outcome),
+    )
     return [
-        _scan_cell(
-            base, axes, dict(zip(names, map(float, values))), treatment, outcome, covariate
-        )
-        for values in itertools.product(*[grid_spec[a] for a in names])
+        _scan_cell(base, axes, requests, dict(zip(names, values)), treatment, outcome, covariate)
+        for values in itertools.product(*[grid[a] for a in names])
     ]
+
+
+def _grid_values(name: str, values) -> list[float]:
+    """The values of grid axis ``name`` as floats; ValidationError unless
+    they are a non-empty sequence of numbers, all in [0, 1]."""
+    try:
+        points = [float(v) for v in values]
+    except (TypeError, ValueError):
+        points = []
+    if not points or not all(0.0 <= p <= 1.0 for p in points):
+        raise ValidationError(f"grid parameter {name!r} needs values, all in [0, 1]")
+    return points
 
 
 def _fmt(x: float) -> str:

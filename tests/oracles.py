@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive (nested loops, path enumeration,
 recursive DFS) and shares no code with the library's fast paths, except
-``select_distributional`` and the Factor-chain references at the end,
+``select_distributional`` and the Factor-chain references near the end,
 which keep earlier forms of library algorithms on the library's own
-kernel.
+kernel, and ``reference_scan_cell``, a scan cell through the library's
+public functions.
 """
 
 import itertools
@@ -12,8 +13,9 @@ import math
 
 import numpy as np
 
+import causalbn
 from causalbn.bayesnet import Cpt, DiscreteBayesNet, Factor, Variable, joint
-from causalbn.errors import PositivityViolation, ZeroProbabilityEvidence
+from causalbn.errors import CausalbnError, PositivityViolation, ZeroProbabilityEvidence
 from causalbn.graph import Dag
 from causalbn.intervention import EffectReport, _distinct, _levels, _outcome_values
 
@@ -465,3 +467,41 @@ def dependence_strength(f, a, b):
     if np.any(weight <= 0):
         raise ZeroProbabilityEvidence(f"a state of {b!r} has probability 0")
     return float(np.max(np.abs(cond - f.marginal({a}).values)))
+
+
+def reference_scan_cell(base, grid_point, treatment, outcome, covariate):
+    """One ``bias_scan`` cell of ``base`` at ``grid_point``, through the
+    public ``with_parameters``, ``effect_report``, ``joint``,
+    ``dependence_strength`` and ``classify_interaction``: the per-cell path
+    that the scan's resolved requests replace, with the same arithmetic in
+    the same order, so its floats and errors must match bit for bit."""
+    try:
+        net = causalbn.with_parameters(base, grid_point)
+        rep = causalbn.effect_report(net, treatment, outcome, (covariate,))
+        f = joint(net)
+        dep_zx = causalbn.dependence_strength(f, covariate, treatment)
+        dep_xy = causalbn.dependence_strength(f, covariate, outcome)
+        x_pars = net.dag.parents[covariate]
+        interaction = (
+            causalbn.classify_interaction(net, *x_pars, covariate)
+            if len(x_pars) == 2
+            else "none"
+        )
+        levels, truth, adj, unadj = rep.levels, rep.truth, rep.adjusted, rep.unadjusted
+        err_adj_ace = abs((adj[-1] - adj[0]) - (truth[-1] - truth[0]))
+        err_unadj_ace = abs((unadj[-1] - unadj[0]) - (truth[-1] - truth[0]))
+        gap = err_adj_ace - err_unadj_ace
+        tie = abs(gap) <= causalbn.latent.TIE_TOL
+        return causalbn.ScanResult(
+            grid_point=grid_point,
+            dep_zx=dep_zx,
+            dep_xy=dep_xy,
+            interaction_class=interaction,
+            err_adjusted={lv: abs(e - t) for lv, e, t in zip(levels, adj, truth)},
+            err_unadjusted={lv: abs(e - t) for lv, e, t in zip(levels, unadj, truth)},
+            err_adjusted_ace=err_adj_ace,
+            err_unadjusted_ace=err_unadj_ace,
+            winner="tie" if tie else "condition" if gap < 0 else "ignore",
+        )
+    except CausalbnError as exc:
+        return causalbn.ScanResult(grid_point=grid_point, winner="failed", error=str(exc))

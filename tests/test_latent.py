@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
 import math
+import struct
 import sys
 import threading
 
@@ -39,7 +41,7 @@ from causalbn.latent import (
 )
 from causalbn.modelfile import BUNDLED_MODELS, load_model
 
-from oracles import brute_query, random_net, unscannable_net
+from oracles import brute_query, random_net, reference_scan_cell, unscannable_net
 
 
 class TestBuildScenario:
@@ -74,6 +76,11 @@ class TestBuildScenario:
         for value in (1.5, -0.1, math.nan):
             with pytest.raises(ValidationError, match="outside"):
                 with_parameters(load_model("modelB"), {"u": value})
+
+    @pytest.mark.parametrize("value", ["abc", None, [0.5]])
+    def test_parameter_that_is_no_number(self, value):
+        with pytest.raises(ValidationError, match="parameter 'u' needs a number, not "):
+            with_parameters(load_model("modelB"), {"u": value})
 
     def test_axis_names_and_rows(self):
         assert scan_parameters(load_model("fig2_model2")) == {
@@ -401,6 +408,35 @@ class TestBiasScan:
             "6db4dfe0a6c7814d0fd7afa35c32c071d8f533a7f36c2390e36ac6540a81e7ea"
         )
 
+    @pytest.mark.parametrize(
+        "model, grid, base, digest, errors",
+        [
+            # a covariate with one parent, so every class is "none"
+            (
+                "modelC", {"x|v=1": [0.1, 0.5, 0.9], "z|v=0": [0.0, 0.3, 1.0]},
+                {"y|z=1,v=1": 0.35},
+                "bee4482aa6a2706b7dd4945de30bce4e00f3820ce3e7e64289b846ba5c9611fb", [],
+            ),
+            # a root covariate, and Z = 1 whenever X = 1 at z|x=1 = 1
+            (
+                "fig1_left", {"x": [0.0, 0.25, 0.8], "z|x=1": [0.1, 0.6, 1.0]}, {},
+                "f098e26e9f609b0e0563e8e5163d56663a4567d0040acf9556b0fe8cce6b16e8",
+                ["p(Z=0, {'X': '1'}) = 0 while p({'X': '1'}) > 0"] * 2,
+            ),
+            (
+                "modelB", {"z|u=0": [0.0, 0.5, 1.0], "z|u=1": [0.0, 0.5, 1.0]}, {},
+                "66d01753dd8452f048eb8802a9ef061f6e77327db5aa4a1d5d730742f29d5d2b",
+                ["p(Z=1) = 0; conditional undefined", "p(Z=0) = 0; conditional undefined"],
+            ),
+        ],
+        ids=["modelC", "fig1_left", "modelB-failing"],
+    )
+    def test_scan_bytes_pinned(self, model, grid, base, digest, errors):
+        results = bias_scan(load_model(model), grid, base_params=base)
+        text = scan_to_csv(results) + scan_summary(results)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert [r.error for r in results if r.error is not None] == errors
+
     def test_axes_are_named_once_per_scan(self, monkeypatch):
         calls = []
 
@@ -437,7 +473,7 @@ class TestBiasScan:
         def broken(*args):
             raise TypeError("bug in a cell")
 
-        monkeypatch.setattr("causalbn.latent.dependence_strength", broken)
+        monkeypatch.setattr("causalbn.latent._dependence", broken)
         with pytest.raises(TypeError, match="bug in a cell"):
             bias_scan(load_model("modelB"), {"u": [0.25]})
 
@@ -457,14 +493,15 @@ class TestBiasScan:
             )
 
     @pytest.mark.parametrize(
-        "values", [[], [0.5, 1.5], [-0.1], [math.nan], [0.2, math.inf]]
+        "values",
+        [[], [0.5, 1.5], [-0.1], [math.nan], [0.2, math.inf], ["x"], [0.3, None], 0.5, None],
     )
     def test_empty_or_out_of_range_axis_rejected_before_any_cell(self, monkeypatch, values):
         def no_cell(*args):
             raise AssertionError("a cell ran")
 
         monkeypatch.setattr("causalbn.latent._scan_cell", no_cell)
-        with pytest.raises(ValidationError, match=r"needs values, all in \[0, 1\]"):
+        with pytest.raises(ValidationError, match=r"'u' needs values, all in \[0, 1\]"):
             bias_scan(load_model("modelD"), {"w|u=1": [0.3], "u": values})
 
     def test_unknown_grid_parameter(self):
@@ -505,8 +542,10 @@ class TestBiasScan:
             ({"nope": 0.5}, "unknown scan parameter 'nope'"),
             ({"u": 1.5}, "outside"),
             ({"u": math.nan}, "outside"),
+            ({"u": "abc"}, "parameter 'u' needs a number, not 'abc'"),
+            ({"u": None}, "parameter 'u' needs a number, not None"),
         ],
-        ids=["unknown", "above-one", "nan"],
+        ids=["unknown", "above-one", "nan", "text", "none"],
     )
     def test_bad_base_params_refused_before_any_cell(self, monkeypatch, base, message):
         def no_cell(*args):
@@ -534,6 +573,68 @@ class TestBiasScan:
         with pytest.raises(ValidationError, match=message):
             bias_scan(unscannable_net(change), {"z|u=1": [0.4]})
 
+
+
+def _exact(value):
+    """``value`` with each float as its 8 bytes, so that ``==`` compares
+    floats bit for bit, NaN and the sign of 0 included."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, dict):
+        return {k: _exact(v) for k, v in value.items()}
+    return value
+
+
+def _edge_grid(net, treatment, covariate):
+    """Every row of the treatment at 0, 0.5 and 1 (at 0 and 1 past two
+    rows), and the first row of the covariate's first parent, or of the
+    covariate when it is a root, at 0, 0.5 and 1."""
+    axes = scan_parameters(net)
+    rows = [a for a, (node, _) in axes.items() if node == treatment]
+    grid = {a: [0.0, 0.5, 1.0] if len(rows) <= 2 else [0.0, 1.0] for a in rows}
+    other = (*net.dag.parents[covariate], covariate)[0]
+    grid[next(a for a, (node, _) in axes.items() if node == other)] = [0.0, 0.5, 1.0]
+    return grid
+
+
+class TestScanMatchesTheReferenceCell:
+    """``bias_scan`` resolves its requests once and runs only array
+    arithmetic per cell; each cell equals ``oracles.reference_scan_cell``,
+    the path through the public functions, field by field: floats bit for
+    bit, the winner, the class and the error."""
+
+    def _errors(self, net, grid, roles, base_params=None):
+        results = bias_scan(net, grid, *roles, base_params=base_params)
+        base = with_parameters(net, base_params or {})
+        names = sorted(grid)
+        points = [dict(zip(names, v)) for v in itertools.product(*(grid[a] for a in names))]
+        assert len(results) == len(points)
+        for got, point in zip(results, points):
+            want = reference_scan_cell(base, point, *roles)
+            fields = [f.name for f in dataclasses.fields(got)]
+            assert {f: _exact(getattr(got, f)) for f in fields} == {
+                f: _exact(getattr(want, f)) for f in fields
+            }, point
+        return [r.error for r in results if r.error is not None]
+
+    def test_bundled_models(self):
+        errors = []
+        for name in BUNDLED_MODELS:
+            net = load_model(name)
+            errors += self._errors(net, _edge_grid(net, "Z", "X"), ("Z", "Y", "X"))
+        # p(Z) = 0, positivity and zero-posterior cells all fail
+        for kind in ("; conditional undefined", ") = 0 while p(", "has probability 0 given"):
+            assert any(kind in e for e in errors), kind
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_binary_networks(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, int(rng.integers(4, 8)), max_card=2, zero_frac=0.2)
+        roles = tuple(str(n) for n in rng.choice(net.dag.nodes, size=3, replace=False))
+        axes = list(scan_parameters(net))
+        picks = rng.choice(len(axes), size=3, replace=False)
+        grid = {axes[i]: [0.0, 0.5, 1.0] for i in picks[:2]}
+        self._errors(net, grid, roles, base_params={axes[picks[2]]: float(rng.uniform())})
 
 
 def _built_in_full(net, values):
