@@ -7,11 +7,11 @@ the configurations that call iterates over.  A network is compiled once,
 when it is built: it keeps each node's cardinality and each CPT as a cube
 over ``(*parents, child)``, and one store (``_Tables``) of kept answers.
 A network derived from another (``_derive``) shares what its CPT changes
-leave alone, and one memo of contraction plans (``_plan``) with it.  A
-contraction is a request resolved on a network (``_resolve``: its states
-and its plan) and then executed (``_execute``: the size cap, the slices
-and the einsum), so a scan resolves its requests once and executes them
-on every cell.
+leave alone.  A contraction is a request resolved on a network
+(``_resolve``: its ancestors, slices, point masses and einsum labels) and
+then executed (``_execute``: the size cap, the cubes sliced from the
+executing network and the einsum), so a scan resolves its requests once
+and executes them on every cell.
 Every answer a network keeps comes from a kept function (``_kept``): the
 tables of ``joint``, the distributions of ``query`` and of the
 do-operator (one kept function, ``_distribution``), and the estimators
@@ -34,7 +34,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -123,8 +123,7 @@ class DiscreteBayesNet:
     each node's cardinality, each CPT as a read-only cube over
     ``(*parents, child)``, an empty store of the tables and answers it
     keeps (``_Tables``), and the ``_names`` of all its nodes, the ``keep``
-    of every full-joint request.  A built network keeps no contraction
-    plans (``_plans`` is None); only derived networks share them.
+    of every full-joint request.
     """
 
     dag: Dag
@@ -144,7 +143,6 @@ class DiscreteBayesNet:
         object.__setattr__(self, "_cubes", MappingProxyType(cubes))
         object.__setattr__(self, "_tables", _Tables())
         object.__setattr__(self, "_all_names", _names(self.dag.nodes))
-        object.__setattr__(self, "_plans", None)
 
     def card(self, name: str) -> int:
         return self._card[name]
@@ -210,9 +208,7 @@ def _derive(net: DiscreteBayesNet, tables: Mapping[str, np.ndarray]) -> Discrete
     ``validate``'s error; every other CPT is ``net``'s, checked already.
     The derived network shares ``net``'s DAG, variables, cardinalities,
     names and unchanged cubes, and starts with an empty store of kept
-    answers.  It shares one memo of contraction plans with ``net``, made
-    here if ``net`` keeps none, so the networks derived from one base plan
-    each request shape once.
+    answers.  A request resolved on ``net`` executes on it unchanged.
     """
     cpts, cubes = dict(net.cpts), dict(net._cubes)
     for node in [n for n in net.dag.nodes if n in tables]:
@@ -233,7 +229,6 @@ def _derive(net: DiscreteBayesNet, tables: Mapping[str, np.ndarray]) -> Discrete
         _cubes=MappingProxyType(cubes),
         _tables=_Tables(),
         _all_names=net._all_names,
-        _plans={} if net._plans is None else net._plans,
     )
     return derived
 
@@ -419,20 +414,28 @@ def _contract(
     own answer, which the network keeps instead.
     """
     request = _resolve(net, keep, do, evidence)
-    out = request.plan.out
+    out = request.out
     return Factor(out, tuple(net.variables[n].states for n in out), _execute(net, request))
 
 
 class _Request(NamedTuple):
-    """A request resolved on a network (``_resolve``): its ``plan`` and,
-    for each of the plan's operands in order, the ``index`` that slices the
-    factor at the request's states and the sliced array it ``held`` at
-    resolution, or None where ``_execute`` slices the executing network's
-    cube."""
+    """A contraction request resolved on a network (``_resolve``).
 
-    plan: _Plan
-    index: tuple[tuple[int | slice, ...], ...]
-    held: tuple[np.ndarray | None, ...]
+    ``count`` is the number of configurations of the free variables and
+    ``width`` the number of those variables.  ``operands`` holds one
+    ``(node, index, mass, labels)`` per factor, in declaration order:
+    ``index`` slices the factor at the request's states (an int per sliced
+    axis, a whole slice per free one), ``mass`` is an intervened node's
+    point mass, so sliced, or None for the node's CPT cube, and ``labels``
+    are the einsum labels of the axes left.  ``out`` is the table's scope
+    and ``out_labels`` its labels.
+    """
+
+    count: int
+    width: int
+    operands: tuple[tuple[str, tuple[int | slice, ...], np.ndarray | None, list[int]], ...]
+    out: tuple[str, ...]
+    out_labels: list[int]
 
 
 def _resolve(
@@ -440,118 +443,66 @@ def _resolve(
     keep: tuple[str, ...],
     do: tuple[tuple[str, str], ...],
     evidence: tuple[tuple[str, str], ...],
-    hold: Container[str] = (),
 ) -> _Request:
     """The request for ``joint``'s table over ``keep`` under ``do`` and
-    ``evidence`` (see ``_contract``), resolved on ``net``.
-
-    An unknown name or state raises UnknownVariable.  The plan (``_plan``)
-    comes from the network's memo when it keeps one, keyed on the request's
-    names, and is added to it when missing.  An intervened node's point
-    mass is held, and so is the sliced cube of each node in ``hold``: a
-    request executed on the networks derived from ``net`` that leave those
-    nodes' CPTs alone slices only the other cubes.
-    """
+    ``evidence`` (see ``_contract``), resolved on ``net``: it holds names,
+    ints, slices and point masses, and no CPT, so it executes on any
+    network derived from ``net``.  An unknown name or state raises
+    UnknownVariable."""
     point_at = {n: net.state_index(n, state) for n, state in do}
-    fixed = {n: net.state_index(n, state) for n, state in evidence}
-    key = (keep, tuple(point_at), tuple(fixed))
-    plans = net._plans
-    plan = None if plans is None else plans.get(key)
-    if plan is None:
-        plan = _plan(net, *key)
-        if plans is not None:
-            plans[key] = plan
-    # where evidence names an intervened node too, the evidence state is the slice
-    fixed = {**point_at, **fixed}
-    indices, held = [], []
-    for n, card, names, _ in plan.operands:
-        index = tuple(slice(None) if v is None else fixed[v] for v in names)
-        if card:
-            cube = np.zeros(card)
-            cube[point_at[n]] = 1.0
-            cube.flags.writeable = False
-            held.append(cube[index])
-        else:
-            held.append(net._cubes[n][index] if n in hold else None)
-        indices.append(index)
-    return _Request(plan, tuple(indices), tuple(held))
-
-
-def _execute(net: DiscreteBayesNet, request: _Request) -> np.ndarray:
-    """The values of ``request``'s table in ``net``: one ``np.einsum`` call
-    over its operands in declaration order, each held one as it was
-    resolved and each other one ``net``'s cube, sliced.  The size cap in
-    force and ``np.einsum``'s limits are checked on every call."""
-    plan = request.plan
-    if plan.count > DEFAULT_SIZE_CAP:
-        raise SizeCapExceeded(f"joint would exceed {DEFAULT_SIZE_CAP} configurations")
-    # np.einsum takes at most 52 labels and 63 operands (the output included)
-    if plan.width > 52 or len(plan.operands) > 61:
-        raise SizeCapExceeded(
-            f"joint over {len(plan.operands)} factors and {plan.width} free variables "
-            "exceeds np.einsum's limits"
-        )
-    cubes = net._cubes
-    # the product starts from 1, so even a single factor yields a new array
-    operands: list[object] = [np.ones(()), []]
-    for (n, _, _, labels), index, held in zip(plan.operands, request.index, request.held):
-        operands += [cubes[n][index] if held is None else held, labels]
-    return np.einsum(*operands, plan.out_labels, optimize=False)
-
-
-class _Plan(NamedTuple):
-    """What a request's names alone determine (see ``_resolve``).
-
-    ``count`` is the number of configurations of the free variables and
-    ``width`` the number of those variables.  ``operands`` holds one
-    ``(node, card, index, labels)`` per factor, in declaration order:
-    ``card`` is the cardinality of an intervened node's point mass, or 0
-    for the node's CPT cube; ``index`` gives, for each axis of the factor,
-    the variable whose state slices it, or None where the axis stays
-    whole; ``labels`` are the einsum labels of the axes left.  ``out`` is
-    the table's scope and ``out_labels`` its labels.
-    """
-
-    count: int
-    width: int
-    operands: tuple[tuple[str, int, tuple[str | None, ...], list[int]], ...]
-    out: tuple[str, ...]
-    out_labels: list[int]
-
-
-def _plan(
-    net: DiscreteBayesNet,
-    keep: tuple[str, ...],
-    intervened: tuple[str, ...],
-    observed: tuple[str, ...],
-) -> _Plan:
-    """The plan of a contraction over ``keep`` with ``intervened`` and
-    ``observed`` set, names the caller has checked.  An unknown name in
-    ``keep`` raises UnknownVariable."""
+    observed = {n: net.state_index(n, state) for n, state in evidence}
     for n in keep:
         if n not in net.variables:
             raise UnknownVariable(f"unknown variable {n!r}")
-    keep_set, intervened = set(keep), set(intervened)
+    keep_set = set(keep)
     # ancestors in the mutilated graph: an intervened node has no parents
     parents = net.dag.parents
-    relevant = _reach(lambda n: () if n in intervened else parents[n], [*keep, *observed])
-    # an intervened node outside ``keep`` is sliced at its assigned state
-    fixed = {n for n in intervened if n not in keep_set}.union(observed)
+    relevant = _reach(lambda n: () if n in point_at else parents[n], [*keep, *observed])
+    # an intervened node outside ``keep`` is sliced at its assigned state;
+    # where evidence names an intervened node too, the evidence state is the slice
+    fixed = {n: i for n, i in point_at.items() if n not in keep_set}
+    fixed.update(observed)
     free = [n for n in net.dag.nodes if n in relevant and n not in fixed]
     label = {n: i for i, n in enumerate(free)}
     operands = []
     for n in net.dag.nodes:
         if n not in relevant:
             continue
-        card = net.card(n) if n in intervened else 0
-        scope = (n,) if card else (*net.cpts[n].parents, n)
-        index = tuple(v if v in fixed else None for v in scope)
-        operands.append((n, card, index, [label[v] for v in scope if v not in fixed]))
+        scope = (n,) if n in point_at else (*parents[n], n)
+        index = tuple(fixed.get(v, slice(None)) for v in scope)
+        mass = None
+        if n in point_at:
+            cube = np.zeros(net.card(n))
+            cube[point_at[n]] = 1.0
+            cube.flags.writeable = False
+            mass = cube[index]
+        operands.append((n, index, mass, [label[v] for v in scope if v not in fixed]))
     out = tuple(n for n in free if n in keep_set)
-    return _Plan(
+    return _Request(
         math.prod(net.card(n) for n in free), len(free), tuple(operands), out,
         [label[n] for n in out],
     )
+
+
+def _execute(net: DiscreteBayesNet, request: _Request) -> np.ndarray:
+    """The values of ``request``'s table in ``net``: one ``np.einsum`` call
+    over its operands in declaration order, each point mass as it was
+    resolved and each CPT cube sliced from ``net``.  The size cap in force
+    and ``np.einsum``'s limits are checked on every call."""
+    if request.count > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"joint would exceed {DEFAULT_SIZE_CAP} configurations")
+    # np.einsum takes at most 52 labels and 63 operands (the output included)
+    if request.width > 52 or len(request.operands) > 61:
+        raise SizeCapExceeded(
+            f"joint over {len(request.operands)} factors and {request.width} free variables "
+            "exceeds np.einsum's limits"
+        )
+    cubes = net._cubes
+    # the product starts from 1, so even a single factor yields a new array
+    operands: list[object] = [np.ones(()), []]
+    for n, index, mass, labels in request.operands:
+        operands += [cubes[n][index] if mass is None else mass, labels]
+    return np.einsum(*operands, request.out_labels, optimize=False)
 
 
 #: ``joint``'s table, kept.  An estimator reads its table here when one
@@ -667,8 +618,9 @@ def _normalise(values: np.ndarray, evidence: tuple[tuple[str, str], ...]) -> np.
 class Dataset:
     """Rows of joint assignments stored as state indices.
 
-    ``rows`` may have any integer dtype and memory layout; other dtypes
-    (floats, bools) are rejected when the dataset is built.
+    ``rows`` is a numpy array of any integer dtype and memory layout;
+    anything else (a list, floats, bools) is rejected when the dataset is
+    built.
     """
 
     columns: tuple[str, ...]
@@ -676,6 +628,10 @@ class Dataset:
     rows: np.ndarray  # shape (n, len(columns)), integer state indices
 
     def __post_init__(self):
+        if not isinstance(self.rows, np.ndarray):
+            raise ValidationError(
+                f"dataset rows must be a numpy array of integers, not {type(self.rows).__name__}"
+            )
         if self.rows.dtype.kind not in "iu":
             raise ValidationError(f"dataset rows must be integers, not {self.rows.dtype}")
         cards = np.array([len(s) for s in self.states], dtype=np.int64)

@@ -102,10 +102,9 @@ def _with_parameters(
     for name, value in values.items():
         if name not in axes:
             raise ValidationError(f"unknown scan parameter {name!r}")
-        try:
-            p = float(value)
-        except (TypeError, ValueError):
-            raise ValidationError(f"parameter {name!r} needs a number, not {value!r}") from None
+        p = _number(value)
+        if p is None:
+            raise ValidationError(f"parameter {name!r} needs a number, not {value!r}")
         if not 0.0 <= p <= 1.0:
             raise ValidationError(f"parameter {name}={value} outside [0,1]")
         node, row = axes[name]
@@ -277,11 +276,10 @@ class ScanResult:
 
 class _ScanRequests(NamedTuple):
     """What a scan resolves once, on its base (``bayesnet._resolve``): the
-    requests its cells execute, each holding the sliced cubes of every CPT
-    the grid leaves alone, and the outcome's values.  ``truth`` has the
-    outcome's table under do(treatment = level) for each level, and
-    ``adjusted`` the table over the treatment, the outcome and the
-    covariate."""
+    requests its cells execute, each slicing every CPT cube from the cell's
+    network, and the outcome's values.  ``truth`` has the outcome's table
+    under do(treatment = level) for each level, and ``adjusted`` the table
+    over the treatment, the outcome and the covariate."""
 
     truth: tuple[_Request, ...]
     adjusted: _Request
@@ -308,7 +306,7 @@ def _scan_cell(
         unadj_rows = _unadjusted_rows(f.scope, f.states, f.values, treatment, outcome, BINARY)
         table = requests.adjusted
         adj_rows = _adjusted_rows(
-            net, table.plan.out, _execute(net, table), treatment, outcome, (covariate,)
+            net, table.out, _execute(net, table), treatment, outcome, (covariate,)
         )
         dep_zx = _dependence(f.scope, f.values, covariate, treatment)
         dep_xy = _dependence(f.scope, f.values, covariate, outcome)
@@ -387,11 +385,9 @@ def bias_scan(
     base = _with_parameters(net, axes, base_params or {})
     names = sorted(grid)
     # and the requests every cell executes are resolved once, on the base
-    changed = {axes[name][0] for name in names}
-    hold = {n for n in nodes if n not in changed}
     requests = _ScanRequests(
-        tuple(_resolve(base, (outcome,), ((treatment, lv),), (), hold) for lv in BINARY),
-        _resolve(base, _names((treatment, outcome, covariate)), (), (), hold),
+        tuple(_resolve(base, (outcome,), ((treatment, lv),), ()) for lv in BINARY),
+        _resolve(base, _names((treatment, outcome, covariate)), (), ()),
         _outcome_values(base, outcome),
     )
     return [
@@ -402,14 +398,25 @@ def bias_scan(
 
 def _grid_values(name: str, values) -> list[float]:
     """The values of grid axis ``name`` as floats; ValidationError unless
-    they are a non-empty sequence of numbers, all in [0, 1]."""
+    they are a non-empty sequence, not text, of numbers, all in [0, 1]."""
     try:
-        points = [float(v) for v in values]
-    except (TypeError, ValueError):
+        points = [] if isinstance(values, (str, bytes)) else [_number(v) for v in values]
+    except TypeError:
         points = []
-    if not points or not all(0.0 <= p <= 1.0 for p in points):
+    if not points or not all(p is not None and 0.0 <= p <= 1.0 for p in points):
         raise ValidationError(f"grid parameter {name!r} needs values, all in [0, 1]")
     return points
+
+
+def _number(value) -> float | None:
+    """``value`` as a float, or None unless it is a number: text and bools
+    are not, as ``parse_model`` refuses JSON ``true`` and ``false``."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
 
 
 def _fmt(x: float) -> str:

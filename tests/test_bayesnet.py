@@ -860,8 +860,10 @@ class TestSamplingReference:
         assert counts[(1,) * 12] == sum(r == [1] * 12 for r in rows.tolist())
 
     @pytest.mark.parametrize(
-        "rows", [np.array([[0.5]]), np.array([[0.0], [1.0]]), np.array([[False], [True]])],
-        ids=["fraction", "whole-floats", "bool"],
+        "rows",
+        [np.array([[0.5]]), np.array([[0.0], [1.0]]), np.array([[False], [True]]), [[0], [1]],
+         None, "01"],
+        ids=["fraction", "whole-floats", "bool", "list", "none", "text"],
     )
     def test_non_integer_rows_rejected(self, rows):
         with pytest.raises(ValidationError, match="integers"):

@@ -494,7 +494,16 @@ class TestBiasScan:
 
     @pytest.mark.parametrize(
         "values",
-        [[], [0.5, 1.5], [-0.1], [math.nan], [0.2, math.inf], ["x"], [0.3, None], 0.5, None],
+        [
+            [], [0.5, 1.5], [-0.1], [math.nan], [0.2, math.inf], ["x"], [0.3, None], 0.5, None,
+            # text is neither a sequence of numbers nor a number, nor is a bool
+            pytest.param("1", id="text"),
+            pytest.param("0.5", id="text-fraction"),
+            pytest.param(b"1", id="bytes"),
+            pytest.param(["0.5"], id="text-entry"),
+            pytest.param([True], id="bool-entry"),
+            pytest.param([0.5, np.False_], id="numpy-bool-entry"),
+        ],
     )
     def test_empty_or_out_of_range_axis_rejected_before_any_cell(self, monkeypatch, values):
         def no_cell(*args):
@@ -544,8 +553,11 @@ class TestBiasScan:
             ({"u": math.nan}, "outside"),
             ({"u": "abc"}, "parameter 'u' needs a number, not 'abc'"),
             ({"u": None}, "parameter 'u' needs a number, not None"),
+            ({"u": "0.25"}, "parameter 'u' needs a number, not '0.25'"),
+            ({"u": b"1"}, "parameter 'u' needs a number, not b'1'"),
+            ({"u": True}, "parameter 'u' needs a number, not True"),
         ],
-        ids=["unknown", "above-one", "nan", "text", "none"],
+        ids=["unknown", "above-one", "nan", "text", "none", "numeric-text", "bytes", "bool"],
     )
     def test_bad_base_params_refused_before_any_cell(self, monkeypatch, base, message):
         def no_cell(*args):
@@ -657,7 +669,7 @@ def _derivable_nets():
 
 class TestDerivedNetwork:
     """``with_parameters`` derives its network from ``net``: it checks the
-    changed CPTs only and shares everything else, plans included."""
+    changed CPTs only and shares everything else."""
 
     @pytest.mark.parametrize("name, net", list(_derivable_nets()), ids=lambda v: str(v))
     def test_same_tables_and_joints_as_a_full_build(self, name, net):
@@ -674,7 +686,7 @@ class TestDerivedNetwork:
             assert not derived.cpts[n].table.flags.writeable
             assert not derived._cubes[n].flags.writeable
         assert np.array_equal(joint(derived).values, joint(full).values)
-        # a contraction with do and evidence, twice: planned, then from the memo
+        # a contraction with do and evidence on two networks derived alike
         first, *middle, last = net.dag.nodes
         do, evidence = {first: net.states(first)[1]}, {middle[0]: net.states(middle[0])[0]}
         for _ in range(2):
@@ -729,83 +741,85 @@ class TestDerivedNetwork:
         assert derived.cpts["X"].table[2:].tolist() == [[0.7, 0.3], [0.4, 0.6]]
 
 
-def _plan_leaves(plan):
-    for part in plan:
-        if isinstance(part, (tuple, list)):
-            yield from _plan_leaves(part)
-        else:
-            yield part
+class TestResolvedRequests:
+    """A request is resolved on a network in one step (``bayesnet._resolve``)
+    and holds no CPT, so it executes on every network derived from that
+    one; a scan resolves its own three requests once, on its base."""
 
-
-class TestSharedPlans:
-    """Derived networks share one memo of contraction plans; built ones keep none."""
-
-    def _scan(self, monkeypatch):
-        derived, planned = [], []
-        derive, plan = latent._derive, bayesnet._plan
+    @pytest.mark.parametrize("shape", [(1,), (3, 3), (7, 7)], ids=["1", "9", "49"])
+    def test_a_scan_resolves_its_requests_once(self, monkeypatch, shape):
+        derived, resolved = [], []
+        derive, resolve = latent._derive, latent._resolve
 
         def recording_derive(net, tables):
             derived.append(derive(net, tables))
             return derived[-1]
 
-        def counting_plan(*args):
-            planned.append(args[1:])
-            return plan(*args)
+        def counting_resolve(*args):
+            resolved.append(args)
+            return resolve(*args)
 
         monkeypatch.setattr(latent, "_derive", recording_derive)
-        monkeypatch.setattr(bayesnet, "_plan", counting_plan)
-        grid = {"w|u=1": [0.2, 0.5, 0.8], "x|u=1,w=1": [0.1, 0.6, 0.9]}
+        monkeypatch.setattr(latent, "_resolve", counting_resolve)
+        axes = ["w|u=1", "x|u=1,w=1"]
+        grid = {a: list(np.linspace(0.1, 0.9, n)) for a, n in zip(axes, shape)}
         results = bias_scan(load_model("modelD"), grid)
-        return results, derived, planned
+        cells = derived[1:]
+        assert len(cells) == len(results) == math.prod(shape)
+        # both truth tables and the adjusted table, whatever the cell count
+        assert len(resolved) == 3
+        # and each cell keeps only its full joint, which it reads through ``joint``
+        for cell in cells:
+            assert [key[1:] for key in cell._tables] == [
+                (bayesnet.DEFAULT_SIZE_CAP, cell._all_names, (), ())
+            ]
 
-    def test_a_scan_plans_each_request_shape_once(self, monkeypatch):
-        results, derived, planned = self._scan(monkeypatch)
-        base, cells = derived[0], derived[1:]
-        assert len(cells) == len(results) == 9
-        memo = base._plans
-        assert memo and all(cell._plans is memo for cell in cells)
-        # every cell contracted through the plans the first cell made
-        assert len(planned) == len(set(planned)) == len(memo)
-        assert set(planned) == set(memo)
+    def test_a_request_holds_names_ints_slices_and_point_masses(self):
+        net = with_parameters(load_model("modelD"), {"u": 0.3})
+        do, evidence = (("W", "1"), ("Z", "0")), (("X", "0"),)
+        for keep in [("Y",), ("W", "Y"), net._all_names]:
+            request = bayesnet._resolve(net, keep, do, evidence)
+            for n, index, mass, labels in request.operands:
+                assert n in net.variables
+                assert all(type(i) is int or i == slice(None) for i in index)
+                assert all(type(label) is int for label in labels)
+                if n in dict(do):
+                    # a point mass, sliced where the node is fixed, never a cube
+                    assert set(np.ravel(mass)) <= {0.0, 1.0}
+                else:
+                    assert mass is None
+            assert type(request.count) is int and type(request.width) is int
+            assert set(request.out) <= set(net.variables)
+            assert all(type(label) is int for label in request.out_labels)
 
-    def test_plans_hold_names_labels_and_counts_only(self, monkeypatch):
-        _, derived, _ = self._scan(monkeypatch)
-        net = derived[0]
-        for key, plan in net._plans.items():
-            for leaf in [*_plan_leaves(key), *_plan_leaves(plan)]:
-                assert leaf is None or type(leaf) is int or leaf in net.variables, leaf
-                assert not isinstance(leaf, (float, np.ndarray))
-
-    def test_a_loaded_or_built_network_keeps_no_plans(self):
-        for net in (load_model("modelD"), _built_in_full(load_model("modelD"), {"u": 0.4})):
-            joint(net, {"Z": "1"}, keep=["Y"], evidence={"X": "0"})
-            bias_scan(net, {"u": [0.3]})
-            assert net._plans is None
-
-    def test_states_and_the_size_cap_are_read_after_a_plan_is_kept(self, monkeypatch):
+    def test_bad_states_raise_on_every_call(self):
         net = with_parameters(load_model("modelD"), {"u": 0.3})
         do, evidence = {"Z": "1"}, {"X": "0"}
         joint(net, do, keep=["Y"], evidence=evidence)
-        key = (("Y",), ("Z",), ("X",))
-        plan = net._plans[key]
-        for bad_do, bad_evidence in [({"Z": "2"}, evidence), (do, {"X": "2"})]:
+        cases = [({"Z": "2"}, evidence, ["Y"]), (do, {"X": "2"}, ["Y"]), (do, evidence, ["Q"])]
+        for bad_do, bad_evidence, keep in cases:
             for _ in range(2):
                 with pytest.raises(UnknownVariable):
-                    joint(net, bad_do, keep=["Y"], evidence=bad_evidence)
-        monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", plan.count - 1)
-        for _ in range(2):
+                    joint(net, bad_do, keep=keep, evidence=bad_evidence)
+                with pytest.raises(UnknownVariable):
+                    joint(with_parameters(net, {"u": 0.4}), bad_do, keep=keep, evidence=bad_evidence)
+
+    def test_the_size_cap_is_checked_on_every_execution(self, monkeypatch):
+        base = with_parameters(load_model("modelD"), {"u": 0.3})
+        request = bayesnet._resolve(base, ("Y",), (("Z", "1"),), (("X", "0"),))
+        cells = [with_parameters(base, {"u": p}) for p in (0.2, 0.6)]
+        want = [bayesnet._execute(cell, request) for cell in cells]
+        monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", request.count - 1)
+        for cell in [base, *cells, base]:
             with pytest.raises(SizeCapExceeded):
-                joint(net, do, keep=["Y"], evidence=evidence)
-        assert net._plans[key] is plan
+                bayesnet._execute(cell, request)
+            with pytest.raises(SizeCapExceeded):
+                joint(cell, {"Z": "1"}, keep=["Y"], evidence={"X": "0"})
+        monkeypatch.setattr(bayesnet, "DEFAULT_SIZE_CAP", request.count)
+        for cell, values in zip(cells, want):
+            assert np.array_equal(bayesnet._execute(cell, request), values)
 
-    def test_a_plan_that_raises_is_not_kept(self):
-        net = with_parameters(load_model("modelD"), {"u": 0.3})
-        for _ in range(2):
-            with pytest.raises(UnknownVariable):
-                joint(net, keep=["Q"])
-        assert (("Q",), (), ()) not in net._plans
-
-    def test_threads_planning_at_once_give_the_serial_answers(self):
+    def test_threads_contracting_at_once_give_the_serial_answers(self):
         base = with_parameters(load_model("modelD"), {})
         shapes = [
             ({}, ["Y"], {}),
@@ -844,4 +858,3 @@ class TestSharedPlans:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
-        assert len(base._plans) == len(shapes)
